@@ -7,6 +7,7 @@ Identical inputs and configuration produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from . import serialize as ser
 from . import shimura as sh
 from . import tori as tr
 from .errors import InputError, PlecticError
-from .numberfields import FieldOrder
+from .numberfields import FieldOrder, FractionalIdealRep
 from .schemas import SCHEMA_VERSION
 from .serialize import real_to_json
 
@@ -64,13 +65,16 @@ def _load_input(args) -> dict:
         raise InputError("this subcommand requires --input FILE")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {args.input} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(obj, dict):
+        raise InputError(f"{args.input}: the top level must be a JSON object")
+    return obj
 
 
 def _parse_bits(text, n):
@@ -189,7 +193,7 @@ def cmd_torus_rm_construct(args, config):
         z = [ser.complex_from_json(c) for c in obj["z"]]
     except KeyError as exc:
         raise InputError(f"rm-construct input: missing {exc}") from exc
-    ideal = ser.ideal_from_json(field, obj["ideal"]) if "ideal" in obj else None
+    ideal = FractionalIdealRep.from_json(field, obj["ideal"]) if "ideal" in obj else None
     torus = tr.construct_rm_torus(field, z, ideal)
     return {"torus": ser.torus_to_json(torus)}, True
 
@@ -552,9 +556,14 @@ def _emit(report: dict, output: str | None):
         sys.stdout.write(text)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         precision = args.precision
         if precision is None:

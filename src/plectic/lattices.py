@@ -1,12 +1,13 @@
 """Exact integer-matrix and lattice algebra.
 
 Everything here is exact: entries are Python ints or Fractions and no
-routine rounds.  The one numeric entry point is
-:func:`lattice_membership`, which takes an explicit tolerance.
+routine rounds, apart from :func:`lattice_membership`, which takes an
+explicit tolerance, and :func:`fraction_to_mpf`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,9 @@ __all__ = [
     "solve_integer",
     "fraction_solve",
     "lll_reduce",
+    "coefficient_shells",
+    "int_combination",
+    "fraction_to_mpf",
 ]
 
 
@@ -349,6 +353,12 @@ def fraction_inverse(A: IntMatrix):
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
+def fraction_to_mpf(x) -> mp.mpf:
+    """An int or Fraction as an mpf at the current precision."""
+    f = Fraction(x)
+    return mp.mpf(f.numerator) / mp.mpf(f.denominator)
+
+
 def int_inverse_unimodular(A: IntMatrix) -> IntMatrix:
     inv = fraction_inverse(A)
     if any(x.denominator != 1 for r in inv for x in r):
@@ -474,6 +484,38 @@ def lll_reduce(rows):
     return [tuple(r) for r in b]
 
 
+def coefficient_shells(rank: int, bound: int, positive_first: bool = False):
+    """Nonzero integer vectors of length `rank` by max-norm shell
+    h = 1..bound, lexicographic within a shell; with positive_first, only
+    those whose first nonzero entry is positive (one of each pair +-v).
+
+    A shell is built directly: a leading entry with |c| = h leaves the rest
+    free in [-h, h], any other leading entry puts the rest on the shell.
+    """
+    for h in range(1, bound + 1):
+        yield from _shell(rank, h, positive_first)
+
+
+def _shell(rank, h, positive_first):
+    if rank == 0:
+        return
+    for c in range(0 if positive_first else -h, h + 1):
+        if abs(c) == h:
+            rest = itertools.product(range(-h, h + 1), repeat=rank - 1)
+        else:
+            rest = _shell(rank - 1, h, positive_first and c == 0)
+        for r in rest:
+            yield (c,) + r
+
+
+def int_combination(coeffs, mats) -> IntMatrix:
+    """The integer matrix sum of c_i * mats[i]; the mats share one shape."""
+    rows, cols = mats[0].rows, mats[0].cols
+    terms = [(c, M.entries) for c, M in zip(coeffs, mats) if c]
+    return IntMatrix(rows, cols, tuple(
+        tuple(sum(c * e[i][j] for c, e in terms) for j in range(cols)) for i in range(rows)))
+
+
 def lattices_equal(a_rows, b_rows) -> bool:
     """Exact equality of the row lattices spanned by two generator lists."""
     if not a_rows and not b_rows:
@@ -539,8 +581,8 @@ def lattice_membership(v, L: Lattice, tol=None):
         rhs = [sum(mp.mpmathify(B.entries[i][j]) * vv[j] for j in range(B.cols))
                for i in range(B.rows)]
         ginv = fraction_inverse(IntMatrix.from_rows(gram))
-        coeffs = [sum(mp.mpf(ginv[i][j].numerator) / mp.mpf(ginv[i][j].denominator) * rhs[j]
-                      for j in range(B.rows)) for i in range(B.rows)]
+        coeffs = [sum(fraction_to_mpf(ginv[i][j]) * rhs[j] for j in range(B.rows))
+                  for i in range(B.rows)]
         c = [int(mp.nint(x)) for x in coeffs]
         acc = mp.mpf(0)
         for j in range(B.cols):

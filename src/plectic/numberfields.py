@@ -9,7 +9,7 @@ which is all the acceptance surface needs.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +17,13 @@ import mpmath as mp
 
 from .config import working_precision
 from .errors import DegenerateInputError, InputError
-from .lattices import IntMatrix, fraction_solve, row_lattice_basis
+from .lattices import (
+    IntMatrix,
+    coefficient_shells,
+    fraction_solve,
+    fraction_to_mpf,
+    row_lattice_basis,
+)
 
 __all__ = ["FieldOrder", "FractionalIdealRep"]
 
@@ -148,10 +154,7 @@ class FieldOrder:
     def element_embedding(self, x, emb) -> mp.mpf:
         """sigma(x) for coordinates x and one embedding row."""
         with working_precision():
-            return mp.fsum(
-                mp.mpf(Fraction(c).numerator) / mp.mpf(Fraction(c).denominator) * e
-                for c, e in zip(x, emb)
-            )
+            return mp.fsum(fraction_to_mpf(c) * e for c, e in zip(x, emb))
 
     def discriminant(self) -> int:
         """Discriminant of min_poly (degree <= 2)."""
@@ -274,7 +277,7 @@ class FractionalIdealRep:
         den = 1
         for row in prods:
             for x in row:
-                den = den * x.denominator // _gcd(den, x.denominator)
+                den = math.lcm(den, x.denominator)
         int_rows = [[int(x * den) for x in row] for row in prods]
         basis = row_lattice_basis(IntMatrix.from_rows(int_rows))
         rows = tuple(tuple(Fraction(x, den) for x in row) for row in basis)
@@ -289,19 +292,19 @@ class FractionalIdealRep:
         return FractionalIdealRep(self.order, rows)
 
     def is_principal(self, search_bound: int = 50):
-        """Generator x with |Nm(x)| = Nm(ideal) found by short-vector
-        search over bounded basis combinations, or None.
+        """Generator x with |Nm(x)| = Nm(ideal) of least height, or None
+        when none is found within search_bound.
 
-        A hit is a certificate of principality; a miss within the bound
-        is not a proof of the converse, so class checks should compare
-        against a known representative.
+        The search runs over the basis combinations with coefficients in
+        [-search_bound, search_bound], shell by shell in the max-norm and
+        up to sign, since |Nm(-x)| = |Nm(x)|.  A hit is a certificate of
+        principality; None means "not found within the bound" and is not
+        a proof of the converse, so class checks should compare against a
+        known representative.
         """
         target = self.norm()
         d = self.order.degree
-        rng = range(-search_bound, search_bound + 1)
-        for coeffs in itertools.product(rng, repeat=d):
-            if all(c == 0 for c in coeffs):
-                continue
+        for coeffs in coefficient_shells(d, search_bound, positive_first=True):
             x = tuple(sum(Fraction(c) * self.basis[i][k] for i, c in enumerate(coeffs))
                       for k in range(d))
             if abs(self.order.norm(x)) == target:
@@ -325,9 +328,3 @@ class FractionalIdealRep:
         except (KeyError, ValueError) as exc:
             raise InputError(f"bad ideal JSON: {exc}") from exc
         return cls(order, rows)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -8,14 +8,12 @@ integer-matrix format.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import mpmath as mp
 
 from .config import decimal_digits, working_precision
 from .errors import InputError
 from .lattices import IntMatrix, Lattice
-from .numberfields import FieldOrder, FractionalIdealRep
+from .numberfields import FieldOrder
 
 __all__ = [
     "real_to_json", "real_from_json", "complex_to_json", "complex_from_json",
@@ -154,14 +152,6 @@ def rm_from_json(obj: dict):
     except KeyError as exc:
         raise InputError(f"bad rm JSON: missing {exc}") from exc
     return RMStructure(field, action)
-
-
-def ideal_to_json(ideal: FractionalIdealRep) -> dict:
-    return ideal.to_json()
-
-
-def ideal_from_json(order: FieldOrder, obj: dict) -> FractionalIdealRep:
-    return FractionalIdealRep.from_json(order, obj)
 
 
 def certificate_to_json(cert) -> dict:

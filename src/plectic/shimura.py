@@ -34,6 +34,7 @@ from .tori import (
     detect_rm,
     jacobian_is_abelian_certificate,
 )
+from .tori import _generates_totally_real_field
 from .tori import _min_poly as _matrix_min_poly
 
 __all__ = [
@@ -349,9 +350,7 @@ def _hecke_rm(d: StronglyPrimitiveDatum, basis: IntMatrix, h_chi) -> RMStructure
             continue
         restricted = IntMatrix.from_rows(cols).transpose()
         p = _matrix_min_poly(restricted)
-        if p.degree() != want or not p.is_irreducible:
-            continue
-        if len(p.real_roots()) != want:
+        if not _generates_totally_real_field(p, want):
             continue
         coeffs = [int(c) for c in p.all_coeffs()]
         if want == 1:

@@ -12,6 +12,7 @@ exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,11 @@ from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError, SearchExhaustedError
 from .lattices import (
     IntMatrix,
+    coefficient_shells,
+    fraction_inverse,
     fraction_solve,
+    fraction_to_mpf,
+    int_combination,
     kernel_integer,
     lattices_equal,
     lll_reduce,
@@ -32,7 +37,7 @@ from .lattices import (
     smith_normal_form,
     solve_integer,
 )
-from .numberfields import FieldOrder, FractionalIdealRep
+from .numberfields import FieldOrder, FractionalIdealRep, _fundamental_part, _unit
 
 __all__ = [
     "ComplexTorus",
@@ -52,11 +57,6 @@ __all__ = [
     "jacobian_is_abelian_certificate",
     "tori_isomorphic",
 ]
-
-
-def _fr(x) -> mp.mpf:
-    f = Fraction(x)
-    return mp.mpf(f.numerator) / mp.mpf(f.denominator)
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,7 @@ class ComplexTorus:
         relative residual of that equation."""
         with working_precision():
             Pi = self.periods
-            B = Pi * cx.mpm(N.entries)
-            G = Pi * cx.ctranspose(Pi)
-            M = B * cx.ctranspose(Pi) * (G**-1)
-            resid = cx.frob(M * Pi - B) / max(mp.mpf(1), cx.frob(B))
-            return M, resid
+            return _multiplier_fit(Pi)(Pi * cx.mpm(N.entries))
 
     def to_json(self) -> dict:
         from .serialize import complex_to_json
@@ -109,6 +105,20 @@ class ComplexTorus:
             "periods": [[complex_to_json(self.periods[i, j]) for j in range(2 * self.g)]
                         for i in range(self.g)],
         }
+
+
+def _multiplier_fit(Pi):
+    """The map B -> (M, residual) with M = B Pi^H (Pi Pi^H)^-1, the
+    least-squares solution of M Pi = B, and the relative residual of
+    that equation; (Pi Pi^H)^-1 is formed once, here."""
+    Ph = cx.ctranspose(Pi)
+    Ginv = (Pi * Ph) ** -1
+
+    def fit(B):
+        M = B * Ph * Ginv
+        return M, cx.frob(M * Pi - B) / max(mp.mpf(1), cx.frob(B))
+
+    return fit
 
 
 @dataclass(frozen=True)
@@ -133,11 +143,7 @@ class RMStructure:
         for i in range(d):
             for j in range(d):
                 prod = self.action[i] @ self.action[j]
-                want = IntMatrix.zeros(n, n)
-                for k in range(d):
-                    c = self.field.mult_table[i][j][k]
-                    if c:
-                        want = want + self.action[k].scale(c)
+                want = int_combination(self.field.mult_table[i][j], self.action)
                 if prod.entries != want.entries:
                     raise InputError("action does not satisfy the multiplication table")
 
@@ -307,29 +313,21 @@ def _unvec(v, rows, cols) -> IntMatrix:
                                        for i in range(rows)))
 
 
-def _bounded_lattice_elements(basis, height_bound, coeff_bound=None):
+def _bounded_lattice_elements(basis, height_bound):
     """Elements of the lattice spanned by `basis` whose entries stay
-    within height_bound, from a bounded coefficient search."""
-    rank = len(basis)
-    if coeff_bound is None:
-        coeff_bound = height_bound
-    if rank > 6:
+    within height_bound, one of each pair +-N, from the coefficient
+    vectors in [-height_bound, height_bound]^rank."""
+    if len(basis) > 6:
         # reduced bases at desk scale are short; fall back to filtering
         return [N for N in basis if max(abs(x) for r in N.entries for x in r) <= height_bound]
-    out = []
-    rng = range(-coeff_bound, coeff_bound + 1)
-    for coeffs in itertools.product(rng, repeat=rank):
-        if all(c == 0 for c in coeffs):
-            continue
-        if next((c for c in coeffs if c != 0), 1) < 0:
-            continue  # skip global sign duplicates
-        N = IntMatrix.zeros(basis[0].rows, basis[0].cols)
-        for c, B in zip(coeffs, basis):
-            if c:
-                N = N + B.scale(c)
+    hits = []
+    for coeffs in coefficient_shells(len(basis), height_bound, positive_first=True):
+        N = int_combination(coeffs, basis)
         if max(abs(x) for r in N.entries for x in r) <= height_bound:
-            out.append(N)
-    return out
+            hits.append((coeffs, N))
+    # the Z-basis that endomorphisms reports depends on the order of these
+    # rows; lexicographic coefficient order keeps it independent of the search
+    return [N for _, N in sorted(hits, key=lambda hit: hit[0])]
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +371,21 @@ def _is_scalar(N: IntMatrix) -> bool:
     return N.entries == IntMatrix.identity(n).scale(c).entries
 
 
+def _generates_totally_real_field(p, degree: int) -> bool:
+    """Whether the sympy Poly p is irreducible of the given degree with
+    all its roots real."""
+    return p.degree() == degree and p.is_irreducible and len(p.real_roots()) == degree
+
+
 def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | None = None):
     """Search the endomorphism lattice for the action of a totally real
-    field of degree g; returns an RMStructure or None.
+    field of degree g; returns an RMStructure, or None when no such
+    field is found within height_bound.
 
+    Candidates are the combinations of the reduced Hom(T, T) basis with
+    coefficients in [-height_bound, height_bound], by increasing height
+    and up to sign; at rank > 6 only the first six basis vectors are
+    combined, so None then says nothing about the rest of the lattice.
     The returned order is theta^{-1}(End(T)), the full order realized on
     the lattice, so already-maximal actions are detected as maximal.  A
     non-generic torus can carry several real-multiplication fields; pass
@@ -389,18 +398,14 @@ def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | 
     basis = hom_lattice(t, t)
     if not basis:
         return None
-    for coeffs in _coeff_enumeration(len(basis), height_bound):
-        N = IntMatrix.zeros(2 * g, 2 * g)
-        for c, B in zip(coeffs, basis):
-            if c:
-                N = N + B.scale(c)
+    searched = basis[:6]  # at rank > 6 only the first six basis vectors are combined
+    for coeffs in coefficient_shells(len(searched), height_bound, positive_first=True):
+        N = int_combination(coeffs, searched)
         if N.is_zero() or _is_scalar(N):
             continue
         p = _min_poly(N)
-        if p.degree() != g or not p.is_irreducible:
-            continue
-        if len(p.real_roots()) != g:
-            continue  # not totally real (CM directions are rejected here)
+        if not _generates_totally_real_field(p, g):
+            continue  # CM directions are rejected here
         if field_hint is not None and not _same_quadratic_field(p, field_hint):
             continue
         return _order_from_generator(N, basis, g)
@@ -408,24 +413,10 @@ def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | 
 
 
 def _same_quadratic_field(p, field: FieldOrder) -> bool:
-    from .numberfields import _fundamental_part
-
     if field.degree != 2 or p.degree() != 2:
         raise InputError("field hints are supported for degree 2 only")
     c = [int(v) for v in p.all_coeffs()]
     return _fundamental_part(c[1] * c[1] - 4 * c[2]) == _fundamental_part(field.discriminant())
-
-
-def _coeff_enumeration(rank, bound):
-    if rank > 6:
-        rank = 6
-    for h in range(1, bound + 1):
-        for coeffs in itertools.product(range(-h, h + 1), repeat=rank):
-            if max((abs(c) for c in coeffs), default=0) != h:
-                continue
-            if next((c for c in coeffs if c != 0), 1) < 0:
-                continue
-            yield coeffs
 
 
 def _order_from_generator(N: IntMatrix, endo_basis, g: int):
@@ -504,12 +495,12 @@ def construct_rm_torus(field: FieldOrder, z, ideal: FractionalIdealRep | None = 
         periods = mp.matrix(d, 2 * d)
         for l in range(d):
             for k in range(d):
-                periods[l, k] = field.element_embedding(_basis_unit(d, k), emb[l]) * zz[l]
+                periods[l, k] = field.element_embedding(_unit(d, k), emb[l]) * zz[l]
             for i in range(d):
                 periods[l, d + i] = field.element_embedding(ideal.basis[i], emb[l])
         action = []
         for k in range(d):
-            Mk = field.mult_matrix(_basis_unit(d, k))
+            Mk = field.mult_matrix(_unit(d, k))
             Ck = _ideal_action(field, ideal, k)
             n = 2 * d
             rows = [[0] * n for _ in range(n)]
@@ -522,17 +513,13 @@ def construct_rm_torus(field: FieldOrder, z, ideal: FractionalIdealRep | None = 
         return ComplexTorus(d, periods, rm=rm)
 
 
-def _basis_unit(d, k):
-    return tuple(Fraction(int(i == k)) for i in range(d))
-
-
 def _ideal_action(field: FieldOrder, ideal: FractionalIdealRep, k: int):
     """Integer matrix of multiplication by basis element k on the ideal."""
     d = field.degree
     cols = []
     Bt = [[ideal.basis[j][i] for j in range(d)] for i in range(d)]
     for j in range(d):
-        prod = field.mul_coords(_basis_unit(d, k), ideal.basis[j])
+        prod = field.mul_coords(_unit(d, k), ideal.basis[j])
         sol = fraction_solve(Bt, prod)
         if any(s.denominator != 1 for s in sol):
             raise InputError("ideal is not closed under the order action")
@@ -555,10 +542,8 @@ def enlarge_to_maximal(t: ComplexTorus, rm: RMStructure):
         raise InputError("maximal orders beyond degree 2 are out of scope")
     t0, n0 = -field.min_poly[1], field.min_poly[2]
     disc = t0 * t0 - 4 * n0
-    from .numberfields import _fundamental_part
-
     d0 = _fundamental_part(disc)
-    f = _isqrt(disc // d0)
+    f = math.isqrt(disc // d0)
     if f * f * d0 != disc:
         raise InputError("failed to compute the maximal order (reducible min_poly?)")
     a = next(
@@ -572,14 +557,15 @@ def enlarge_to_maximal(t: ComplexTorus, rm: RMStructure):
     stacked += [list(r) for r in shifted.transpose().entries]  # columns generate the image
     H = row_lattice_basis(IntMatrix.from_rows(stacked))  # spans f * Lambda'
     Hm = IntMatrix.from_rows(H)
-    with working_precision():
-        T = cx.mpm([[_fr(Fraction(Hm.entries[j][i], f)) for j in range(n)] for i in range(n)])
-        new_periods = t.periods * T
-    # action of the maximal-order generator on the new basis, exact
     Hfrac = [[Fraction(Hm.entries[j][i], f) for j in range(n)] for i in range(n)]  # columns=gens
-    gen_old = [[Fraction((A + IntMatrix.identity(n).scale(a)).entries[i][j], f)
-                for j in range(n)] for i in range(n)]
-    new_gen = _conjugate_rational(Hfrac, gen_old)
+    with working_precision():
+        T = cx.mpm([[fraction_to_mpf(x) for x in r] for r in Hfrac])
+        new_periods = t.periods * T
+    # (H^T / f)^-1 = f (H^T)^-1 expresses the old basis in the new one
+    inclusion_frac = [[f * x for x in r] for r in fraction_inverse(Hm.transpose())]
+    # action of the maximal-order generator on the new basis, exact
+    gen_old = [[Fraction(x, f) for x in r] for r in shifted.entries]
+    new_gen = _rational_matmul(inclusion_frac, _rational_matmul(gen_old, Hfrac))
     if any(x.denominator != 1 for r in new_gen for x in r):
         raise DegenerateInputError("enlarged lattice is not stable under the maximal order")
     Agen = IntMatrix.from_rows([[int(x) for x in r] for r in new_gen])
@@ -587,7 +573,6 @@ def enlarge_to_maximal(t: ComplexTorus, rm: RMStructure):
     nmax = (a * a + a * t0 + n0) // (f * f)
     field_max = FieldOrder.quadratic(tmax, nmax, is_maximal=True)
     rm_max = RMStructure(field_max, (IntMatrix.identity(n), Agen))
-    inclusion_frac = _invert_rational(Hfrac)
     if any(x.denominator != 1 for r in inclusion_frac for x in r):
         raise DegenerateInputError("old lattice does not embed in the enlarged one")
     inclusion = IntMatrix.from_rows([[int(x) for x in r] for r in inclusion_frac])
@@ -595,27 +580,10 @@ def enlarge_to_maximal(t: ComplexTorus, rm: RMStructure):
     return new_t, rm_max, inclusion
 
 
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
-
-
-def _conjugate_rational(T, M):
-    """T^{-1} M T for rational square matrices given as row lists."""
-    n = len(T)
-    Tinv = _invert_rational(T)
-    MT = [[sum(M[i][k] * T[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return [[sum(Tinv[i][k] * MT[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _invert_rational(T):
-    n = len(T)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(fraction_solve(T, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+def _rational_matmul(A, B):
+    """A B for rational square matrices given as row lists."""
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 def steinitz_decompose(rm: RMStructure):
@@ -644,13 +612,9 @@ def steinitz_decompose(rm: RMStructure):
     B = [pi @ rm.action[k] @ sec for k in range(d)]
     # realize the quotient as a fractional ideal via q0 = first basis vector
     q0 = tuple(int(i == 0) for i in range(d))
-    cols = [B[k].apply(q0) for k in range(d)]
-    A = [[Fraction(cols[k][i]) for k in range(d)] for i in range(d)]
-    xs = []
-    for i in range(d):
-        e = [Fraction(int(j == i)) for j in range(d)]
-        xs.append(fraction_solve(A, e))
-    ideal = FractionalIdealRep(field, tuple(tuple(x) for x in xs))
+    # the ideal's basis rows are the columns of A^-1, A having columns B_k q0
+    rows = fraction_inverse(IntMatrix.from_rows([B[k].apply(q0) for k in range(d)]))
+    ideal = FractionalIdealRep(field, rows)
     S = _equivariant_section(rm, pi, B)
     cols_U = M1_rows + [tuple(S.entries[i][j] for i in range(n)) for j in range(d)]
     U = IntMatrix.from_rows(cols_U).transpose()
@@ -663,16 +627,12 @@ def _find_free_vector(rm: RMStructure):
     """Lattice vector whose order-orbit is a saturated free summand."""
     d = rm.field.degree
     n = rm.lattice_rank
-    for h in range(1, 4):
-        for cand in itertools.product(range(-h, h + 1), repeat=n):
-            if max((abs(c) for c in cand), default=0) != h:
-                continue
-            rows = [rm.action[k].apply(cand) for k in range(d)]
-            M = IntMatrix.from_rows(rows)
-            if M.rank() != d:
-                continue
-            if lattices_equal(saturation(M), list(M.entries)):
-                return tuple(cand)
+    for cand in coefficient_shells(n, 3):
+        M = IntMatrix.from_rows([rm.action[k].apply(cand) for k in range(d)])
+        if M.rank() != d:
+            continue
+        if lattices_equal(saturation(M), list(M.entries)):
+            return cand
     raise SearchExhaustedError("no order-primitive lattice vector found")
 
 
@@ -768,14 +728,11 @@ def _sign_correction(field: FieldOrder, emb, tau, bound: int):
     its archimedean algebra."""
     d = field.degree
     signs = [mp.sign(mp.im(c)) for c in tau]
-    for h in range(1, bound + 1):
-        for cand in itertools.product(range(-h, h + 1), repeat=d):
-            if max((abs(c) for c in cand), default=0) != h:
-                continue
-            x = tuple(Fraction(c) for c in cand)
-            vals = [field.element_embedding(x, emb[l]) for l in range(d)]
-            if all(v * s > 0 for v, s in zip(vals, signs)):
-                return x
+    for cand in coefficient_shells(d, bound):
+        x = tuple(Fraction(c) for c in cand)
+        vals = [field.element_embedding(x, emb[l]) for l in range(d)]
+        if all(v * s > 0 for v, s in zip(vals, signs)):
+            return x
     raise SearchExhaustedError("sign-correction search exhausted; raise the bound")
 
 
@@ -784,6 +741,12 @@ def jacobian_is_abelian_certificate(h, rm: RMStructure | None = None,
     """Algebraicity certificate for the Jacobian of an effective
     weight-one structure carrying real multiplication: the (z, ideal)
     normal form of the Jacobian torus.
+
+    With rm=None the field is the first one detect_rm meets within
+    height_bound; a torus with several real-multiplication fields may be
+    certified for another field than expected (the dual of
+    construct_rm_torus(Q(sqrt 5), [i, 2i]) gives Q(sqrt 2)).  Pass rm to
+    certify a specific action.
 
     `h` must expose `.rank`, `.pieces` keyed by (p, q), and `.jacobian()`.
     """
@@ -810,38 +773,29 @@ def jacobian_is_abelian_certificate(h, rm: RMStructure | None = None,
 
 def tori_isomorphic(t1: ComplexTorus, t2: ComplexTorus, tol=None, coeff_bound: int = 4):
     """Search Hom(t1, t2) for a unimodular lattice map with a complex
-    multiplier; returns (found, multiplier, lattice_map, residual)."""
+    multiplier; returns (found, multiplier, lattice_map, residual).
+
+    The first candidate within tol is returned, by increasing coefficient
+    height up to sign; at rank > 6 only the basis vectors and their
+    pairwise sums are tried.  A miss returns the closest candidate."""
     tol = resolve_tolerance(tol)
     if t1.g != t2.g:
         return False, None, None, mp.mpf("inf")
     homs = hom_lattice(t1, t2)
     if not homs:
         return False, None, None, mp.mpf("inf")
-    rank = len(homs)
     best = (False, None, None, mp.mpf("inf"))
-    if rank > 6:
+    if len(homs) > 6:
         combos = homs + [a + b for a, b in itertools.combinations(homs, 2)]
     else:
-        combos = []
-        rng = range(-coeff_bound, coeff_bound + 1)
-        for coeffs in itertools.product(rng, repeat=rank):
-            if all(c == 0 for c in coeffs):
-                continue
-            if next((c for c in coeffs if c != 0), 1) < 0:
-                continue
-            N = IntMatrix.zeros(homs[0].rows, homs[0].cols)
-            for c, B in zip(coeffs, homs):
-                if c:
-                    N = N + B.scale(c)
-            combos.append(N)
+        combos = (int_combination(c, homs)
+                  for c in coefficient_shells(len(homs), coeff_bound, positive_first=True))
     with working_precision():
+        fit = _multiplier_fit(t1.periods)
         for U in combos:
             if abs(U.det()) != 1:
                 continue
-            B = t2.periods * cx.mpm(U.entries)
-            G = t1.periods * cx.ctranspose(t1.periods)
-            M = B * cx.ctranspose(t1.periods) * (G**-1)
-            resid = cx.frob(M * t1.periods - B) / max(mp.mpf(1), cx.frob(B))
+            M, resid = fit(t2.periods * cx.mpm(U.entries))
             if resid < tol:
                 return True, M, U, resid
             if resid < best[3]:

@@ -205,3 +205,20 @@ def test_output_file(fixtures, tmp_path, capsys):
     assert code == 0
     report = json.loads(dest.read_text())
     assert report["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["aj", "compute", "--nu", "1"],
+    ["aj", "periods", "--nu", "1"],
+    ["phs", "tensor"],
+    ["torus", "rm-construct"],
+    ["qsv", "strongly-primitive"],
+], ids=lambda argv: ".".join(argv[:2]))
+def test_top_level_array_exits_two(argv, tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    code = main(argv + ["--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "JSON object" in err
+    assert "Traceback" not in err

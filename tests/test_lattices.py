@@ -10,6 +10,8 @@ from plectic.errors import DegenerateInputError, InputError
 from plectic.lattices import (
     IntMatrix,
     Lattice,
+    coefficient_shells,
+    int_combination,
     kernel_integer,
     lattice_membership,
     lattices_equal,
@@ -277,3 +279,35 @@ def test_lll_random(n, extra, seed):
 def test_lll_rejects_dependent_rows(rows):
     with pytest.raises(DegenerateInputError):
         lll_reduce(rows)
+
+
+def shells_oracle(rank, bound, positive_first):
+    """Filter the whole box, one shell at a time, in itertools order."""
+    import itertools
+
+    out = []
+    for h in range(1, bound + 1):
+        for v in itertools.product(range(-h, h + 1), repeat=rank):
+            if max(abs(c) for c in v) != h:
+                continue
+            if positive_first and next(c for c in v if c) < 0:
+                continue
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("positive_first", [False, True])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_coefficient_shells_match_box_oracle(rank, bound, positive_first):
+    got = list(coefficient_shells(rank, bound, positive_first))
+    assert got == shells_oracle(rank, bound, positive_first)
+    full = (2 * bound + 1) ** rank - 1
+    assert len(got) == (full // 2 if positive_first else full)
+
+
+def test_int_combination():
+    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    b = IntMatrix.from_rows([[0, 1], [-1, 5]])
+    assert int_combination((2, -3), (a, b)) == a.scale(2) + b.scale(-3)
+    assert int_combination((0, 0), (a, b)) == IntMatrix.zeros(2, 2)

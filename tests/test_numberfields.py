@@ -67,3 +67,8 @@ def test_field_json_round_trip():
     O5 = FieldOrder.quadratic_maximal(5)
     back = FieldOrder.from_json(O5.to_json())
     assert back == O5
+
+
+def test_is_principal_returns_least_height_generator():
+    O10 = FieldOrder.quadratic_maximal(10)
+    assert O10.unit_ideal().is_principal() == (1, 0)
