@@ -284,7 +284,7 @@ def cmd_flat_metric_independence(args, config):
     t0 = space.type_index[((1,) + (0,) * (n - 1), (0,) * n)]
     psi[space.index(fl._zero_freq_index(space), t0)] = 1.0
     zeta = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    psi = psi + fl.d_operator(space).matrix @ zeta
+    psi = psi + fl.apply_operator(fl.d_operator(space), zeta)
     res = fl.metric_independence_check(torus, wa, wb, psi, config.truncation,
                                        args.check_tolerance)
     payload = {

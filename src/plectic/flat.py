@@ -6,19 +6,24 @@ holomorphic / antiholomorphic bit per complex factor.  Trigonometric
 polynomials are closed under every operator built here, so residuals
 measure floating-point error only, never discretization error.
 
-This module deliberately works in IEEE double precision (numpy/scipy);
-its acceptance tolerances are stated for that regime.
+Every operator built here is diagonal in frequency and acts on the 4^n
+refined types by a fixed map (the Hodge star also negates frequencies),
+so it is stored as one multiplier array over the frequencies per pair
+of refined types (see OperatorMatrix).  Products and adjoints are then
+elementwise, the Laplacian is a diagonal multiplier, and its kernel is
+where that multiplier vanishes.
+
+This module deliberately works in IEEE double precision (numpy); its
+acceptance tolerances are stated for that regime.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DegenerateInputError, InputError
 
@@ -134,57 +139,79 @@ class FourierFormSpace:
         self._cache = {}
 
     def _gram(self) -> np.ndarray:
+        """Diagonal of the L^2 Gram matrix, one entry per refined type
+        (the same at every frequency)."""
         vol = 1.0
         for (w1, w2), w in zip(self.torus.factors, self.torus.weights):
             vol *= w * abs(FlatTorus._area(complex(w1), complex(w2)))
-        per_type = np.empty(self.type_count)
-        for t, (alpha, beta) in enumerate(self.types):
-            g = vol
-            for j, w in enumerate(self.torus.weights):
-                if alpha[j]:
-                    g *= 2.0 / w
-                if beta[j]:
-                    g *= 2.0 / w
-            per_type[t] = g
-        return np.tile(per_type, self.freq_count)
+        return np.array([_slot_factor(self.torus.weights, alpha, beta, vol)
+                         for alpha, beta in self.types])
 
     def index(self, freq_idx: int, type_idx: int) -> int:
         return freq_idx * self.type_count + type_idx
 
     def negated_freq_indices(self) -> np.ndarray:
-        N = self.truncation
-        side = 2 * N + 1
-        F = self.freq_count
-        idx = np.arange(F)
-        out = np.zeros(F, dtype=np.int64)
-        rem = idx.copy()
-        for k in range(self.freq_digits.shape[1]):
-            p = side ** (self.freq_digits.shape[1] - 1 - k)
-            digit = rem // p
-            rem = rem % p
-            out += (2 * N - digit) * p
-        return out
+        """Index of -m for each frequency m: the digits run over a
+        symmetric range in lexicographic order, so -m sits at F - 1 - m."""
+        return np.arange(self.freq_count - 1, -1, -1)
 
     def conj_involution(self) -> np.ndarray:
         """Index involution (m, alpha, beta) -> (-m, beta, alpha)."""
-        negf = self.negated_freq_indices()
-        T = self.type_count
-        type_map = np.array(
-            [self.type_index[(beta, alpha)] for (alpha, beta) in self.types], dtype=np.int64
-        )
-        f = np.repeat(np.arange(self.freq_count), T)
-        t = np.tile(np.arange(T), self.freq_count)
-        return negf[f] * T + type_map[t]
+        type_map = np.array([self.type_index[(beta, alpha)] for (alpha, beta) in self.types])
+        return (self.negated_freq_indices()[:, None] * self.type_count + type_map).ravel()
+
+
+def _slot_factor(weights, alpha, beta, start=1.0) -> float:
+    """start times 2 / w_j for each set slot of alpha and of beta: the
+    squared length of dz_j and of dzbar_j is 2 / w_j."""
+    return math.prod((2.0 / w for w, a, b in zip(weights, alpha, beta) for bit in (a, b) if bit),
+                     start=start)
 
 
 @dataclass
 class OperatorMatrix:
-    """Sparse operator between (here: on) Fourier form spaces."""
+    """Operator on a Fourier form space, stored by refined type.
+
+    blocks[(dst, src)], for type indices dst and src, is an array over
+    the frequencies: the operator sends the basis element of type src at
+    frequency m to blocks[(dst, src)][m] times the one of type dst at the
+    same frequency.  Absent pairs are zero.  A conjugate-linear operator
+    (conjugates_argument, the Hodge star) conjugates the coefficients of
+    its argument first and sends frequency m to -m.  +, - and @
+    (composition) are for linear operators; scalar * is for all.
+    """
 
     space: FourierFormSpace
-    matrix: sp.csr_matrix
+    blocks: dict
     name: str = ""
     conjugates_argument: bool = False
+
+    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        blocks = dict(self.blocks)
+        for key, m in other.blocks.items():
+            blocks[key] = blocks[key] + m if key in blocks else m
+        return OperatorMatrix(self.space, blocks)
+
+    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar) -> "OperatorMatrix":
+        blocks = {key: scalar * m for key, m in self.blocks.items()}
+        return OperatorMatrix(self.space, blocks, conjugates_argument=self.conjugates_argument)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        """Composition: (self @ other) applies other first."""
+        by_src = {}
+        for (dst, mid), a in self.blocks.items():
+            by_src.setdefault(mid, []).append((dst, a))
+        blocks = {}
+        for (mid, src), b in other.blocks.items():
+            for dst, a in by_src.get(mid, ()):
+                key = (dst, src)
+                blocks[key] = blocks[key] + a * b if key in blocks else a * b
+        return OperatorMatrix(self.space, blocks)
 
 
 def build_space(torus: FlatTorus, truncation: int) -> FourierFormSpace:
@@ -195,39 +222,30 @@ def _raise_sign(bits, j0) -> int:
     return -1 if sum(bits[:j0]) % 2 else 1
 
 
-def _type_shift_operator(space, j0, kind) -> sp.csr_matrix:
-    """Assemble a slot-raising operator; kind selects multiplier and slot."""
-    F, T = space.freq_count, space.type_count
-    rows, cols, data = [], [], []
-    f = np.arange(F)
+def _type_shift_operator(space, j0, kind) -> dict:
+    """Blocks of a slot-raising operator; kind selects multiplier and slot.
+    The blocks share the arrays +mult and -mult: nothing writes into a block."""
+    if kind == "xi":
+        mult = (np.pi * 1j) * np.conj(space.freq_cx[:, j0])
+    elif kind == "xi_bar":
+        mult = (np.pi * 1j) * space.freq_cx[:, j0]
+    else:  # e
+        mult = np.ones(space.freq_count, dtype=np.complex128)
+    signed = {1: mult, -1: -mult}
+    blocks = {}
     for t, (alpha, beta) in enumerate(space.types):
-        if kind in ("xi", "e"):
-            if alpha[j0]:
-                continue
-            new_alpha = alpha[:j0] + (1,) + alpha[j0 + 1 :]
-            t2 = space.type_index[(new_alpha, beta)]
-            sign = _raise_sign(alpha, j0)
-            if kind == "xi":
-                mult = sign * (np.pi * 1j) * np.conj(space.freq_cx[:, j0])
-            else:
-                mult = np.full(F, sign, dtype=np.complex128)
-        else:  # xi_bar
+        if kind == "xi_bar":
             if beta[j0]:
                 continue
-            new_beta = beta[:j0] + (1,) + beta[j0 + 1 :]
-            t2 = space.type_index[(alpha, new_beta)]
+            t2 = space.type_index[(alpha, beta[:j0] + (1,) + beta[j0 + 1 :])]
             sign = (-1 if sum(alpha) % 2 else 1) * _raise_sign(beta, j0)
-            mult = sign * (np.pi * 1j) * space.freq_cx[:, j0]
-        rows.append(f * T + t2)
-        cols.append(f * T + t)
-        data.append(mult)
-    if not rows:
-        return sp.csr_matrix((space.dim, space.dim), dtype=np.complex128)
-    m = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
-    )
-    return m.tocsr()
+        else:
+            if alpha[j0]:
+                continue
+            t2 = space.type_index[(alpha[:j0] + (1,) + alpha[j0 + 1 :], beta)]
+            sign = _raise_sign(alpha, j0)
+        blocks[(t2, t)] = signed[sign]
+    return blocks
 
 
 def xi_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
@@ -250,9 +268,8 @@ def e_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
     return OperatorMatrix(space, _type_shift_operator(space, j - 1, "e"), f"e_{j}")
 
 
-def _diag_operator(space, mult_per_freq) -> sp.csr_matrix:
-    data = np.repeat(mult_per_freq, space.type_count)
-    return sp.diags(data, format="csr", dtype=np.complex128)
+def _diag_operator(space, mult_per_freq) -> dict:
+    return {(t, t): mult_per_freq for t in range(space.type_count)}
 
 
 def partial_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
@@ -274,34 +291,36 @@ def _check_j(space, j):
         raise InputError(f"factor index {j} out of range 1..{space.torus.n}")
 
 
+def _sum(ops, name) -> OperatorMatrix:
+    ops = iter(ops)
+    return replace(sum(ops, next(ops)), name=name)
+
+
 def del_operator(space: FourierFormSpace) -> OperatorMatrix:
-    m = sum(xi_operator(space, j + 1).matrix for j in range(space.torus.n))
-    return OperatorMatrix(space, m.tocsr(), "del")
+    return _sum([xi_operator(space, j + 1) for j in range(space.torus.n)], "del")
 
 
 def delbar_operator(space: FourierFormSpace) -> OperatorMatrix:
-    m = sum(xi_bar_operator(space, j + 1).matrix for j in range(space.torus.n))
-    return OperatorMatrix(space, m.tocsr(), "delbar")
+    return _sum([xi_bar_operator(space, j + 1) for j in range(space.torus.n)], "delbar")
 
 
 def d_operator(space: FourierFormSpace) -> OperatorMatrix:
-    m = del_operator(space).matrix + delbar_operator(space).matrix
-    return OperatorMatrix(space, m.tocsr(), "d")
+    return _sum([del_operator(space), delbar_operator(space)], "d")
 
 
 def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     """Adjoint for the inner product with diagonal Gram matrix:
-    A* = G^-1 A^H G."""
+    A* = G^-1 A^H G, so block (dst, src) with multiplier a becomes block
+    (src, dst) with multiplier conj(a) G_dst / G_src."""
     G = op.space.gram
-    m = op.matrix.conj().T.tocsr()
-    m = sp.diags(1.0 / G) @ m @ sp.diags(G)
-    return OperatorMatrix(op.space, m.tocsr(), op.name + "*")
+    blocks = {(src, dst): (1.0 / G[src]) * np.conj(a) * G[dst]
+              for (dst, src), a in op.blocks.items()}
+    return OperatorMatrix(op.space, blocks, op.name + "*")
 
 
 def laplacian(op: OperatorMatrix) -> OperatorMatrix:
-    a = adjoint(op).matrix
-    m = op.matrix @ a + a @ op.matrix
-    return OperatorMatrix(op.space, m.tocsr(), f"Delta_{op.name}")
+    a = adjoint(op)
+    return replace(op @ a + a @ op, name=f"Delta_{op.name}")
 
 
 def _components(space):
@@ -322,37 +341,36 @@ def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
     P P* + P* P add up while every cross term P Q* + Q* P anticommutes
     to zero, so the assembly keeps only the diagonal terms and the
     result is type-block-diagonal by construction.  The measured maximum
-    of the cross terms (pure floating-point noise; exactly zero for unit
-    weights) is cached as `laplacian_cross_max` and re-checked by
-    verify_laplacian_sum.
+    of the cross terms (floating-point noise only) is cached as
+    `laplacian_cross_max` and re-checked by verify_laplacian_sum.
     """
     key = "laplacian_d"
     if key in space._cache:
         return space._cache[key]
     comps = _components(space)
     adjs = [adjoint(c) for c in comps]
-    total = None
-    for c, a in zip(comps, adjs):
-        term = c.matrix @ a.matrix + a.matrix @ c.matrix
-        total = term if total is None else total + term
+    total = _sum((c @ a + a @ c for c, a in zip(comps, adjs)), "Delta_d")
     cross_max = 0.0
     for i, j in itertools.permutations(range(len(comps)), 2):
-        term = comps[i].matrix @ adjs[j].matrix + adjs[j].matrix @ comps[i].matrix
-        if term.nnz and term.data.size:
-            cross_max = max(cross_max, float(np.abs(term.data).max()))
+        cross_max = max(cross_max, _maxabs(comps[i] @ adjs[j] + adjs[j] @ comps[i]))
     scale = max(1.0, _infnorm(total))
     if cross_max > 1e-10 * scale:
         raise DegenerateInputError("Laplacian cross terms failed to anticommute")
-    out = OperatorMatrix(space, total.tocsr(), "Delta_d")
-    space._cache[key] = out
+    space._cache[key] = total
     space._cache["laplacian_cross_max"] = cross_max
-    return out
+    return total
 
 
-def _infnorm(m: sp.spmatrix) -> float:
-    if m.nnz == 0:
-        return 0.0
-    return float(np.abs(m).sum(axis=1).max())
+def _maxabs(op: OperatorMatrix) -> float:
+    return max((float(np.abs(m).max()) for m in op.blocks.values()), default=0.0)
+
+
+def _infnorm(op: OperatorMatrix) -> float:
+    """Largest absolute row sum."""
+    rows = {}
+    for (dst, _), m in op.blocks.items():
+        rows[dst] = rows[dst] + np.abs(m) if dst in rows else np.abs(m)
+    return max((float(r.max()) for r in rows.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -371,8 +389,7 @@ def verify_refined_identities(space: FourierFormSpace, tol: float = 1e-10) -> Re
     adjs = [adjoint(x) for x in xis]
     worst = 0.0
     for j, k in itertools.permutations(range(n), 2):
-        anti = xis[j].matrix @ adjs[k].matrix + adjs[k].matrix @ xis[j].matrix
-        worst = max(worst, _infnorm(anti))
+        worst = max(worst, _infnorm(xis[j] @ adjs[k] + adjs[k] @ xis[j]))
     dims = {"dim": space.dim, "n": n, "truncation": space.truncation}
     return ResidualReport("anticommutators", worst, dims, worst < tol)
 
@@ -400,25 +417,14 @@ def verify_laplacian_sum(space: FourierFormSpace, tol: float = 1e-10) -> Laplaci
     """
     dd = laplacian_d(space)
     cross_max = space._cache.get("laplacian_cross_max", 0.0)
-    xls = xi_laplacians(space)
-    s = None
-    for x in xls:
-        s = x.matrix if s is None else s + x.matrix
-    sum_res = _infnorm(dd.matrix - 2 * s)
-    half_res = _infnorm(dd.matrix - 0.5 * s)
-    ddel = laplacian(del_operator(space))
-    dol_res = _infnorm(dd.matrix - 2 * ddel.matrix)
-    block_ok = _type_block_diagonal(space, dd.matrix)
+    s = _sum(xi_laplacians(space), "sum_j Delta_xi_j")
+    sum_res = _infnorm(dd - 2 * s)
+    half_res = _infnorm(dd - 0.5 * s)
+    dol_res = _infnorm(dd - 2 * laplacian(del_operator(space)))
+    block_ok = all(not np.any(m) for (dst, src), m in dd.blocks.items() if dst != src)
     dims = {"dim": space.dim, "n": space.torus.n, "truncation": space.truncation}
     passed = bool(sum_res < tol and dol_res < tol and cross_max < tol and block_ok)
     return LaplacianReport(sum_res, dol_res, half_res, cross_max, block_ok, dims, passed)
-
-
-def _type_block_diagonal(space, m: sp.spmatrix) -> bool:
-    coo = m.tocoo()
-    T = space.type_count
-    off = (coo.row % T) != (coo.col % T)
-    return bool(np.all(coo.data[off] == 0.0)) if off.any() else True
 
 
 @dataclass(frozen=True)
@@ -441,33 +447,34 @@ class HarmonicBasis:
         return out
 
 
+def _harmonic_mask(space: FourierFormSpace, tol: float = 1e-9) -> np.ndarray:
+    """(freq_count, type_count) mask where the Laplacian's diagonal
+    multiplier is at most tol times its norm (at least 1)."""
+    dd = laplacian_d(space)
+    diag = np.stack([dd.blocks[(t, t)] for t in range(space.type_count)], axis=1)
+    return np.abs(diag) <= tol * max(1.0, _infnorm(dd))
+
+
 def harmonic_space(space: FourierFormSpace, alpha, beta, tol: float = 1e-9) -> HarmonicBasis:
     """Kernel of the Hodge Laplacian on forms of one refined type."""
     alpha, beta = tuple(alpha), tuple(beta)
     if (alpha, beta) not in space.type_index:
         raise InputError("unknown refined type")
-    dd = laplacian_d(space).matrix
     t = space.type_index[(alpha, beta)]
-    idx = np.arange(space.freq_count) * space.type_count + t
-    block = dd[idx][:, idx]
-    scale = max(1.0, _infnorm(dd))
-    colnorm = np.asarray(np.abs(block).sum(axis=0)).ravel()
-    kernel_cols = np.nonzero(colnorm <= tol * scale)[0]
-    coeffs = np.zeros((space.freq_count, len(kernel_cols)), dtype=np.complex128)
-    for c, f in enumerate(kernel_cols):
-        coeffs[f, c] = 1.0
+    kernel = np.nonzero(_harmonic_mask(space, tol)[:, t])[0]
+    coeffs = np.zeros((space.freq_count, len(kernel)), dtype=np.complex128)
+    coeffs[kernel, np.arange(len(kernel))] = 1.0
     return HarmonicBasis(space, alpha, beta, coeffs)
 
 
 def hodge_star(space: FourierFormSpace) -> OperatorMatrix:
     """Conjugate-linear Hodge star: psi ^ (star eta) = (psi, eta) vol.
 
-    The returned matrix lists the images of basis elements; applying the
-    operator to a general vector conjugates its coefficients first
+    The blocks list the images of basis elements; applying the operator
+    to a general vector conjugates its coefficients first
     (conjugates_argument is set).  Types map to their slotwise
     complements and frequencies negate.
     """
-    F, T = space.freq_count, space.type_count
     n = space.torus.n
     weights = space.torus.weights
     vol_coeff = 1.0 + 0.0j
@@ -475,36 +482,28 @@ def hodge_star(space: FourierFormSpace) -> OperatorMatrix:
         vol_coeff *= 1j * w / 2.0
     interleaved = [s for j in range(n) for s in (j, n + j)]
     vol_coeff *= _perm_sign(interleaved)
-    negf = space.negated_freq_indices()
-    rows, cols, data = [], [], []
-    f = np.arange(F)
+    blocks = {}
     for t, (alpha, beta) in enumerate(space.types):
         slots = [j for j in range(n) if alpha[j]] + [n + j for j in range(n) if beta[j]]
         cal = tuple(1 - a for a in alpha)
         cbe = tuple(1 - b for b in beta)
         cslots = [j for j in range(n) if cal[j]] + [n + j for j in range(n) if cbe[j]]
-        eps = _perm_sign(slots + cslots)
-        ee = 1.0
-        for j in range(n):
-            if alpha[j]:
-                ee *= 2.0 / weights[j]
-            if beta[j]:
-                ee *= 2.0 / weights[j]
-        c_b = ee * vol_coeff * eps
-        t2 = space.type_index[(cal, cbe)]
-        rows.append(negf[f] * T + t2)
-        cols.append(f * T + t)
-        data.append(np.full(F, c_b, dtype=np.complex128))
-    m = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
-    ).tocsr()
-    return OperatorMatrix(space, m, "star", conjugates_argument=True)
+        c_b = _slot_factor(weights, alpha, beta) * vol_coeff * _perm_sign(slots + cslots)
+        blocks[(space.type_index[(cal, cbe)], t)] = np.full(space.freq_count, c_b, complex)
+    return OperatorMatrix(space, blocks, "star", conjugates_argument=True)
 
 
 def apply_operator(op: OperatorMatrix, vec: np.ndarray) -> np.ndarray:
-    v = np.conj(vec) if op.conjugates_argument else vec
-    return op.matrix @ v
+    """op applied to a vector of length dim, or to each column of a (dim, k) array."""
+    space = op.space
+    v = np.asarray(vec).reshape((space.freq_count, space.type_count) + np.shape(vec)[1:])
+    v = np.conj(v) if op.conjugates_argument else v
+    out = np.zeros(v.shape, dtype=np.complex128)
+    for (dst, src), m in op.blocks.items():
+        out[:, dst] += m.reshape((-1,) + (1,) * (v.ndim - 2)) * v[:, src]
+    if op.conjugates_argument:
+        out = out[space.negated_freq_indices()]
+    return out.reshape(np.shape(vec))
 
 
 def _perm_sign(seq) -> int:
@@ -529,18 +528,14 @@ def metric_independence_check(torus: FlatTorus, weights_a, weights_b, coefficien
     psi = np.asarray(coefficients, dtype=np.complex128)
     if psi.shape != (sa.dim,):
         raise InputError("coefficient vector has the wrong length")
-    d = d_operator(sa).matrix
-    dnorm = float(np.abs(d @ psi).max())
+    d = d_operator(sa)
+    dnorm = float(np.abs(apply_operator(d, psi)).max())
     if dnorm > 1e-8 * max(1.0, float(np.abs(psi).max())):
         raise InputError("input form is not closed")
-    eta_a = _harmonic_projection(sa, psi)
-    eta_b = _harmonic_projection(sb, psi)
-    delta = eta_a - eta_b
+    delta = _harmonic_projection(sa, psi) - _harmonic_projection(sb, psi)
     w = np.sqrt(sa.gram)
-    sol = spla.lsmr(sp.diags(w) @ d, w * delta, atol=1e-14, btol=1e-14, maxiter=5000)
-    resid_abs = float(np.linalg.norm(w * (d @ sol[0] - delta)))
-    scale = float(np.linalg.norm(w * psi))
-    resid = resid_abs / max(1.0, scale)
+    scale = float(np.linalg.norm(w * psi.reshape(sa.freq_count, sa.type_count)))
+    resid = _distance_to_image(d, w, delta) / max(1.0, scale)
     return {
         "residual": resid,
         "projection_difference": float(np.linalg.norm(delta)),
@@ -548,11 +543,25 @@ def metric_independence_check(torus: FlatTorus, weights_a, weights_b, coefficien
     }
 
 
+def _distance_to_image(op: OperatorMatrix, w: np.ndarray, delta: np.ndarray) -> float:
+    """min over x of || w (op x - delta) || for a weight w per type: one
+    dense least-squares problem per frequency where delta is nonzero."""
+    F, T = op.space.freq_count, op.space.type_count
+    target = w * delta.reshape(F, T)
+    freqs = np.nonzero(np.any(target != 0, axis=1))[0]
+    mats = np.zeros((len(freqs), T, T), dtype=np.complex128)
+    for (dst, src), m in op.blocks.items():
+        mats[:, dst, src] = w[dst] * m[freqs]
+    sq = 0.0
+    for A, b in zip(mats, target[freqs]):
+        x = np.linalg.lstsq(A, b, rcond=None)[0]
+        sq += float(np.linalg.norm(A @ x - b)) ** 2
+    return math.sqrt(sq)
+
+
 def _harmonic_projection(space: FourierFormSpace, psi: np.ndarray) -> np.ndarray:
-    dd = laplacian_d(space).matrix
-    w = np.sqrt(space.gram)
-    sol = spla.lsmr(sp.diags(w) @ dd, w * psi, atol=1e-14, btol=1e-14, maxiter=5000)
-    return psi - dd @ sol[0]
+    """psi restricted to the kernel of the (diagonal) Laplacian."""
+    return np.where(_harmonic_mask(space).ravel(), psi, 0)
 
 
 def extract_plectic_structure(space: FourierFormSpace, degree: int):
@@ -602,12 +611,7 @@ def extract_plectic_structure(space: FourierFormSpace, degree: int):
 
 
 def _zero_freq_index(space) -> int:
-    N = space.truncation
-    side = 2 * N + 1
-    idx = 0
-    for _ in range(2 * space.torus.n):
-        idx = idx * side + N
-    return idx
+    return (space.freq_count - 1) // 2
 
 
 def _slot_rows(alpha, beta, gens, n):

@@ -8,6 +8,7 @@ explicit tolerance, and :func:`fraction_to_mpf`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ __all__ = [
     "saturation",
     "solve_integer",
     "fraction_solve",
+    "fraction_det",
     "lll_reduce",
     "coefficient_shells",
     "int_combination",
@@ -341,6 +343,15 @@ def fraction_solve(A, b):
                 f = m[i][k]
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     return tuple(m[i][n] for i in range(n))
+
+
+def fraction_det(A) -> Fraction:
+    """Exact determinant of a square rational matrix: IntMatrix.det of the
+    rows scaled by the lcm of their denominators, over those scales."""
+    rows = [[Fraction(x) for x in row] for row in A]
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    ints = IntMatrix.from_rows([[x * s for x in row] for row, s in zip(rows, scales)])
+    return Fraction(ints.det(), math.prod(scales))
 
 
 def fraction_inverse(A: IntMatrix):

@@ -20,6 +20,7 @@ from .errors import DegenerateInputError, InputError
 from .lattices import (
     IntMatrix,
     coefficient_shells,
+    fraction_det,
     fraction_solve,
     fraction_to_mpf,
     row_lattice_basis,
@@ -57,7 +58,8 @@ class FieldOrder:
         d = self.degree
         if len(self.min_poly) != d + 1 or self.min_poly[0] != 1:
             raise InputError("min_poly must be monic of degree equal to the field degree")
-        if len(self.mult_table) != d or any(len(r) != d for r in self.mult_table):
+        if len(self.mult_table) != d or any(len(r) != d or any(len(k) != d for k in r)
+                                            for r in self.mult_table):
             raise InputError("mult_table must be d x d x d")
         _poly_real_roots(self.min_poly)  # totally real, or raise
         self._check_table()
@@ -138,8 +140,7 @@ class FieldOrder:
 
     def norm(self, x) -> Fraction:
         """Field norm of an element given by coordinates (exact)."""
-        m = self.mult_matrix(x)
-        return _fraction_det(m)
+        return fraction_det(self.mult_matrix(x))
 
     def embeddings(self) -> list:
         """Real embedding values of the basis elements, one row per
@@ -188,30 +189,12 @@ class FieldOrder:
             )
         except KeyError as exc:
             raise InputError(f"bad field JSON: missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad field JSON: {exc}") from exc
 
 
 def _unit(d, i):
     return tuple(Fraction(int(j == i)) for j in range(d))
-
-
-def _fraction_det(m) -> Fraction:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
 
 
 def _fundamental_part(disc: int) -> int:
@@ -242,7 +225,7 @@ class FractionalIdealRep:
         d = self.order.degree
         if len(self.basis) != d or any(len(r) != d for r in self.basis):
             raise InputError("ideal basis must be square of size the degree")
-        if _fraction_det(self.basis) == 0:
+        if fraction_det(self.basis) == 0:
             raise DegenerateInputError("ideal basis is singular")
         self._check_closure()
 
@@ -262,7 +245,7 @@ class FractionalIdealRep:
 
     def norm(self) -> Fraction:
         """Index-style norm |det(basis)| relative to the order."""
-        return abs(_fraction_det(self.basis))
+        return abs(fraction_det(self.basis))
 
     def scaled(self, x) -> "FractionalIdealRep":
         """The ideal x * self for a field element x (coordinates)."""

@@ -222,3 +222,31 @@ def test_top_level_array_exits_two(argv, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and "JSON object" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", [
+    1,
+    {"degree": 2, "min_poly": [1, 0, -2],
+     "integral_basis_mult_table": [[[1, 0], [0, 1]], [[0, 1], [2]]]},
+], ids=["not-an-object", "ragged-table"])
+def test_bad_field_json_exits_two(field, tmp_path, capsys):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"field": field, "z": []}))
+    code = main(["torus", "rm-construct", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_out():
+    import os
+    import subprocess
+    import sys
+
+    import plectic
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plectic.__file__)))
+    probe = "import sys, plectic.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "False"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from plectic import cxlinalg as cx
 from plectic.errors import InputError
 from plectic.flat import (
     FlatTorus,
+    _distance_to_image,
     adjoint,
     apply_operator,
     build_space,
@@ -31,8 +33,14 @@ from plectic.flat import (
 GENERIC = FlatTorus(((1, 0.3 + 1.7j), (1, -0.2 + 0.9j)), (1.0, 1.0))
 
 
-def maxabs(m):
-    return float(np.abs(m.data).max()) if m.nnz and m.data.size else 0.0
+def maxabs(op):
+    """Largest absolute entry of an operator."""
+    return max((float(np.abs(m).max()) for m in op.blocks.values()), default=0.0)
+
+
+def dense(op):
+    """Dense matrix of an operator, column by column from unit vectors."""
+    return apply_operator(op, np.eye(op.space.dim))
 
 
 def test_space_dimensions():
@@ -44,15 +52,19 @@ def test_conjugation_involution_squares_to_identity():
     s = build_space(FlatTorus.square(2), 1)
     inv = s.conj_involution()
     assert np.array_equal(inv[inv], np.arange(s.dim))
+    from plectic.flat import _zero_freq_index
+
+    assert np.array_equal(s.freq_digits[s.negated_freq_indices()], -s.freq_digits)
+    assert not s.freq_digits[_zero_freq_index(s)].any()
 
 
 def test_xi_nilpotent_and_sums_to_del():
     s = build_space(GENERIC, 1)
     for j in (1, 2):
-        x = xi_operator(s, j).matrix
+        x = xi_operator(s, j)
         assert maxabs(x @ x) == 0.0
-    total = xi_operator(s, 1).matrix + xi_operator(s, 2).matrix
-    assert maxabs(del_operator(s).matrix - total) == 0.0
+    total = xi_operator(s, 1) + xi_operator(s, 2)
+    assert maxabs(del_operator(s) - total) == 0.0
 
 
 def test_xi_kills_constants():
@@ -61,7 +73,7 @@ def test_xi_kills_constants():
     from plectic.flat import _zero_freq_index
 
     v[s.index(_zero_freq_index(s), s.type_index[((0,), (0,))])] = 1.0
-    assert np.abs(xi_operator(s, 1).matrix @ v).max() == 0.0
+    assert np.abs(apply_operator(xi_operator(s, 1), v)).max() == 0.0
 
 
 def test_operator_grading():
@@ -71,8 +83,9 @@ def test_operator_grading():
         (1, xi_operator(s, 1), (1, 0), (0, 0)),
         (2, xi_bar_operator(s, 2), (0, 0), (0, 1)),
     ]:
-        coo = op.matrix.tocoo()
-        for r, c in zip(coo.row, coo.col):
+        rows, cols = np.nonzero(dense(op))
+        assert len(rows) > 0
+        for r, c in zip(rows, cols):
             (a1, b1) = s.types[c % T]
             (a2, b2) = s.types[r % T]
             assert tuple(x - y for x, y in zip(a2, a1)) == da
@@ -83,20 +96,20 @@ def test_operator_grading():
 def test_adjoint_involutive():
     s = build_space(GENERIC, 1)
     x = xi_operator(s, 1)
-    assert maxabs(adjoint(adjoint(x)).matrix - x.matrix) < 1e-15
+    assert maxabs(adjoint(adjoint(x)) - x) < 1e-15
 
 
 def test_partial_adjoint_is_minus_partial_bar():
     s = build_space(GENERIC, 1)
     for j in (1, 2):
-        diff = adjoint(partial_operator(s, j)).matrix + partial_bar_operator(s, j).matrix
+        diff = adjoint(partial_operator(s, j)) + partial_bar_operator(s, j)
         assert maxabs(diff) < 1e-15
 
 
 def test_wedge_adjoint_anticommutator():
     s = build_space(GENERIC, 1)
-    e1s = adjoint(e_operator(s, 1)).matrix
-    e2 = e_operator(s, 2).matrix
+    e1s = adjoint(e_operator(s, 1))
+    e2 = e_operator(s, 2)
     assert maxabs(e1s @ e2 + e2 @ e1s) < 1e-15
 
 
@@ -113,6 +126,16 @@ def test_identities_n2_N2():
 def test_identities_n3_weighted():
     rep = verify_refined_identities(build_space(FlatTorus.square(3, (1.0, 2.0, 3.0)), 1))
     assert rep.passed and rep.max_residual < 1e-10
+
+
+def test_identities_and_laplacian_n4_N1():
+    """Dimension 3^8 * 4^4 = 1,679,616."""
+    s = build_space(FlatTorus.square(4, (1.0, 1.5, 0.7, 2.0)), 1)
+    assert s.dim == 6561 * 256
+    for verify in (verify_refined_identities, verify_laplacian_sum):
+        t0 = time.monotonic()
+        rep = verify(s, tol=1e-10)
+        assert rep.passed and time.monotonic() - t0 < 30.0
 
 
 def test_laplacian_sum_n1_classical():
@@ -132,8 +155,8 @@ def test_laplacian_sum_n2():
 
 def test_laplacian_assembly_matches_direct_product():
     s = build_space(GENERIC, 1)
-    direct = laplacian(d_operator(s)).matrix
-    assembled = laplacian_d(s).matrix
+    direct = laplacian(d_operator(s))
+    assembled = laplacian_d(s)
     assert maxabs(direct - assembled) < 1e-11
 
 
@@ -164,18 +187,18 @@ def test_harmonic_conjugation_symmetry():
 
 def test_kernel_of_laplacian_inside_kernel_of_d():
     s = build_space(GENERIC, 1)
-    d = d_operator(s).matrix
+    d = d_operator(s)
     for alpha, beta in s.types:
         hb = harmonic_space(s, alpha, beta)
         vecs = hb.full_vectors()
         if vecs.size:
-            assert np.abs(d @ vecs).max() < 1e-12
+            assert np.abs(apply_operator(d, vecs)).max() < 1e-12
 
 
 def test_ker_d_meets_image_of_dstar_trivially():
     s = build_space(FlatTorus.square(1), 1)
-    d = d_operator(s).matrix.toarray()
-    ds = adjoint(d_operator(s)).matrix.toarray()
+    d = dense(d_operator(s))
+    ds = dense(adjoint(d_operator(s)))
     # principal angles between ker(d) and im(d*), rank-truncated bases
     _, sv, vt = np.linalg.svd(d)
     ker = vt[np.sum(sv > 1e-9 * sv[0]):].conj().T
@@ -234,6 +257,19 @@ def test_metric_independence_constant_plus_exact():
     assert res["passed"] and res["residual"] < 1e-9
 
 
+def test_distance_to_image_matches_dense_least_squares():
+    s = build_space(FlatTorus(((1, 0.3 + 1.7j),), (1.7,)), 1)
+    d = d_operator(s)
+    w = np.sqrt(s.gram)
+    W = np.diag(np.tile(w, s.freq_count))
+    rng = np.random.default_rng(5)
+    delta = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
+    delta[: s.type_count] = 0  # one frequency with nothing to fit
+    x = np.linalg.lstsq(W @ dense(d), W @ delta, rcond=None)[0]
+    expect = np.linalg.norm(W @ (dense(d) @ x - delta))
+    assert abs(_distance_to_image(d, w, delta) - expect) < 1e-12 * expect
+
+
 def test_metric_independence_rejects_open_form():
     s = build_space(GENERIC, 1)
     rng = np.random.default_rng(2)
@@ -251,7 +287,7 @@ def _constant_plus_exact(torus, exact: bool):
     if exact:
         rng = np.random.default_rng(7)
         zeta = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
-        psi = psi + d_operator(s).matrix @ zeta
+        psi = psi + apply_operator(d_operator(s), zeta)
     return psi
 
 

@@ -11,6 +11,7 @@ from plectic.lattices import (
     IntMatrix,
     Lattice,
     coefficient_shells,
+    fraction_det,
     int_combination,
     kernel_integer,
     lattice_membership,
@@ -311,3 +312,26 @@ def test_int_combination():
     b = IntMatrix.from_rows([[0, 1], [-1, 5]])
     assert int_combination((2, -3), (a, b)) == a.scale(2) + b.scale(-3)
     assert int_combination((0, 0), (a, b)) == IntMatrix.zeros(2, 2)
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations, with no elimination."""
+    import itertools
+
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(Fraction(rows[i][perm[i]]) for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fraction_det_matches_leibniz(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            rows[-1] = [2 * x for x in rows[0]]  # singular
+        assert fraction_det(rows) == leibniz_det(rows)
