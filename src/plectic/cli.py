@@ -193,6 +193,8 @@ def cmd_torus_rm_construct(args, config):
         z = [ser.complex_from_json(c) for c in obj["z"]]
     except KeyError as exc:
         raise InputError(f"rm-construct input: missing {exc}") from exc
+    except TypeError as exc:
+        raise InputError(f"rm-construct input: {exc}") from exc
     ideal = FractionalIdealRep.from_json(field, obj["ideal"]) if "ideal" in obj else None
     torus = tr.construct_rm_torus(field, z, ideal)
     return {"torus": ser.torus_to_json(torus)}, True

@@ -23,6 +23,7 @@ from .lattices import (
     fraction_det,
     fraction_solve,
     fraction_to_mpf,
+    int_combination,
     row_lattice_basis,
 )
 
@@ -284,14 +285,21 @@ class FractionalIdealRep:
         principality; None means "not found within the bound" and is not
         a proof of the converse, so class checks should compare against a
         known representative.
+
+        Norms are evaluated in integers: with L the lcm of the basis
+        denominators, Nm(L x) = det of the same combination of the
+        multiplication matrices of the scaled basis, to be compared with
+        Nm(ideal) * L^d.  The Fraction generator is built on a hit only.
         """
-        target = self.norm()
         d = self.order.degree
+        scale = math.lcm(*(x.denominator for row in self.basis for x in row))
+        mats = [IntMatrix.from_rows(self.order.mult_matrix(tuple(scale * x for x in row)))
+                for row in self.basis]
+        target = int(self.norm() * scale**d)
         for coeffs in coefficient_shells(d, search_bound, positive_first=True):
-            x = tuple(sum(Fraction(c) * self.basis[i][k] for i, c in enumerate(coeffs))
-                      for k in range(d))
-            if abs(self.order.norm(x)) == target:
-                return x
+            if abs(int_combination(coeffs, mats).det()) == target:
+                return tuple(sum(Fraction(c) * self.basis[i][k] for i, c in enumerate(coeffs))
+                             for k in range(d))
         return None
 
     def same_class(self, other: "FractionalIdealRep", search_bound: int = 50) -> bool:
@@ -308,6 +316,6 @@ class FractionalIdealRep:
     def from_json(cls, order: FieldOrder, obj: dict) -> "FractionalIdealRep":
         try:
             rows = tuple(tuple(Fraction(s) for s in row) for row in obj["basis"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad ideal JSON: {exc}") from exc
         return cls(order, rows)

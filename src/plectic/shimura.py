@@ -352,10 +352,9 @@ def _hecke_rm(d: StronglyPrimitiveDatum, basis: IntMatrix, h_chi) -> RMStructure
         p = _matrix_min_poly(restricted)
         if not _generates_totally_real_field(p, want):
             continue
-        coeffs = [int(c) for c in p.all_coeffs()]
         if want == 1:
             return RMStructure(FieldOrder.rationals(), (IntMatrix.identity(basis.rows),))
         if want == 2:
-            field = FieldOrder.quadratic(-coeffs[1], coeffs[2])
+            field = FieldOrder.quadratic(-p[1], p[2])
             return RMStructure(field, (IntMatrix.identity(basis.rows), restricted))
     return None

@@ -2,7 +2,8 @@
 real-multiplication detection, and the algebraization pipeline that
 normalizes an RM torus to the standard model C_Sigma / (O_L z + ideal).
 
-Exact integer work (orders, module decompositions) runs over Z and Q;
+Exact integer work (orders, module decompositions, minimal polynomials
+and the field tests of real-multiplication detection) runs over Z and Q;
 period-matrix work runs at the configured mpmath precision.  Integer
 kernels of real linear constraints are proposed by the exact integral LLL
 of :func:`plectic.lattices.lll_reduce` and then verified and saturated
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-import sympy
 
 from . import cxlinalg as cx
 from .config import resolve_tolerance, working_precision
@@ -335,34 +335,37 @@ def _bounded_lattice_elements(basis, height_bound):
 # ----------------------------------------------------------------------
 
 
-def _min_poly(N: IntMatrix):
-    """Exact minimal polynomial of an integer matrix as a sympy Poly."""
-    x = sympy.Symbol("x")
-    M = sympy.Matrix([list(r) for r in N.entries])
-    cp = sympy.Poly(M.charpoly(x).as_expr(), x)
-    factors = sympy.factor_list(cp)[1]
-    factors = sorted(factors, key=lambda fe: (sympy.Poly(fe[0], x).degree(), str(fe[0])))
-    candidates = []
-    ranges = [range(1, e + 1) for _, e in factors]
-    for exps in itertools.product(*ranges):
-        p = sympy.Poly(1, x)
-        for (f, _), e in zip(factors, exps):
-            p = p * sympy.Poly(f, x) ** e
-        candidates.append(p)
-    candidates.sort(key=lambda p: p.degree())
-    for p in candidates:
-        if _poly_eval_matrix(p, N).is_zero():
-            return p
-    return cp  # unreachable: Cayley-Hamilton
+def _min_poly(N: IntMatrix) -> tuple:
+    """Minimal polynomial of a square integer matrix: monic, with integer
+    coefficients, highest degree first.
 
-
-def _poly_eval_matrix(p, N: IntMatrix) -> IntMatrix:
-    coeffs = [int(c) for c in p.all_coeffs()]
+    It is the first linear dependency among vec(I), vec(N), vec(N^2), ...
+    (Krylov), found by fraction-free elimination on Python ints: each power
+    is reduced against the echelon rows of the earlier ones, carrying its
+    combination of the powers, until one reduces to zero.  The monic
+    minimal polynomial divides the characteristic polynomial, so its
+    coefficients are integers (Gauss's lemma) and the last division is
+    exact.
+    """
     n = N.rows
-    out = IntMatrix.zeros(n, n)
-    for c in coeffs:  # Horner
-        out = (out @ N) + IntMatrix.identity(n).scale(c)
-    return out
+    echelon = []  # (pivot column, reduced row, its combination of the powers)
+    P = IntMatrix.identity(n)
+    for k in range(n + 1):  # Cayley-Hamilton: a dependency by k = n
+        row = list(_vec(P))
+        combo = [int(j == k) for j in range(n + 1)]
+        for piv, erow, ecombo in echelon:
+            c = row[piv]
+            if c:
+                a = erow[piv]
+                row = [a * x - c * y for x, y in zip(row, erow)]
+                combo = [a * x - c * y for x, y in zip(combo, ecombo)]
+        if not any(row):
+            return tuple(c // combo[k] for c in reversed(combo[:k + 1]))
+        g = math.gcd(*row, *combo)
+        echelon.append((next(i for i, x in enumerate(row) if x),
+                        [x // g for x in row], [x // g for x in combo]))
+        P = P @ N
+    raise AssertionError("unreachable: the characteristic polynomial annihilates N")
 
 
 def _is_scalar(N: IntMatrix) -> bool:
@@ -372,9 +375,167 @@ def _is_scalar(N: IntMatrix) -> bool:
 
 
 def _generates_totally_real_field(p, degree: int) -> bool:
-    """Whether the sympy Poly p is irreducible of the given degree with
-    all its roots real."""
-    return p.degree() == degree and p.is_irreducible and len(p.real_roots()) == degree
+    """Whether the monic integer polynomial p (highest degree first) is
+    irreducible of the given degree with all its roots real.
+
+    Three exact tests, cheapest first: the degree; `degree` distinct real
+    roots, counted by a Sturm sequence; irreducibility over Q.
+    """
+    return len(p) - 1 == degree and _real_root_count(p) == degree and _is_irreducible(p)
+
+
+def _real_root_count(p) -> int:
+    """Number of distinct real roots of the integer polynomial p, from the
+    sign changes of its Sturm sequence at -inf and at +inf."""
+    seq = _sturm_sequence(p)
+    at_plus = [q[0] for q in seq]
+    at_minus = [q[0] * (-1) ** (len(q) - 1) for q in seq]
+    return _sign_changes(at_minus) - _sign_changes(at_plus)
+
+
+def _sign_changes(values) -> int:
+    return sum(1 for a, b in zip(values, values[1:]) if (a > 0) != (b > 0))
+
+
+def _sturm_sequence(p):
+    """p, p', then the negated remainders down to gcd(p, p'), each scaled
+    by a positive constant, which leaves every sign count unchanged."""
+    seq = [tuple(p), _derivative(p)]
+    while len(seq[-1]) > 1:
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(tuple(-c for c in r))
+    return seq
+
+
+def _derivative(p):
+    d = len(p) - 1
+    return tuple(c * (d - i) for i, c in enumerate(p[:-1]))
+
+
+def _pseudo_remainder(a, b):
+    """The remainder of c * a by b for some integer c > 0, divided by its
+    content; () when b divides a."""
+    lead = abs(b[0])
+    sign = 1 if b[0] > 0 else -1
+    r = list(a)
+    while r and len(r) >= len(b):
+        top = sign * r[0]
+        r = [lead * x - top * y for x, y in zip(r, list(b) + [0] * (len(r) - len(b)))][1:]
+        while r and r[0] == 0:
+            r.pop(0)
+    g = math.gcd(*r)
+    return tuple(x // g for x in r)
+
+
+def _is_irreducible(p) -> bool:
+    """Whether the monic integer polynomial p is irreducible over Q.
+
+    Degree 2: the discriminant is not a square.  Above that, p must be
+    squarefree, and then a factor of degree k <= d/2 is monic with integer
+    coefficients (Gauss) and its roots are k of the roots of p.  Each root
+    is enclosed in a certified disc (:func:`_root_discs`); for each subset
+    of k discs the coefficients of prod (x - z_i) are rounded to integers,
+    which are the factor's coefficients if the subset is a factor's roots
+    and every exact error bound is below 1/2; each candidate is then
+    confirmed or refuted by exact division, so a miss is a proof.  The
+    root precision starts from the bits of Mignotte's factor bound
+    2^(d/2) ||p||_2 (Cohen, GTM 138, Thm 3.5.1) and doubles until every
+    error bound is below 1/2.
+    """
+    d = len(p) - 1
+    if d <= 1:
+        return True
+    if d == 2:
+        disc = p[1] * p[1] - 4 * p[2]
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    if len(_sturm_sequence(p)[-1]) > 1:
+        return False  # gcd(p, p') is a proper factor
+    bits = d // 2 + math.isqrt(sum(c * c for c in p)).bit_length() + 53
+    while True:
+        candidates = _factor_candidates(p, bits)
+        if candidates is not None:
+            return all(_pseudo_remainder(p, q) for q in candidates)
+        bits *= 2
+
+
+def _factor_candidates(p, bits: int):
+    """Integer candidates for the monic factors of degree <= d/2 of the
+    squarefree p, from root discs found at `bits` of precision; None when
+    the discs are too wide to decide."""
+    d = len(p) - 1
+    discs = _root_discs(p, bits)
+    if discs is None:
+        return None
+    out = []
+    for k in range(1, d // 2 + 1):
+        for subset in itertools.combinations(discs, k):
+            approx = [(Fraction(1), Fraction(0))]
+            majorant = [Fraction(1)]  # prod (x + |z_i| + r_i)
+            minorant = [Fraction(1)]  # prod (x + |z_i|)
+            for (re, im), r in subset:
+                approx = _cpoly_mul_linear(approx, (-re, -im))
+                size = abs(re) + abs(im)
+                majorant = _poly_mul_linear(majorant, size + r)
+                minorant = _poly_mul_linear(minorant, size)
+            # a factor's coefficients are within majorant - minorant of these
+            if any(hi - lo >= Fraction(1, 2) for hi, lo in zip(majorant, minorant)):
+                return None
+            out.append(tuple(round(re) for re, _ in approx))
+    return out
+
+
+def _root_discs(p, bits: int):
+    """Pairs ((re, im), r) of exact rationals, one per root of the
+    squarefree p: the discs |w - z| <= r are disjoint and each holds a
+    root, since some root lies within d |p(z) / p'(z)| of any z.  None
+    when the approximations at `bits` of precision do not separate."""
+    d = len(p) - 1
+    scale = 2 ** bits
+    with mp.workprec(bits):
+        approx, _ = mp.polyroots(p, maxsteps=200, extraprec=bits, error=True)
+        zs = [(Fraction(int(mp.nint(mp.re(z) * scale)), scale),
+               Fraction(int(mp.nint(mp.im(z) * scale)), scale)) for z in approx]
+    dp = _derivative(p)
+    discs = []
+    for z in zs:
+        den = _cabs2(_cpoly_eval(dp, z))
+        if den == 0:
+            return None
+        r2 = d * d * _cabs2(_cpoly_eval(p, z)) / den
+        r = Fraction(math.isqrt(math.floor(r2 * scale * scale)) + 1, scale)  # >= sqrt(r2)
+        discs.append((z, r))
+    for (z1, r1), (z2, r2) in itertools.combinations(discs, 2):
+        if _cabs2((z1[0] - z2[0], z1[1] - z2[1])) <= (r1 + r2) ** 2:
+            return None
+    return discs
+
+
+def _cpoly_eval(p, z):
+    """p(z) for integer coefficients p and a complex rational z = (re, im)."""
+    re, im = Fraction(0), Fraction(0)
+    for c in p:  # Horner
+        re, im = re * z[0] - im * z[1] + c, re * z[1] + im * z[0]
+    return re, im
+
+
+def _cabs2(z):
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _cpoly_mul_linear(q, a):
+    """q(x) * (x + a) for complex rational coefficients, highest first."""
+    out = q + [(Fraction(0), Fraction(0))]
+    for i, (re, im) in enumerate(q):
+        out[i + 1] = (out[i + 1][0] + re * a[0] - im * a[1],
+                      out[i + 1][1] + re * a[1] + im * a[0])
+    return out
+
+
+def _poly_mul_linear(q, a):
+    """q(x) * (x + a) for rational coefficients, highest first."""
+    return [x + a * y for x, y in zip(q + [0], [0] + q)]
 
 
 def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | None = None):
@@ -413,10 +574,9 @@ def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | 
 
 
 def _same_quadratic_field(p, field: FieldOrder) -> bool:
-    if field.degree != 2 or p.degree() != 2:
+    if field.degree != 2 or len(p) != 3:
         raise InputError("field hints are supported for degree 2 only")
-    c = [int(v) for v in p.all_coeffs()]
-    return _fundamental_part(c[1] * c[1] - 4 * c[2]) == _fundamental_part(field.discriminant())
+    return _fundamental_part(p[1] * p[1] - 4 * p[2]) == _fundamental_part(field.discriminant())
 
 
 def _order_from_generator(N: IntMatrix, endo_basis, g: int):
@@ -464,8 +624,7 @@ def _order_from_generator(N: IntMatrix, endo_basis, g: int):
                 raise DegenerateInputError("detected order is not closed under products")
             row.append(tuple(int(v) for v in sol))
         table.append(tuple(row))
-    gen_poly = _min_poly(mats[1]) if g >= 2 else sympy.Poly([1, -1], sympy.Symbol("x"))
-    coeffs = tuple(int(c) for c in gen_poly.all_coeffs())
+    coeffs = _min_poly(mats[1]) if g >= 2 else (1, -1)
     if g == 2:
         tt, nn = -coeffs[1], coeffs[2]
         field = FieldOrder.quadratic(tt, nn)

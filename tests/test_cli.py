@@ -238,7 +238,22 @@ def test_bad_field_json_exits_two(field, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_out():
+@pytest.mark.parametrize("document", [
+    {"field": FieldOrder.quadratic_maximal(5).to_json(), "z": 3},
+    {"field": FieldOrder.quadratic_maximal(5).to_json(),
+     "z": [["0", "1"], ["0", "2"]], "ideal": 1},
+], ids=["z-not-a-list", "ideal-not-an-object"])
+def test_bad_rm_construct_json_exits_two(document, tmp_path, capsys):
+    path = tmp_path / "rm.json"
+    path.write_text(json.dumps(document))
+    code = main(["torus", "rm-construct", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _loaded_after_cli_import(module):
+    """Whether a fresh interpreter has `module` loaded after importing plectic.cli."""
     import os
     import subprocess
     import sys
@@ -246,7 +261,15 @@ def test_cli_import_leaves_scipy_out():
     import plectic
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plectic.__file__)))
-    probe = "import sys, plectic.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, plectic.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    assert not _loaded_after_cli_import("scipy")
+
+
+def test_cli_import_leaves_sympy_out():
+    assert not _loaded_after_cli_import("sympy")

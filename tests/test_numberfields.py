@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from plectic.errors import InputError
+from plectic.lattices import coefficient_shells
 from plectic.numberfields import FieldOrder, FractionalIdealRep
 
 
@@ -72,3 +73,43 @@ def test_field_json_round_trip():
 def test_is_principal_returns_least_height_generator():
     O10 = FieldOrder.quadratic_maximal(10)
     assert O10.unit_ideal().is_principal() == (1, 0)
+
+
+def norm_oracle_generator(ideal, bound):
+    """The generator search with FieldOrder.norm on each Fraction
+    combination, in the same shell order as is_principal."""
+    d = ideal.order.degree
+    for coeffs in coefficient_shells(d, bound, positive_first=True):
+        x = tuple(sum(Fraction(c) * ideal.basis[i][k] for i, c in enumerate(coeffs))
+                  for k in range(d))
+        if abs(ideal.order.norm(x)) == ideal.norm():
+            return x
+    return None
+
+
+def _ideals(D):
+    O = FieldOrder.quadratic_maximal(D)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    out = [O.unit_ideal()]
+    for gen in [(3, 1), (half, third), (7, -2)]:
+        out.append(O.unit_ideal().scaled(gen))
+    out.append(out[1].multiply(out[3]))
+    (a0, a1), (b0, b1) = out[1].basis  # the same ideal on a skewed basis
+    out.append(FractionalIdealRep(O, ((a0 + 5 * b0, a1 + 5 * b1), (b0, b1))))
+    if D == 10:
+        P2 = FractionalIdealRep(O, ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))))
+        out += [P2, P2.scaled((half, third)), P2.multiply(out[1]), P2.multiply(P2)]
+    return out
+
+
+@pytest.mark.parametrize("D", [2, 5, 10])
+def test_is_principal_matches_norm_oracle(D):
+    found = []
+    for ideal in _ideals(D):
+        for bound in (1, 3, 8):
+            want = norm_oracle_generator(ideal, bound)
+            assert ideal.is_principal(bound) == want
+            found.append(want is not None)
+    assert any(found)
+    if D == 10:
+        assert not all(found)
