@@ -329,8 +329,14 @@ def fraction_solve(A, b):
     A is a sequence of rows (ints or Fractions), b a sequence; returns a
     tuple of Fractions.
     """
+    return tuple(r[0] for r in _gauss_jordan(A, [[y] for y in b]))
+
+
+def _gauss_jordan(A, B):
+    """X with A X = B for the square rational A, by one Gauss-Jordan
+    elimination on the augmented rows [A | B]; raises if A is singular."""
     n = len(A)
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(A, b)]
+    m = [[Fraction(x) for x in row] + [Fraction(y) for y in rhs] for row, rhs in zip(A, B)]
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k] != 0), None)
         if piv is None:
@@ -342,7 +348,7 @@ def fraction_solve(A, b):
             if i != k and m[i][k] != 0:
                 f = m[i][k]
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return tuple(m[i][n] for i in range(n))
+    return [tuple(row[n:]) for row in m]
 
 
 def fraction_det(A) -> Fraction:
@@ -355,13 +361,9 @@ def fraction_det(A) -> Fraction:
 
 
 def fraction_inverse(A: IntMatrix):
-    """Exact inverse of a nonsingular integer matrix, as Fraction rows."""
-    n = A.rows
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(fraction_solve(A.entries, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    """Exact inverse of a nonsingular integer matrix, as Fraction rows,
+    from one elimination on [A | I]."""
+    return tuple(_gauss_jordan(A.entries, IntMatrix.identity(A.rows).entries))
 
 
 def fraction_to_mpf(x) -> mp.mpf:

@@ -2,18 +2,20 @@
 real-multiplication detection, and the algebraization pipeline that
 normalizes an RM torus to the standard model C_Sigma / (O_L z + ideal).
 
-Exact integer work (orders, module decompositions, minimal polynomials
-and the field tests of real-multiplication detection) runs over Z and Q;
-period-matrix work runs at the configured mpmath precision.  Integer
-kernels of real linear constraints are proposed by the exact integral LLL
-of :func:`plectic.lattices.lll_reduce` and then verified and saturated
-exactly.
+Exact integer work (orders, module decompositions, minimal polynomials)
+runs over Z and Q, and real-multiplication detection decides its fields
+with the exact tests of :mod:`plectic.numberfields`; period-matrix work
+runs at the configured mpmath precision.  Integer kernels of real linear
+constraints are proposed by the exact integral LLL of
+:func:`plectic.lattices.lll_reduce`, in scale stages, and then verified
+and saturated exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +39,13 @@ from .lattices import (
     smith_normal_form,
     solve_integer,
 )
-from .numberfields import FieldOrder, FractionalIdealRep, _fundamental_part, _unit
+from .numberfields import (
+    FieldOrder,
+    FractionalIdealRep,
+    _fundamental_part,
+    _generates_totally_real_field,
+    _unit,
+)
 
 __all__ = [
     "ComplexTorus",
@@ -221,34 +229,49 @@ def power_torus(t: ComplexTorus, k: int) -> ComplexTorus:
 # ----------------------------------------------------------------------
 
 
+_KERNEL_STAGE_BITS = 16  # scale step between the LLL stages of integer_kernel_real
+
+
 def integer_kernel_real(L: mp.matrix):
     """Z-basis of the integer points of ker(L) for a real matrix L.
 
-    Candidates come from LLL on a scaled embedding.  A genuine kernel
-    vector of height h has residual at the precision floor 2^-p * h,
-    while the Diophantine near-misses LLL also produces stall near
-    2^-scale * h; keeping the scale well below the precision separates
-    the two, and the accepted set is saturated exactly afterwards.
+    Candidates come from LLL on the embedding x -> x || x C, where C is
+    L^T scaled by 2^top and rounded, top = floor(3 ver_bits / 4).  A
+    genuine kernel vector of height h has residual at the precision floor
+    2^-ver_bits * h, while the Diophantine near-misses LLL also produces
+    stall near 2^-top * h; keeping the scale well below the precision
+    separates the two, and the accepted set is saturated exactly
+    afterwards.
+
+    The embedding is reduced in scale stages 2^16, 2^32, ..., 2^top, each
+    by the exact `lll_reduce` and each from the coefficient vectors x the
+    previous stage left.  A lower stage's columns are the top-scale ones
+    shifted right with rounding, so the last stage reduces exactly the
+    single-scale lattice, but from a nearly reduced basis whose integers
+    stay small.
     """
     m, n = L.rows, L.cols
     with working_precision():
         ver_bits = mp.mp.prec - 40
-        scale = mp.mpf(2) ** ((3 * ver_bits) // 4)
+        top = (3 * ver_bits) // 4
         floor = mp.mpf(2) ** (-ver_bits)
-        rows = []
-        for i in range(n):
-            enc = [int(k == i) for k in range(n)]
-            enc += [int(mp.nint(scale * L[j, i])) for j in range(m)]
-            rows.append(enc)
-        reduced = lll_reduce(rows)
+        scale = mp.mpf(2) ** top
+        # C[j] is column j of C (constraint j); a stage row is x || x C_s
+        C = [[int(mp.nint(scale * L[j, i])) for i in range(n)] for j in range(m)]
+        X = [[int(k == i) for k in range(n)] for i in range(n)]
+        for bits in [*range(_KERNEL_STAGE_BITS, top, _KERNEL_STAGE_BITS), top]:
+            k = top - bits
+            Cs = [[(c + (1 << k >> 1)) >> k for c in col] for col in C]
+            rows = [x + [sum(map(operator.mul, x, col)) for col in Cs] for x in X]
+            reduced = lll_reduce(rows)
+            X = [list(row[:n]) for row in reduced]
+        constraints = [[L[j, i] for i in range(n)] for j in range(m)]
         found = []
-        for row in reduced:
-            x = row[:n]
-            if all(v == 0 for v in x):
+        for x in X:
+            if not any(x):
                 continue
-            h = max(abs(v) for v in x)
-            resid = max(abs(mp.fsum(L[j, i] * x[i] for i in range(n))) for j in range(m))
-            if resid <= floor * max(1, h) * n:
+            bound = floor * max(1, *map(abs, x)) * n
+            if all(abs(mp.fdot(row, x)) <= bound for row in constraints):
                 found.append(tuple(x))
     if not found:
         return []
@@ -372,170 +395,6 @@ def _is_scalar(N: IntMatrix) -> bool:
     n = N.rows
     c = N.entries[0][0]
     return N.entries == IntMatrix.identity(n).scale(c).entries
-
-
-def _generates_totally_real_field(p, degree: int) -> bool:
-    """Whether the monic integer polynomial p (highest degree first) is
-    irreducible of the given degree with all its roots real.
-
-    Three exact tests, cheapest first: the degree; `degree` distinct real
-    roots, counted by a Sturm sequence; irreducibility over Q.
-    """
-    return len(p) - 1 == degree and _real_root_count(p) == degree and _is_irreducible(p)
-
-
-def _real_root_count(p) -> int:
-    """Number of distinct real roots of the integer polynomial p, from the
-    sign changes of its Sturm sequence at -inf and at +inf."""
-    seq = _sturm_sequence(p)
-    at_plus = [q[0] for q in seq]
-    at_minus = [q[0] * (-1) ** (len(q) - 1) for q in seq]
-    return _sign_changes(at_minus) - _sign_changes(at_plus)
-
-
-def _sign_changes(values) -> int:
-    return sum(1 for a, b in zip(values, values[1:]) if (a > 0) != (b > 0))
-
-
-def _sturm_sequence(p):
-    """p, p', then the negated remainders down to gcd(p, p'), each scaled
-    by a positive constant, which leaves every sign count unchanged."""
-    seq = [tuple(p), _derivative(p)]
-    while len(seq[-1]) > 1:
-        r = _pseudo_remainder(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append(tuple(-c for c in r))
-    return seq
-
-
-def _derivative(p):
-    d = len(p) - 1
-    return tuple(c * (d - i) for i, c in enumerate(p[:-1]))
-
-
-def _pseudo_remainder(a, b):
-    """The remainder of c * a by b for some integer c > 0, divided by its
-    content; () when b divides a."""
-    lead = abs(b[0])
-    sign = 1 if b[0] > 0 else -1
-    r = list(a)
-    while r and len(r) >= len(b):
-        top = sign * r[0]
-        r = [lead * x - top * y for x, y in zip(r, list(b) + [0] * (len(r) - len(b)))][1:]
-        while r and r[0] == 0:
-            r.pop(0)
-    g = math.gcd(*r)
-    return tuple(x // g for x in r)
-
-
-def _is_irreducible(p) -> bool:
-    """Whether the monic integer polynomial p is irreducible over Q.
-
-    Degree 2: the discriminant is not a square.  Above that, p must be
-    squarefree, and then a factor of degree k <= d/2 is monic with integer
-    coefficients (Gauss) and its roots are k of the roots of p.  Each root
-    is enclosed in a certified disc (:func:`_root_discs`); for each subset
-    of k discs the coefficients of prod (x - z_i) are rounded to integers,
-    which are the factor's coefficients if the subset is a factor's roots
-    and every exact error bound is below 1/2; each candidate is then
-    confirmed or refuted by exact division, so a miss is a proof.  The
-    root precision starts from the bits of Mignotte's factor bound
-    2^(d/2) ||p||_2 (Cohen, GTM 138, Thm 3.5.1) and doubles until every
-    error bound is below 1/2.
-    """
-    d = len(p) - 1
-    if d <= 1:
-        return True
-    if d == 2:
-        disc = p[1] * p[1] - 4 * p[2]
-        return disc < 0 or math.isqrt(disc) ** 2 != disc
-    if len(_sturm_sequence(p)[-1]) > 1:
-        return False  # gcd(p, p') is a proper factor
-    bits = d // 2 + math.isqrt(sum(c * c for c in p)).bit_length() + 53
-    while True:
-        candidates = _factor_candidates(p, bits)
-        if candidates is not None:
-            return all(_pseudo_remainder(p, q) for q in candidates)
-        bits *= 2
-
-
-def _factor_candidates(p, bits: int):
-    """Integer candidates for the monic factors of degree <= d/2 of the
-    squarefree p, from root discs found at `bits` of precision; None when
-    the discs are too wide to decide."""
-    d = len(p) - 1
-    discs = _root_discs(p, bits)
-    if discs is None:
-        return None
-    out = []
-    for k in range(1, d // 2 + 1):
-        for subset in itertools.combinations(discs, k):
-            approx = [(Fraction(1), Fraction(0))]
-            majorant = [Fraction(1)]  # prod (x + |z_i| + r_i)
-            minorant = [Fraction(1)]  # prod (x + |z_i|)
-            for (re, im), r in subset:
-                approx = _cpoly_mul_linear(approx, (-re, -im))
-                size = abs(re) + abs(im)
-                majorant = _poly_mul_linear(majorant, size + r)
-                minorant = _poly_mul_linear(minorant, size)
-            # a factor's coefficients are within majorant - minorant of these
-            if any(hi - lo >= Fraction(1, 2) for hi, lo in zip(majorant, minorant)):
-                return None
-            out.append(tuple(round(re) for re, _ in approx))
-    return out
-
-
-def _root_discs(p, bits: int):
-    """Pairs ((re, im), r) of exact rationals, one per root of the
-    squarefree p: the discs |w - z| <= r are disjoint and each holds a
-    root, since some root lies within d |p(z) / p'(z)| of any z.  None
-    when the approximations at `bits` of precision do not separate."""
-    d = len(p) - 1
-    scale = 2 ** bits
-    with mp.workprec(bits):
-        approx, _ = mp.polyroots(p, maxsteps=200, extraprec=bits, error=True)
-        zs = [(Fraction(int(mp.nint(mp.re(z) * scale)), scale),
-               Fraction(int(mp.nint(mp.im(z) * scale)), scale)) for z in approx]
-    dp = _derivative(p)
-    discs = []
-    for z in zs:
-        den = _cabs2(_cpoly_eval(dp, z))
-        if den == 0:
-            return None
-        r2 = d * d * _cabs2(_cpoly_eval(p, z)) / den
-        r = Fraction(math.isqrt(math.floor(r2 * scale * scale)) + 1, scale)  # >= sqrt(r2)
-        discs.append((z, r))
-    for (z1, r1), (z2, r2) in itertools.combinations(discs, 2):
-        if _cabs2((z1[0] - z2[0], z1[1] - z2[1])) <= (r1 + r2) ** 2:
-            return None
-    return discs
-
-
-def _cpoly_eval(p, z):
-    """p(z) for integer coefficients p and a complex rational z = (re, im)."""
-    re, im = Fraction(0), Fraction(0)
-    for c in p:  # Horner
-        re, im = re * z[0] - im * z[1] + c, re * z[1] + im * z[0]
-    return re, im
-
-
-def _cabs2(z):
-    return z[0] * z[0] + z[1] * z[1]
-
-
-def _cpoly_mul_linear(q, a):
-    """q(x) * (x + a) for complex rational coefficients, highest first."""
-    out = q + [(Fraction(0), Fraction(0))]
-    for i, (re, im) in enumerate(q):
-        out[i + 1] = (out[i + 1][0] + re * a[0] - im * a[1],
-                      out[i + 1][1] + re * a[1] + im * a[0])
-    return out
-
-
-def _poly_mul_linear(q, a):
-    """q(x) * (x + a) for rational coefficients, highest first."""
-    return [x + a * y for x, y in zip(q + [0], [0] + q)]
 
 
 def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | None = None):

@@ -252,6 +252,17 @@ def test_bad_rm_construct_json_exits_two(document, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_rm_construct_on_reducible_min_poly_exits_two(tmp_path, capsys):
+    field = {"degree": 2, "min_poly": [1, -3, 2], "is_maximal": True,  # (x - 1)(x - 2)
+             "integral_basis_mult_table": [[[1, 0], [0, 1]], [[0, 1], [-2, 3]]]}
+    path = tmp_path / "rm.json"
+    path.write_text(json.dumps({"field": field, "z": [["0", "1"], ["0", "2"]]}))
+    code = main(["torus", "rm-construct", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "irreducible" in err
+
+
 def _loaded_after_cli_import(module):
     """Whether a fresh interpreter has `module` loaded after importing plectic.cli."""
     import os

@@ -12,6 +12,8 @@ from plectic.lattices import (
     Lattice,
     coefficient_shells,
     fraction_det,
+    fraction_inverse,
+    fraction_solve,
     int_combination,
     kernel_integer,
     lattice_membership,
@@ -335,3 +337,23 @@ def test_fraction_det_matches_leibniz(n):
         if n > 1 and rng.random() < 0.25:
             rows[-1] = [2 * x for x in rows[0]]  # singular
         assert fraction_det(rows) == leibniz_det(rows)
+
+
+@given(st.integers(1, 8), st.integers(0, 2**30))
+def test_fraction_inverse_matches_column_solves(n, seed):
+    rng = random.Random(seed)
+    A = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+    if A.det() == 0:
+        with pytest.raises(DegenerateInputError):
+            fraction_inverse(A)
+        return
+    cols = [fraction_solve(A.entries, [int(i == j) for i in range(n)]) for j in range(n)]
+    inv = fraction_inverse(A)
+    assert inv == tuple(tuple(c[i] for c in cols) for i in range(n))
+    assert all(sum(A.entries[i][k] * inv[k][j] for k in range(n)) == int(i == j)
+               for i in range(n) for j in range(n))
+
+
+def test_fraction_inverse_singular_raises():
+    with pytest.raises(DegenerateInputError):
+        fraction_inverse(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))

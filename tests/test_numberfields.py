@@ -25,6 +25,14 @@ def test_not_totally_real_rejected():
         FieldOrder.quadratic(0, 1)  # x^2 + 1
 
 
+def test_reducible_min_poly_rejected():
+    with pytest.raises(InputError, match="irreducible"):
+        FieldOrder.quadratic(3, 2)  # (x - 1)(x - 2): Z x Z, not an order in a field
+    table = (((1, 0), (0, 1)), ((0, 1), (-1, 2)))  # w^2 = 2w - 1
+    with pytest.raises(InputError, match="irreducible"):
+        FieldOrder(2, (1, -2, 1), table)  # (x - 1)^2
+
+
 def test_embeddings_sorted():
     O5 = FieldOrder.quadratic_maximal(5)
     emb = O5.embeddings()

@@ -1,5 +1,5 @@
-"""The exact integer polynomial routines of plectic.tori, checked against
-sympy (a test dependency only)."""
+"""The exact integer polynomial routines of plectic.tori and
+plectic.numberfields, checked against sympy (a test dependency only)."""
 
 import itertools
 
@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plectic.lattices import IntMatrix
-from plectic.tori import (
+from plectic.numberfields import (
     _generates_totally_real_field,
     _is_irreducible,
-    _min_poly,
     _real_root_count,
 )
+from plectic.tori import _min_poly
 
 X = sympy.Symbol("x")
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import plectic.tori as tori
 from plectic import cxlinalg as cx
-from plectic.config import working_precision
+from plectic.config import set_precision, working_precision
 from plectic.errors import InputError
-from plectic.lattices import IntMatrix, solve_integer
+from plectic.lattices import IntMatrix, lll_reduce, saturation, solve_integer
 from plectic.numberfields import FieldOrder, FractionalIdealRep
 from plectic.tori import (
     ComplexTorus,
@@ -19,6 +20,7 @@ from plectic.tori import (
     dual_torus,
     endomorphisms,
     enlarge_to_maximal,
+    hom_lattice,
     jacobian_is_abelian_certificate,
     product_torus,
     steinitz_decompose,
@@ -287,3 +289,57 @@ def test_certificate_rank_mismatch():
     )
     with pytest.raises(InputError):
         jacobian_is_abelian_certificate(h, bad)
+
+
+def single_stage_kernel(L):
+    """integer_kernel_real with one LLL of the embedding at scale 2^top."""
+    m, n = L.rows, L.cols
+    with working_precision():
+        ver_bits = mp.mp.prec - 40
+        scale = mp.mpf(2) ** ((3 * ver_bits) // 4)
+        floor = mp.mpf(2) ** (-ver_bits)
+        rows = [[int(k == i) for k in range(n)] + [int(mp.nint(scale * L[j, i]))
+                                                   for j in range(m)] for i in range(n)]
+        found = []
+        for row in lll_reduce(rows):
+            x = row[:n]
+            if all(v == 0 for v in x):
+                continue
+            h = max(abs(v) for v in x)
+            resid = max(abs(mp.fsum(L[j, i] * x[i] for i in range(n))) for j in range(m))
+            if resid <= floor * max(1, h) * n:
+                found.append(tuple(x))
+    if not found:
+        return []
+    return lll_reduce(saturation(IntMatrix.from_rows(found)))
+
+
+def _seeded_rm_torus(D, seed):
+    rng = random.Random(seed)
+    z = [mp.mpc(round(rng.uniform(-1, 1), 4), round(rng.uniform(0.5, 1.5), 4))
+         for _ in range(2)]
+    return construct_rm_torus(FieldOrder.quadratic_maximal(D), z)
+
+
+def _assert_staging_changes_nothing(t, monkeypatch):
+    staged = hom_lattice(t, t)
+    with monkeypatch.context() as patch:
+        patch.setattr(tori, "integer_kernel_real", single_stage_kernel)
+        reference = hom_lattice(t, t)
+    assert [N.entries for N in staged] == [N.entries for N in reference]
+    return staged
+
+
+def test_integer_kernel_matches_single_stage_reference(monkeypatch):
+    with working_precision():
+        cm_b = mp.mpc(0, mp.sqrt(2))
+    cases = [_seeded_rm_torus(D, seed) for D, seed in ((2, 1), (5, 2), (13, 3))]
+    cases += [product_torus(elliptic(mp.mpc(0, 1)), elliptic(cm_b)),
+              elliptic(mp.mpc("0.3", "1.7")), elliptic(mp.mpc(0, 1))]
+    ranks = [len(_assert_staging_changes_nothing(t, monkeypatch)) for t in cases]
+    assert ranks == [2, 2, 2, 4, 1, 2]
+    set_precision(256)
+    try:
+        assert len(_assert_staging_changes_nothing(_seeded_rm_torus(5, 4), monkeypatch)) == 2
+    finally:
+        set_precision(128)
