@@ -8,10 +8,8 @@ from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError
 
 __all__ = [
-    "mpm", "eye", "zeros", "conj", "ctranspose", "hstack", "frob", "maxabs",
-    "kron", "singular_values", "numerical_rank", "orthonormal_columns",
-    "projector", "nullspace", "lstsq", "subspace_residual", "subspace_distance",
-    "columns", "real_imag_stack",
+    "mpm", "conj", "ctranspose", "hstack", "frob", "kron", "nullspace", "lstsq",
+    "subspace_residual", "real_imag_stack",
 ]
 
 
@@ -23,14 +21,6 @@ def mpm(rows) -> mp.matrix:
         for j, x in enumerate(r):
             m[i, j] = mp.mpmathify(x)
     return m
-
-
-def eye(n: int) -> mp.matrix:
-    return mp.eye(n)
-
-
-def zeros(r: int, c: int) -> mp.matrix:
-    return mp.matrix(r, c)
 
 
 def conj(A: mp.matrix) -> mp.matrix:
@@ -60,14 +50,6 @@ def hstack(mats) -> mp.matrix:
     return out
 
 
-def columns(A: mp.matrix, idx) -> mp.matrix:
-    out = mp.matrix(A.rows, len(idx))
-    for c, j in enumerate(idx):
-        for i in range(A.rows):
-            out[i, c] = A[i, j]
-    return out
-
-
 def frob(A: mp.matrix) -> mp.mpf:
     with working_precision():
         acc = mp.mpf(0)
@@ -75,16 +57,6 @@ def frob(A: mp.matrix) -> mp.mpf:
             for j in range(A.cols):
                 acc += abs(A[i, j]) ** 2
         return mp.sqrt(acc)
-
-
-def maxabs(A: mp.matrix) -> mp.mpf:
-    best = mp.mpf(0)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            x = abs(A[i, j])
-            if x > best:
-                best = x
-    return best
 
 
 def kron(A: mp.matrix, B: mp.matrix) -> mp.matrix:
@@ -99,43 +71,11 @@ def kron(A: mp.matrix, B: mp.matrix) -> mp.matrix:
     return out
 
 
-def singular_values(A: mp.matrix):
-    with working_precision():
-        S = mp.mp.svd(A.copy(), compute_uv=False)
-    return [S[i] for i in range(S.rows)]
-
-
 def _svd(A: mp.matrix):
     # mpmath convention: A = U * diag(S) * V  (V is the right factor itself)
     with working_precision():
         U, S, V = mp.mp.svd(A.copy())
     return U, [S[i] for i in range(S.rows)], V
-
-
-def numerical_rank(A: mp.matrix, rtol=None) -> int:
-    s = singular_values(A)
-    if not s or s[0] == 0:
-        return 0
-    rtol = resolve_tolerance(rtol)
-    return sum(1 for x in s if x > rtol * s[0])
-
-
-def orthonormal_columns(A: mp.matrix, rtol=None) -> mp.matrix:
-    """Orthonormal basis of the column span, by singular value cutoff."""
-    U, s, _ = _svd(A)
-    if not s or s[0] == 0:
-        return mp.matrix(A.rows, 0)
-    rtol = resolve_tolerance(rtol)
-    r = sum(1 for x in s if x > rtol * s[0])
-    return columns(U, range(r))
-
-
-def projector(A: mp.matrix, rtol=None) -> mp.matrix:
-    with working_precision():
-        Q = orthonormal_columns(A, rtol)
-        if Q.cols == 0:
-            return mp.matrix(A.rows, A.rows)
-        return Q * ctranspose(Q)
 
 
 def nullspace(A: mp.matrix, rtol=None) -> mp.matrix:
@@ -174,12 +114,6 @@ def subspace_residual(A: mp.matrix, B: mp.matrix, rtol=None) -> mp.mpf:
             return mp.mpf(1)
         R = A - B * lstsq(B, A, rtol)
         return frob(R) / na
-
-
-def subspace_distance(A: mp.matrix, B: mp.matrix, rtol=None) -> mp.mpf:
-    """Frobenius distance between the orthogonal projectors of two spans."""
-    with working_precision():
-        return frob(projector(A, rtol) - projector(B, rtol))
 
 
 def real_imag_stack(A: mp.matrix) -> mp.matrix:

@@ -152,11 +152,16 @@ class ValidationReport:
 
 
 def validate(h: PlecticHodgeStructure, tol=None) -> ValidationReport:
-    """Check direct-sum completeness and conjugation symmetry.
+    """Check direct-sum completeness and conjugation symmetry in piece
+    coordinates: B stacks the piece bases and X = B^-1 (one LU).
 
-    Reports the span-completeness defect ||I - P|| (P the projector onto
-    the union of the piece spans) and the worst conjugation residual
-    between conj(H^{a,b}) and H^{b,a}; passes iff both are below tol.
+    span_defect is ||I - B X||_F when ||B||_F ||X||_F tol < 1, and 1
+    otherwise or when LU finds B singular: rounding noise when the pieces
+    span, >= 1 when they do not.  conjugation_residual is the worst, over
+    pieces p with conjugate piece q, of ||conj(B_p) - B_q (X conj(B_p))_q||_F
+    / ||conj(B_p)||_F, the share of conj(H^{a,b}) outside H^{b,a}; it is 1
+    for a missing or wrong-sized conjugate piece, and when the pieces do not
+    span.  Passes iff both are below tol.
     """
     tol = resolve_tolerance(tol)
     total = h.total_piece_dim()
@@ -164,22 +169,31 @@ def validate(h: PlecticHodgeStructure, tol=None) -> ValidationReport:
         raise InputError(
             f"piece dimensions sum to {total}, lattice rank is {h.rank}"
         )
+    pieces = h.sorted_pieces()
     messages = []
     with working_precision():
-        stacked = cx.hstack([v for _, v in h.sorted_pieces()])
-        span_defect = cx.frob(mp.eye(h.rank) - cx.projector(stacked))
+        B, X, block = _piece_coordinates(pieces, "pieces")
+        if X is not None and cx.frob(B) * cx.frob(X) * tol < 1:
+            span_defect = cx.frob(mp.eye(h.rank) - B * X)
+        else:
+            X, span_defect = None, mp.mpf(1)
         conj_res = mp.mpf(0)
-        for bd, basis in h.sorted_pieces():
+        for bd, basis in pieces:
             other = h.pieces.get(bd.conjugate())
-            if other is None or other.cols != basis.cols:
-                conj_res = mp.mpf(1)
+            if other is None:
                 messages.append(f"missing conjugate piece for {bd.key()}")
-                continue
-            d = cx.subspace_distance(cx.conj(basis), other)
-            if d > conj_res:
-                conj_res = d
+                res = mp.mpf(1)
+            elif other.cols != basis.cols:
+                messages.append(f"conjugate piece for {bd.key()} has dimension "
+                                f"{other.cols}, not {basis.cols}")
+                res = mp.mpf(1)
+            elif X is None:
+                res = mp.mpf(1)
+            else:
+                res = _outside(cx.conj(basis), B, X, block[bd.conjugate()])
+            conj_res = max(conj_res, res)
         passed = bool(span_defect < tol and conj_res < tol)
-    dims = {bd.key(): v.cols for bd, v in h.sorted_pieces()}
+    dims = {bd.key(): v.cols for bd, v in pieces}
     return ValidationReport(passed, span_defect, conj_res, dims, tuple(messages))
 
 
@@ -229,20 +243,40 @@ def plectic_jacobian(h: PlecticHodgeStructure, j: int) -> ComplexTorus:
     return _quotient_torus(F, comp)
 
 
-def _quotient_torus(F: mp.matrix, comp: mp.matrix) -> ComplexTorus:
-    m = F.rows
-    g = comp.cols
-    if F.cols + g != m:
-        raise DegenerateInputError("filtration and complement do not fill the space")
+def _piece_coordinates(pieces, what: str):
+    """For (key, basis) pairs: the square stack B of the bases, its inverse
+    X by one LU at working precision (None when LU finds B singular), and
+    key -> the rows of X, as a slice, that give that piece's coordinates."""
+    B = cx.hstack([basis for _, basis in pieces])
+    if B.cols != B.rows:
+        raise DegenerateInputError(f"{what} do not fill the space")
+    block, start = {}, 0
+    for key, basis in pieces:
+        block[key] = slice(start, start + basis.cols)
+        start += basis.cols
     with working_precision():
-        B = cx.hstack([F, comp])
         try:
             X = B**-1
-        except ZeroDivisionError as exc:
-            raise DegenerateInputError("filtration complement is degenerate") from exc
-        periods = X[F.cols :, :]
+        except (ZeroDivisionError, TypeError):
+            # mpmath's LU raises TypeError, not ZeroDivisionError, when a
+            # pivot column is exactly zero
+            X = None
+    return B, X, block
+
+
+def _outside(A: mp.matrix, B: mp.matrix, X: mp.matrix, rows: slice) -> mp.mpf:
+    """||A - B_rows (X A)_rows||_F / ||A||_F: the share of col(A) outside the
+    piece whose coordinates are `rows`, for X = B^-1."""
+    return cx.frob(A - B[:, rows] * (X[rows, :] * A)) / cx.frob(A)
+
+
+def _quotient_torus(F: mp.matrix, comp: mp.matrix) -> ComplexTorus:
+    _, X, block = _piece_coordinates([("F", F), ("comp", comp)], "filtration and complement")
+    if X is None:
+        raise DegenerateInputError("filtration complement is degenerate")
+    with working_precision():
         try:
-            return ComplexTorus(g, periods)
+            return ComplexTorus(comp.cols, X[block["comp"], :])
         except DegenerateInputError as exc:
             raise DegenerateInputError(
                 "lattice does not project to a full lattice in the quotient"
@@ -252,20 +286,22 @@ def _quotient_torus(F: mp.matrix, comp: mp.matrix) -> ComplexTorus:
 def check_morphism(f: IntMatrix, src: PlecticHodgeStructure,
                    dst: PlecticHodgeStructure, tol=None) -> bool:
     """True iff the complexification of f maps each src piece into the
-    dst piece of the same bidegree, within tol."""
+    dst piece of the same bidegree: read in the coordinates of the dst
+    piece basis, each image's share outside its own block is at most tol.
+    Raises DegenerateInputError when the dst pieces are not a basis."""
     tol = resolve_tolerance(tol)
     if f.rows != dst.rank or f.cols != src.rank:
         raise InputError("morphism matrix shape mismatch")
+    B, X, block = _piece_coordinates(dst.sorted_pieces(), "target pieces")
+    if X is None:
+        raise DegenerateInputError("target pieces are linearly dependent")
     with working_precision():
         fc = cx.mpm(f.entries)
         for bd, basis in src.sorted_pieces():
             image = fc * basis
             if cx.frob(image) < tol:
                 continue
-            target = dst.pieces.get(bd)
-            if target is None:
-                return False
-            if cx.subspace_residual(image, target, tol) > tol:
+            if bd not in block or _outside(image, B, X, block[bd]) > tol:
                 return False
     return True
 
@@ -273,10 +309,12 @@ def check_morphism(f: IntMatrix, src: PlecticHodgeStructure,
 def orthogonality_check(h: PlecticHodgeStructure, pairing: IntMatrix, tol=None,
                         companion: PlecticHodgeStructure | None = None) -> bool:
     """Check that each piece H^{a,b} is exactly the annihilator, under
-    the given perfect integer pairing, of every companion piece except
+    the given perfect integer pairing P, of every companion piece except
     the complementary one (complements taken against the all-ones
     weight).  The companion defaults to h itself, the middle-degree
-    self-pairing case."""
+    self-pairing case.  With W = P (those companion pieces), a piece of a
+    structure that passes `validate` is that annihilator iff its dimension
+    is rank - W.cols and ||basis^T W||_F <= tol ||basis||_F ||W||_F."""
     tol = resolve_tolerance(tol)
     if companion is None:
         companion = h
@@ -291,11 +329,10 @@ def orthogonality_check(h: PlecticHodgeStructure, pairing: IntMatrix, tol=None,
             others = [v for kd, v in companion.sorted_pieces() if kd != comp_bd]
             if not others:
                 continue
-            W = cx.hstack(others)
-            ann = cx.nullspace((P * W).T, tol)
-            if ann.cols != basis.cols:
+            W = P * cx.hstack(others)
+            if basis.cols != h.rank - W.cols:
                 return False
-            if cx.subspace_distance(ann, basis, tol) > tol:
+            if cx.frob(basis.T * W) > tol * cx.frob(basis) * cx.frob(W):
                 return False
     return True
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import pathlib
 
 import jsonschema
 import mpmath as mp
@@ -6,7 +9,7 @@ import pytest
 
 import plectic.serialize as ser
 from plectic import cxlinalg as cx
-from plectic.cli import main
+from plectic.cli import build_parser, main
 from plectic.config import set_precision
 from plectic.hodge import elliptic_h1, tensor
 from plectic.lattices import IntMatrix
@@ -14,11 +17,9 @@ from plectic.numberfields import FieldOrder
 from plectic.schemas import known_commands, report_schema
 
 
-@pytest.fixture(scope="module")
-def fixtures(tmp_path_factory):
-    """Input files for every subcommand."""
-    set_precision(128)
-    root = tmp_path_factory.mktemp("cli")
+def write_fixtures(root):
+    """Write the input file of every subcommand under `root` (a pathlib.Path)
+    at the working precision; returns file name -> path."""
     paths = {}
 
     def dump(name, obj):
@@ -88,6 +89,13 @@ def fixtures(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def fixtures(tmp_path_factory):
+    """Input files for every subcommand."""
+    set_precision(128)
+    return write_fixtures(tmp_path_factory.mktemp("cli"))
+
+
 COMMANDS = [
     ("phs.validate", lambda f: ["phs", "validate", "--input", f["phs.json"]]),
     ("phs.refine", lambda f: ["phs", "refine", "--input", f["phs2.json"]]),
@@ -133,15 +141,17 @@ COMMANDS = [
 ]
 
 
-def run(argv, capsys):
-    code = main(argv)
-    out = capsys.readouterr().out
-    return code, out
+def run(argv):
+    """Exit code and standard output of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
 
 
 @pytest.mark.parametrize("command,argv_fn", COMMANDS, ids=[c for c, _ in COMMANDS])
-def test_subcommand_passes_and_validates(command, argv_fn, fixtures, capsys):
-    code, out = run(argv_fn(fixtures), capsys)
+def test_subcommand_passes_and_validates(command, argv_fn, fixtures):
+    code, out = run(argv_fn(fixtures))
     assert code == 0
     report = json.loads(out)
     assert report["command"] == command
@@ -149,24 +159,65 @@ def test_subcommand_passes_and_validates(command, argv_fn, fixtures, capsys):
     jsonschema.validate(report, report_schema(command))
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _within(new, old, tol):
+    """Same keys, lengths, verdicts, integers and words; numbers (floats, and
+    strings that parse as one) within tol of each other."""
+    if new == old:
+        return True
+    if isinstance(old, dict):
+        return (isinstance(new, dict) and new.keys() == old.keys()
+                and all(_within(new[k], old[k], tol) for k in old))
+    if isinstance(old, list):
+        return (isinstance(new, list) and len(new) == len(old)
+                and all(_within(a, b, tol) for a, b in zip(new, old)))
+    if isinstance(old, (bool, int)) or isinstance(new, (bool, int)):
+        return False
+    try:
+        return abs(float(new) - float(old)) <= tol
+    except (TypeError, ValueError):
+        return False
+
+
+@pytest.mark.parametrize("command,argv_fn", COMMANDS, ids=[c for c, _ in COMMANDS])
+def test_report_matches_golden(command, argv_fn, fixtures):
+    """Every report against the committed one (regenerate with
+    tests/golden/regen.py).  Reports of the `flat` group come from numpy
+    floating point, whose last bits move with the BLAS build, so their
+    numbers are held to the check tolerance they were decided with (1e-10
+    for extract-phs, which has none of its own); every other report is
+    pure mpmath and exact integer arithmetic and must match byte for byte."""
+    argv = argv_fn(fixtures)
+    code, out = run(argv)
+    golden = GOLDEN / f"{command}.json"
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[command]
+    if not command.startswith("flat."):
+        assert out == golden.read_text()
+        return
+    tol = getattr(build_parser().parse_args(argv), "check_tolerance", 1e-10)
+    assert _within(json.loads(out), json.loads(golden.read_text()), tol)
+
+
 def test_all_published_schemas_are_exercised():
     assert {c for c, _ in COMMANDS} == set(known_commands())
 
 
-def test_reports_are_byte_identical(fixtures, capsys):
+def test_reports_are_byte_identical(fixtures):
     argv = ["aj", "theorem-b", "--input", fixtures["aj.json"], "--nu", "1",
             "--trials", "6", "--seed", "3"]
-    _, out1 = run(argv, capsys)
-    _, out2 = run(argv, capsys)
+    _, out1 = run(argv)
+    _, out2 = run(argv)
     assert out1 == out2
     argv2 = ["flat", "verify-identities", "--n", "2", "--truncation", "1"]
-    _, out3 = run(argv2, capsys)
-    _, out4 = run(argv2, capsys)
+    _, out3 = run(argv2)
+    _, out4 = run(argv2)
     assert out3 == out4
 
 
-def test_check_failure_exits_one(fixtures, capsys):
-    code, out = run(["phs", "validate", "--input", fixtures["phs_bad.json"]], capsys)
+def test_check_failure_exits_one(fixtures):
+    code, out = run(["phs", "validate", "--input", fixtures["phs_bad.json"]])
     assert code == 1
     report = json.loads(out)
     assert report["pass"] is False
@@ -185,14 +236,14 @@ def test_missing_input_exits_two(capsys):
     assert code == 2
 
 
-def test_env_precision_override(fixtures, capsys, monkeypatch):
+def test_env_precision_override(fixtures, monkeypatch):
     monkeypatch.setenv("PLECTIC_PRECISION", "160")
-    code, out = run(["phs", "validate", "--input", fixtures["phs.json"]], capsys)
+    code, out = run(["phs", "validate", "--input", fixtures["phs.json"]])
     assert code == 0
     assert json.loads(out)["config"]["precision"] == 160
     # an explicit flag wins over the environment
     code, out = run(["phs", "validate", "--input", fixtures["phs.json"],
-                     "--precision", "96"], capsys)
+                     "--precision", "96"])
     assert json.loads(out)["config"]["precision"] == 96
     monkeypatch.delenv("PLECTIC_PRECISION")
     set_precision(128)

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import subspace_distance
 from plectic import cxlinalg as cx
 from plectic.errors import InputError
 from plectic.flat import (
@@ -298,7 +299,7 @@ def test_extract_elliptic():
     phs = extract_plectic_structure(s, 1)
     h = elliptic_h1(1, 0.3 + 1.7j)
     for bd in phs.pieces:
-        assert cx.subspace_distance(phs.pieces[bd], h.pieces[bd]) < 1e-9
+        assert subspace_distance(phs.pieces[bd], h.pieces[bd]) < 1e-9
 
 
 def test_extract_total_rank_binomial():
@@ -324,4 +325,4 @@ def test_extract_tensor_part_matches_tensor_structure():
         rest = [abs(basis[r, c]) for r in range(basis.rows) if r not in sel
                 for c in range(basis.cols)]
         assert max(rest) < 1e-12
-        assert cx.subspace_distance(sub, t12.pieces[bd]) < 1e-7
+        assert subspace_distance(sub, t12.pieces[bd]) < 1e-7

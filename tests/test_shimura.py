@@ -1,6 +1,7 @@
 import mpmath as mp
 import pytest
 
+from conftest import subspace_distance
 from plectic import cxlinalg as cx
 from plectic.config import working_precision
 from plectic.errors import DegenerateInputError, InputError
@@ -74,20 +75,20 @@ def test_build_elliptic():
     phs = build_plectic_from_frobenii(elliptic_datum())
     h = elliptic_h1(1, mp.mpc(0, 1))
     for bd in phs.pieces:
-        assert cx.subspace_distance(phs.pieces[bd], h.pieces[bd]) < mp.mpf("1e-30")
+        assert subspace_distance(phs.pieces[bd], h.pieces[bd]) < mp.mpf("1e-30")
 
 
 def test_build_identity_translate_is_holo():
     d = tensor_datum()
     phs = build_plectic_from_frobenii(d)
-    assert cx.subspace_distance(phs.pieces[Bidegree((1, 1), (0, 0))], d.holo) == 0
+    assert subspace_distance(phs.pieces[Bidegree((1, 1), (0, 0))], d.holo) == 0
 
 
 def test_build_tensor_equals_tensor_structure():
     phs = build_plectic_from_frobenii(tensor_datum())
     t = tensor(elliptic_h1(1, mp.mpc(0, 1)), elliptic_h1(1, mp.mpc(0, 1)))
     for bd in phs.pieces:
-        assert cx.subspace_distance(phs.pieces[bd], t.pieces[bd]) < mp.mpf("1e-30")
+        assert subspace_distance(phs.pieces[bd], t.pieces[bd]) < mp.mpf("1e-30")
 
 
 def test_build_rejects_incompatible_holo():
@@ -107,7 +108,7 @@ def test_frobenii_permute_pieces():
                     (b + (1 if k == mu else 0)) % 2 for k, b in enumerate(bd.beta)
                 )
                 target = phs.pieces[Bidegree(tuple(1 - b for b in beta2), beta2)]
-                assert cx.subspace_distance(fr * basis, target) < mp.mpf("1e-30")
+                assert subspace_distance(fr * basis, target) < mp.mpf("1e-30")
 
 
 def test_nu_structure_matches_filtration():
@@ -116,7 +117,7 @@ def test_nu_structure_matches_filtration():
     t = tensor(elliptic_h1(1, mp.mpc(0, 1)), elliptic_h1(1, mp.mpc(0, 1)))
     F = hodge_filtration(t, 1)
     assert ns.pieces[(1, 0)].cols == d.rank // 2
-    assert cx.subspace_distance(ns.pieces[(1, 0)], F) < mp.mpf("1e-30")
+    assert subspace_distance(ns.pieces[(1, 0)], F) < mp.mpf("1e-30")
 
 
 def test_nu_structure_excludes_nu_itself():
