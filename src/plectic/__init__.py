@@ -6,6 +6,7 @@ from .errors import DegenerateInputError, InputError, PlecticError, SearchExhaus
 from .lattices import (
     IntMatrix,
     Lattice,
+    hermite_normal_form,
     lattice_membership,
     smith_normal_form,
     torsion_free_quotient,

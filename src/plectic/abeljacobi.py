@@ -50,7 +50,7 @@ class QuotientDatum:
     def __post_init__(self):
         for w1, w2 in self.factors:
             w1, w2 = mp.mpmathify(w1), mp.mpmathify(w2)
-            if mp.im(w2 / w1) == 0:
+            if mp.im(w2 * mp.conj(w1)) == 0:  # Im(w2 / w1) = 0, or w1 = 0
                 raise InputError("factor lattice generators are collinear")
 
     @property

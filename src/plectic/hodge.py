@@ -342,7 +342,7 @@ def elliptic_h1(omega1, omega2) -> PlecticHodgeStructure:
     lattice with H^{1,0} spanned by (w1, w2)."""
     with working_precision():
         w1, w2 = mp.mpmathify(omega1), mp.mpmathify(omega2)
-        if mp.im(w2 / w1) == 0:
+        if mp.im(w2 * mp.conj(w1)) == 0:  # Im(w2 / w1) = 0, or w1 = 0
             raise InputError("lattice generators are collinear")
         hol = cx.mpm([[w1], [w2]])
         pieces = {

@@ -3,6 +3,12 @@
 Everything here is exact: entries are Python ints or Fractions and no
 routine rounds, apart from :func:`lattice_membership`, which takes an
 explicit tolerance, and :func:`fraction_to_mpf`.
+
+The Hermite normal form is the one lattice normal form: ranks, kernels,
+saturations, row-lattice bases, integer solves, lattice equality and
+torsion-free quotients all come from :func:`hermite_normal_form`, and
+every basis they return is the canonical (Hermite) one.  The Smith form
+is built from it too, for the elementary divisors.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .errors import DegenerateInputError, InputError
 __all__ = [
     "IntMatrix",
     "Lattice",
+    "hermite_normal_form",
     "smith_normal_form",
     "torsion_free_quotient",
     "lattice_membership",
@@ -139,8 +146,7 @@ class IntMatrix:
         return self.rows == self.cols and abs(self.det()) == 1
 
     def rank(self) -> int:
-        _, d, _ = smith_normal_form(self)
-        return sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0)
+        return hermite_normal_form(self)[0].rows
 
     def diagonal(self):
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -208,106 +214,82 @@ class Lattice:
             raise InputError(f"bad lattice JSON: missing {exc}") from exc
 
 
-def smith_normal_form(m: IntMatrix):
-    """Diagonalize over Z: returns (U, D, V) with U*m*V == D.
+def hermite_normal_form(m: IntMatrix):
+    """Row Hermite normal form: returns (H, U) with U unimodular and U*m
+    equal to H followed by m.rows - H.rows zero rows.
 
-    U and V are unimodular and the diagonal of D is nonnegative with each
-    entry dividing the next (zeros trail).
+    H has one row per rank and echelon shape; each leading entry is
+    positive and the entries above it lie in [0, leading).  H depends only
+    on the row lattice of m, so it is that lattice's canonical basis
+    (Cohen, GTM 138, section 2.4).  Each column is cleared below the pivot
+    by Bezout row steps, so no remainder sequence runs on the entries.
     """
     R, C = m.rows, m.cols
     a = [list(r) for r in m.entries]
     u = [[int(i == j) for j in range(R)] for i in range(R)]
-    v = [[int(i == j) for j in range(C)] for i in range(C)]
-
-    def row_sub(i, j, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i, j, q):
-        for r in range(R):
-            a[r][i] -= q * a[r][j]
-        for r in range(C):
-            v[r][i] -= q * v[r][j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_bezout(t, i):
-        # unimodular 2x2 row step: a[t][t] <- gcd(a[t][t], a[i][t]), a[i][t] <- 0
-        g, x, y = _xgcd(a[t][t], a[i][t])
-        p, q = a[t][t] // g, a[i][t] // g
-        for m in (a, u):
-            m[t], m[i] = ([x * s + y * r for s, r in zip(m[t], m[i])],
-                          [p * r - q * s for s, r in zip(m[t], m[i])])
-
-    def col_bezout(t, j):
-        g, x, y = _xgcd(a[t][t], a[t][j])
-        p, q = a[t][t] // g, a[t][j] // g
-        for m in (a, v):
-            for r in m:
-                r[t], r[j] = x * r[t] + y * r[j], p * r[j] - q * r[t]
-
-    def col_swap(i, j):
-        for r in range(R):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(C):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    t = 0
-    while t < min(R, C):
-        piv = None
-        best = None
-        for i in range(t, R):
-            for j in range(t, C):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    piv, best = (i, j), x
-        if piv is None:
+    r = 0
+    for j in range(C):
+        if r == R:
             break
-        if piv[0] != t:
-            row_swap(piv[0], t)
-        if piv[1] != t:
-            col_swap(piv[1], t)
-        while True:
-            dirty = False
-            # An entry the pivot does not divide is cleared by a Bezout step
-            # that makes the pivot the gcd; a Euclid of remainder swaps lets
-            # the other entries of skewed inputs grow exponentially.
-            for i in range(R):
-                if i != t and a[i][t]:
-                    if a[i][t] % a[t][t]:
-                        row_bezout(t, i)
-                        dirty = True
-                    else:
-                        row_sub(i, t, a[i][t] // a[t][t])
-            for j in range(C):
-                if j != t and a[t][j]:
-                    if a[t][j] % a[t][t]:
-                        col_bezout(t, j)
-                        dirty = True
-                    else:
-                        col_sub(j, t, a[t][j] // a[t][t])
-            if dirty:
-                continue
-            # divisibility chain: pivot must divide the remaining block
-            pulled = False
-            for i in range(t + 1, R):
-                if any(a[i][j] % a[t][t] for j in range(t + 1, C)):
-                    row_sub(t, i, -1)
-                    pulled = True
-                    break
-            if not pulled:
-                break
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
+        for i in range(r + 1, R):
+            if a[i][j]:
+                # unimodular 2x2 row step: a[r][j] <- gcd, a[i][j] <- 0
+                g, x, y = _xgcd(a[r][j], a[i][j])
+                p, q = a[r][j] // g, a[i][j] // g
+                for w in (a, u):
+                    w[r], w[i] = ([x * s + y * t for s, t in zip(w[r], w[i])],
+                                  [p * t - q * s for s, t in zip(w[r], w[i])])
+        if not a[r][j]:
+            continue
+        if a[r][j] < 0:
+            a[r], u[r] = [-s for s in a[r]], [-s for s in u[r]]
+        for i in range(r):
+            q = a[i][j] // a[r][j]
+            if q:
+                for w in (a, u):
+                    w[i] = [s - q * t for s, t in zip(w[i], w[r])]
+        r += 1
+    H = IntMatrix(r, C, tuple(tuple(row) for row in a[:r]))
+    return H, IntMatrix(R, R, tuple(tuple(row) for row in u))
 
-    U = IntMatrix(R, R, tuple(tuple(r) for r in u))
-    D = IntMatrix(R, C, tuple(tuple(r) for r in a))
-    V = IntMatrix(C, C, tuple(tuple(r) for r in v))
-    return U, D, V
+
+def smith_normal_form(m: IntMatrix):
+    """Diagonalize over Z: returns (U, D, V) with U*m*V == D.
+
+    U and V are unimodular and the diagonal of D is nonnegative with each
+    entry dividing the next (zeros trail).  Row and column Hermite forms
+    alternate until the matrix is diagonal; then one unimodular step on
+    each side turns each diagonal pair (a, b) into (gcd(a, b), lcm(a, b)).
+    """
+    R, C = m.rows, m.cols
+    U, V, D = IntMatrix.identity(R), IntMatrix.identity(C), m
+    while True:
+        W = hermite_normal_form(D)[1]
+        U, D = W @ U, W @ D
+        if _is_diagonal(D):
+            break
+        W = hermite_normal_form(D.transpose())[1].transpose()
+        V, D = V @ W, D @ W
+        if _is_diagonal(D):
+            break
+    d = list(D.diagonal())
+    u, v = [list(r) for r in U.entries], [list(r) for r in V.entries]
+    for i, j in itertools.combinations(range(sum(1 for x in d if x)), 2):
+        a, b = d[i], d[j]
+        if b % a:
+            g, x, y = _xgcd(a, b)
+            u[i], u[j] = ([x * s + y * t for s, t in zip(u[i], u[j])],
+                          [(a * t - b * s) // g for s, t in zip(u[i], u[j])])
+            for row in v:
+                row[i], row[j] = row[i] + row[j], (x * a * row[j] - y * b * row[i]) // g
+            d[i], d[j] = g, a * b // g
+    D = tuple(tuple(d[i] if i == j else 0 for j in range(C)) for i in range(R))
+    return (IntMatrix(R, R, tuple(map(tuple, u))), IntMatrix(R, C, D),
+            IntMatrix(C, C, tuple(map(tuple, v))))
+
+
+def _is_diagonal(D: IntMatrix) -> bool:
+    return all(x == 0 for i, r in enumerate(D.entries) for j, x in enumerate(r) if i != j)
 
 
 def _xgcd(a: int, b: int):
@@ -372,58 +354,49 @@ def fraction_to_mpf(x) -> mp.mpf:
     return mp.mpf(f.numerator) / mp.mpf(f.denominator)
 
 
-def int_inverse_unimodular(A: IntMatrix) -> IntMatrix:
-    inv = fraction_inverse(A)
-    if any(x.denominator != 1 for r in inv for x in r):
-        raise InputError("matrix is not unimodular")
-    return IntMatrix.from_rows([[int(x) for x in r] for r in inv])
-
-
 def kernel_integer(A: IntMatrix):
-    """Z-basis of {x in Z^cols : A x = 0}; the result is saturated."""
-    _, D, V = smith_normal_form(A)
-    rank = sum(1 for i in range(min(D.rows, D.cols)) if D.entries[i][i] != 0)
-    vt = V.transpose().entries  # row i of V^T = column i of V
-    return [tuple(vt[i]) for i in range(rank, A.cols)]
+    """Z-basis of {x in Z^cols : A x = 0} in Hermite normal form; the
+    result is saturated.  The rows of U past the rank, for U*A^T = H,
+    span it."""
+    H, U = hermite_normal_form(A.transpose())
+    if H.rows == A.cols:
+        return []
+    return row_lattice_basis(IntMatrix.from_rows(U.entries[H.rows:]))
 
 
 def row_lattice_basis(A: IntMatrix):
-    """Z-basis (list of rows) of the lattice generated by the rows of A."""
-    U, D, V = smith_normal_form(A)
-    W = int_inverse_unimodular(V)
-    out = []
-    for i in range(min(D.rows, D.cols)):
-        d = D.entries[i][i]
-        if d != 0:
-            out.append(tuple(d * x for x in W.entries[i]))
-    return out
+    """Z-basis (list of rows) of the lattice generated by the rows of A:
+    its Hermite normal form."""
+    return list(hermite_normal_form(A)[0].entries)
 
 
 def saturation(A: IntMatrix):
-    """Z-basis of the saturation of the row lattice of A in Z^cols."""
+    """Z-basis of the saturation of the row lattice of A in Z^cols, in
+    Hermite normal form: the kernel of its kernel."""
     ker = kernel_integer(A)
     if not ker:
         return [tuple(r) for r in IntMatrix.identity(A.cols).entries]
-    K = IntMatrix.from_rows(ker)
-    return kernel_integer(K)
+    return kernel_integer(IntMatrix.from_rows(ker))
 
 
 def solve_integer(A: IntMatrix, b):
-    """One integer solution x of A x = b, or None if none exists."""
-    U, D, V = smith_normal_form(A)
-    ub = U.apply(tuple(int(x) for x in b))
-    y = [0] * A.cols
-    r = min(D.rows, D.cols)
-    for i in range(A.rows):
-        d = D.entries[i][i] if i < r else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-    return V.apply(tuple(y))
+    """One integer solution x of A x = b, or None if none exists.
+
+    With U*A^T = H in Hermite normal form, b is reduced against the
+    echelon rows of H; its coefficients y give x = U^T y."""
+    if len(b) != A.rows:
+        raise InputError("vector length mismatch")
+    H, U = hermite_normal_form(A.transpose())
+    rest = [int(v) for v in b]
+    x = [0] * A.cols
+    for h, u in zip(H.entries, U.entries):
+        lead = next(j for j, v in enumerate(h) if v)
+        q, r = divmod(rest[lead], h[lead])
+        if r:
+            return None
+        rest = [s - q * t for s, t in zip(rest, h)]
+        x = [s + q * t for s, t in zip(x, u)]
+    return None if any(rest) else tuple(x)
 
 
 def lll_reduce(rows):
@@ -530,24 +503,20 @@ def int_combination(coeffs, mats) -> IntMatrix:
 
 
 def lattices_equal(a_rows, b_rows) -> bool:
-    """Exact equality of the row lattices spanned by two generator lists."""
-    if not a_rows and not b_rows:
-        return True
-    if not a_rows or not b_rows:
-        return False
-    A = IntMatrix.from_rows(a_rows)
-    B = IntMatrix.from_rows(b_rows)
-    return _contained(A, B) and _contained(B, A)
-
-
-def _contained(A: IntMatrix, B: IntMatrix) -> bool:
-    bt = B.transpose()
-    return all(solve_integer(bt, row) is not None for row in A.entries)
+    """Exact equality of the row lattices spanned by two generator lists:
+    a comparison of their Hermite normal forms."""
+    a, b = (row_lattice_basis(IntMatrix.from_rows(r)) if r else [] for r in (a_rows, b_rows))
+    return a == b
 
 
 def torsion_free_quotient(sub: Lattice, ambient: Lattice) -> Lattice:
-    """Basis of (ambient/sub) modulo torsion, via the Smith form of the
-    inclusion; representatives are returned in ambient coordinates."""
+    """Basis of (ambient/sub) modulo torsion; representatives are returned
+    in ambient coordinates.
+
+    With X the coordinates of sub in the ambient basis and K =
+    kernel_integer(X), v -> K v maps the ambient lattice onto Z^rank(K)
+    with kernel the saturation of sub, so integer right inverses of K
+    represent the quotient's basis."""
     if sub.ambient_rank != ambient.ambient_rank:
         raise InputError("sub and ambient lattices live in different spaces")
     at = ambient.basis.transpose()
@@ -557,19 +526,14 @@ def torsion_free_quotient(sub: Lattice, ambient: Lattice) -> Lattice:
         if x is None:
             raise InputError("sub lattice is not contained in the ambient lattice")
         coords.append(x)
-    n = ambient.rank
     if not coords:
         return Lattice(ambient.ambient_rank, ambient.basis)
-    X = IntMatrix.from_rows(coords)
-    _, D, V = smith_normal_form(X)
-    W = int_inverse_unimodular(V)
-    r = min(D.rows, D.cols)
-    free_idx = [i for i in range(n) if i >= r or D.entries[i][i] == 0]
-    reps = []
-    for i in free_idx:
-        w = W.entries[i]
-        reps.append(tuple(sum(w[k] * ambient.basis.entries[k][j] for k in range(n))
-                          for j in range(ambient.ambient_rank)))
+    ker = kernel_integer(IntMatrix.from_rows(coords))
+    if not ker:
+        return Lattice.from_rows(ambient.ambient_rank, [])
+    K = IntMatrix.from_rows(ker)
+    reps = [at.apply(solve_integer(K, [int(i == j) for j in range(K.rows)]))
+            for i in range(K.rows)]
     return Lattice.from_rows(ambient.ambient_rank, reps)
 
 

@@ -58,6 +58,8 @@ def matrix_to_json(m: mp.matrix) -> list:
 def matrix_from_json(rows) -> mp.matrix:
     if not rows:
         raise InputError("empty complex matrix")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise InputError("complex matrix rows differ in length")
     out = mp.matrix(len(rows), len(rows[0]))
     for i, r in enumerate(rows):
         for j, v in enumerate(r):
@@ -151,6 +153,8 @@ def rm_from_json(obj: dict):
         action = tuple(IntMatrix.from_json(a) for a in obj["action"])
     except KeyError as exc:
         raise InputError(f"bad rm JSON: missing {exc}") from exc
+    except TypeError as exc:
+        raise InputError(f"bad rm JSON: {exc}") from exc
     return RMStructure(field, action)
 
 

@@ -26,18 +26,18 @@ from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError, SearchExhaustedError
 from .lattices import (
     IntMatrix,
+    Lattice,
     coefficient_shells,
     fraction_inverse,
     fraction_solve,
     fraction_to_mpf,
     int_combination,
     kernel_integer,
-    lattices_equal,
     lll_reduce,
     row_lattice_basis,
     saturation,
-    smith_normal_form,
     solve_integer,
+    torsion_free_quotient,
 )
 from .numberfields import (
     FieldOrder,
@@ -80,7 +80,12 @@ class ComplexTorus:
     def __post_init__(self):
         if self.periods.rows != self.g or self.periods.cols != 2 * self.g:
             raise InputError("period matrix must be g x 2g")
-        if abs(mp.det(self.real_matrix())) == 0:
+        try:
+            singular = mp.det(self.real_matrix()) == 0
+        except (ZeroDivisionError, TypeError):
+            # mpmath's LU raises TypeError when a pivot column is exactly zero
+            singular = True
+        if singular:
             raise DegenerateInputError("periods do not span a full lattice")
 
     def real_matrix(self) -> mp.matrix:
@@ -275,9 +280,8 @@ def integer_kernel_real(L: mp.matrix):
                 found.append(tuple(x))
     if not found:
         return []
-    sat = saturation(IntMatrix.from_rows(found))
-    # saturation bases from the Smith form can be badly skewed; reduce
-    return lll_reduce(sat)
+    # the Hermite basis of the saturation can be badly skewed; reduce
+    return lll_reduce(saturation(IntMatrix.from_rows(found)))
 
 
 def hom_lattice(src: ComplexTorus, dst: ComplexTorus):
@@ -343,14 +347,9 @@ def _bounded_lattice_elements(basis, height_bound):
     if len(basis) > 6:
         # reduced bases at desk scale are short; fall back to filtering
         return [N for N in basis if max(abs(x) for r in N.entries for x in r) <= height_bound]
-    hits = []
-    for coeffs in coefficient_shells(len(basis), height_bound, positive_first=True):
-        N = int_combination(coeffs, basis)
-        if max(abs(x) for r in N.entries for x in r) <= height_bound:
-            hits.append((coeffs, N))
-    # the Z-basis that endomorphisms reports depends on the order of these
-    # rows; lexicographic coefficient order keeps it independent of the search
-    return [N for _, N in sorted(hits, key=lambda hit: hit[0])]
+    combos = (int_combination(c, basis)
+              for c in coefficient_shells(len(basis), height_bound, positive_first=True))
+    return [N for N in combos if max(abs(x) for r in N.entries for x in r) <= height_bound]
 
 
 # ----------------------------------------------------------------------
@@ -449,27 +448,16 @@ def _order_from_generator(N: IntMatrix, endo_basis, g: int):
     S = IntMatrix.from_rows(powers)
     comp = kernel_integer(S)  # null space of the row span of S
     K = IntMatrix.from_rows([_vec(B) for B in endo_basis])
-    if comp:
-        Nmat = IntMatrix.from_rows(comp)
-        constr = Nmat @ K.transpose()
-        cvecs = kernel_integer(constr)
-    else:
-        cvecs = [tuple(int(i == j) for j in range(K.rows)) for i in range(K.rows)]
+    cvecs = kernel_integer(IntMatrix.from_rows(comp) @ K.transpose())
     order_rows = [K.transpose().apply(c) for c in cvecs]
     order_rows = row_lattice_basis(IntMatrix.from_rows(order_rows))
     if len(order_rows) != g:
         raise DegenerateInputError("order lattice has unexpected rank")
     # normalize the basis so that the identity comes first
     ident = _vec(IntMatrix.identity(n))
-    B = IntMatrix.from_rows(order_rows)
-    c = solve_integer(B.transpose(), ident)
-    if c is None:
-        raise DegenerateInputError("identity not in the detected order")
-    from .lattices import Lattice, torsion_free_quotient
-
-    sub = Lattice.from_rows(g, [c])
-    quot = torsion_free_quotient(sub, Lattice.standard(g))
-    basis_vecs = [ident] + [B.transpose().apply(r) for r in quot.basis.entries]
+    quot = torsion_free_quotient(Lattice.from_rows(n * n, [ident]),
+                                 Lattice.from_rows(n * n, order_rows))
+    basis_vecs = [ident] + list(quot.basis.entries)
     mats = [_unvec(v, n, n) for v in basis_vecs]
     # multiplication table over the normalized basis, exact
     Bt = IntMatrix.from_rows(basis_vecs).transpose()
@@ -619,14 +607,9 @@ def steinitz_decompose(rm: RMStructure):
         raise InputError("lattice must have rank two over the order")
     v = _find_free_vector(rm)
     M1_rows = [rm.action[k].apply(v) for k in range(d)]
-    U_, D_, V_ = smith_normal_form(IntMatrix.from_rows(M1_rows))
-    if any(D_.entries[i][i] not in (0, 1) for i in range(min(D_.rows, D_.cols))):
-        raise DegenerateInputError("free summand is not saturated")
-    from .lattices import int_inverse_unimodular
-
-    W = int_inverse_unimodular(V_)
-    pi = IntMatrix.from_rows([list(r) for r in V_.transpose().entries[d:]])
-    sec = IntMatrix.from_rows([[W.entries[d + j][i] for j in range(d)] for i in range(n)])
+    # the summand is saturated, so pi maps the lattice onto Z^d with kernel it
+    pi = IntMatrix.from_rows(kernel_integer(IntMatrix.from_rows(M1_rows)))
+    sec = IntMatrix.from_rows([solve_integer(pi, _unit(d, j)) for j in range(d)]).transpose()
     B = [pi @ rm.action[k] @ sec for k in range(d)]
     # realize the quotient as a fractional ideal via q0 = first basis vector
     q0 = tuple(int(i == 0) for i in range(d))
@@ -647,9 +630,8 @@ def _find_free_vector(rm: RMStructure):
     n = rm.lattice_rank
     for cand in coefficient_shells(n, 3):
         M = IntMatrix.from_rows([rm.action[k].apply(cand) for k in range(d)])
-        if M.rank() != d:
-            continue
-        if lattices_equal(saturation(M), list(M.entries)):
+        H = row_lattice_basis(M)
+        if len(H) == d and saturation(M) == H:
             return cand
     raise SearchExhaustedError("no order-primitive lattice vector found")
 

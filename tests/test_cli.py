@@ -303,6 +303,37 @@ def test_bad_rm_construct_json_exits_two(document, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _zero_period(doc):
+    doc["periods"][0][0] = ["0", "0"]
+
+
+def _zero_w1(doc):
+    doc["datum"]["factors"][0][0] = ["0", "0"]
+
+
+def _ragged_basis(doc):
+    doc["pieces"][0]["basis"][1] *= 2
+
+
+@pytest.mark.parametrize("fixture,argv,mutate", [
+    ("torus.json", ["torus", "dual"], _zero_period),
+    ("aj.json", ["aj", "compute", "--nu", "1"], _zero_w1),
+    ("phs.json", ["phs", "validate"], _ragged_basis),
+    ("torus_rm.json", ["torus", "rm-detect"], lambda doc: doc.update(rm=1.5)),
+    ("torus_rm.json", ["torus", "rm-detect"], lambda doc: doc["rm"].update(action=1.5)),
+], ids=["zero-period", "zero-w1", "ragged-basis-row", "rm-not-an-object",
+        "action-not-a-list"])
+def test_degenerate_input_exits_two(fixture, argv, mutate, fixtures, tmp_path, capsys):
+    doc = json.loads(pathlib.Path(fixtures[fixture]).read_text())
+    mutate(doc)
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    code = main(argv + ["--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_rm_construct_on_reducible_min_poly_exits_two(tmp_path, capsys):
     field = {"degree": 2, "min_poly": [1, -3, 2], "is_maximal": True,  # (x - 1)(x - 2)
              "integral_basis_mult_table": [[[1, 0], [0, 1]], [[0, 1], [-2, 3]]]}

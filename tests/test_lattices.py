@@ -14,6 +14,7 @@ from plectic.lattices import (
     fraction_det,
     fraction_inverse,
     fraction_solve,
+    hermite_normal_form,
     int_combination,
     kernel_integer,
     lattice_membership,
@@ -357,3 +358,101 @@ def test_fraction_inverse_matches_column_solves(n, seed):
 def test_fraction_inverse_singular_raises():
     with pytest.raises(DegenerateInputError):
         fraction_inverse(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
+
+
+def random_matrix(rng, rows, cols):
+    """Entries in [-9, 9]; now and then a zero row or a row that repeats a
+    combination of the others, so that ranks below min(rows, cols) occur."""
+    m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.3:
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1 % (rows - 1)])]
+    return IntMatrix.from_rows(m)
+
+
+def random_unimodular(rng, n):
+    """A product of random elementary row operations on the identity."""
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            v[i] = [-x for x in v[i]]
+        else:
+            q = rng.randint(-3, 3)
+            v[i] = [x + q * y for x, y in zip(v[i], v[j])]
+    return IntMatrix.from_rows(v)
+
+
+def solve_integer_snf(A, b):
+    """The Smith-form solve this module used before the Hermite form."""
+    U, D, V = smith_normal_form(A)
+    ub = U.apply(tuple(int(x) for x in b))
+    y = [0] * A.cols
+    r = min(D.rows, D.cols)
+    for i in range(A.rows):
+        d = D.entries[i][i] if i < r else 0
+        if d == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % d != 0:
+                return None
+            y[i] = ub[i] // d
+    return V.apply(tuple(y))
+
+
+def lattices_equal_containment(a_rows, b_rows):
+    """Lattice equality as mutual containment, one solve per generator."""
+    def contained(A, B):
+        bt = IntMatrix.from_rows(B).transpose()
+        return all(solve_integer_snf(bt, row) is not None for row in A)
+
+    return contained(a_rows, b_rows) and contained(b_rows, a_rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**30))
+def test_hermite_normal_form_random(rows, cols, seed):
+    rng = random.Random(seed)
+    A = random_matrix(rng, rows, cols)
+    H, U = hermite_normal_form(A)
+    assert U.is_unimodular()
+    assert (U @ A).entries == H.entries + ((0,) * cols,) * (rows - H.rows)
+    leads = [next(j for j, x in enumerate(r) if x) for r in H.entries]
+    assert leads == sorted(set(leads))  # echelon: leading columns strictly increase
+    for k, p in enumerate(leads):
+        assert H.entries[k][p] > 0
+        assert all(0 <= H.entries[i][p] < H.entries[k][p] for i in range(k))
+    V = random_unimodular(rng, rows)
+    assert hermite_normal_form(V @ A)[0] == H
+    assert kernel_integer(V @ A) == kernel_integer(A)
+    assert saturation(V @ A) == saturation(A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**30))
+def test_solve_and_equality_match_smith_references(rows, cols, seed):
+    rng = random.Random(seed)
+    A = random_matrix(rng, rows, cols)
+    for _ in range(3):
+        if rng.random() < 0.5:  # in the image
+            b = A.apply([rng.randint(-3, 3) for _ in range(cols)])
+        else:
+            b = [rng.randint(-9, 9) for _ in range(rows)]
+        x = solve_integer(A, b)
+        assert (x is None) == (solve_integer_snf(A, b) is None)
+        if x is not None:
+            assert A.apply(x) == tuple(b)
+    a_rows = [list(r) for r in A.entries]
+    same = [list(r) for r in (random_unimodular(rng, rows) @ A).entries]
+    other = [r[:] for r in a_rows]
+    other[rng.randrange(rows)][rng.randrange(cols)] += rng.choice((-1, 1))
+    for b_rows in (same, other, a_rows + [[2 * x for x in a_rows[0]]], [a_rows[0]]):
+        assert lattices_equal(a_rows, b_rows) == lattices_equal_containment(a_rows, b_rows)
+
+
+def test_solve_integer_rejects_wrong_length():
+    with pytest.raises(InputError):
+        solve_integer(IntMatrix.from_rows([[1, 0], [0, 1]]), (1, 2, 3))
+    with pytest.raises(InputError):
+        solve_integer(IntMatrix.from_rows([[1, 0], [0, 1]]), (1,))

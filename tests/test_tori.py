@@ -119,6 +119,46 @@ def test_endomorphisms_closed_under_product():
             assert solve_integer(B, v) is not None
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_endomorphisms_basis_ignores_hit_order(seed, monkeypatch):
+    # the reported basis is the Hermite normal form of the hits, so the
+    # order in which the search meets them does not matter
+    t = elliptic(mp.mpc(0, 1))
+    want = [N.entries for N, _ in endomorphisms(t, 3)]
+    search = tori._bounded_lattice_elements
+
+    def shuffled(basis, height_bound):
+        hits = search(basis, height_bound)
+        random.Random(seed).shuffle(hits)
+        return hits
+
+    monkeypatch.setattr(tori, "_bounded_lattice_elements", shuffled)
+    assert [N.entries for N, _ in endomorphisms(t, 3)] == want
+
+
+# the fields and ideals of the rm-certify benchmark: a principal ideal
+# (generator in the basis {1, w}) or, for Q(sqrt 10), P2 = (2, sqrt 10)
+@pytest.mark.parametrize("D,gen", [(2, (3, 1)), (3, (2, 1)), (5, (2, 1)), (10, None),
+                                   (10, (4, 1)), (13, (1, 1))])
+def test_detect_rm_presents_maximal_order_on_one_and_w(D, gen):
+    O = FieldOrder.quadratic_maximal(D)
+    if gen is None:
+        rows = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1)))
+    else:
+        x = tuple(Fraction(c) for c in gen)
+        rows = (x, O.mul_coords(x, (Fraction(0), Fraction(1))))
+    rng = random.Random(D)
+    with working_precision():
+        z = [mp.mpc(rng.uniform(-1, 1), rng.uniform(0.5, 1.5)) for _ in range(2)]
+        A = mp.matrix([[mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) + 2 * (i == j)
+                        for j in range(2)] for i in range(2)])
+        t = ComplexTorus(2, A * construct_rm_torus(O, z, FractionalIdealRep(O, rows)).periods)
+    rm = detect_rm(t, 6)
+    # (1, -t, n) with t in {0, 1}: the presentation of quadratic_maximal(D)
+    assert rm.field.min_poly[1] in (0, -1)
+    assert rm.field.min_poly == O.min_poly and rm.field.is_maximal
+
+
 def test_detect_rm_elliptic_is_rational():
     rm = detect_rm(elliptic(mp.mpc("0.3", "1.7")))
     assert rm.field.degree == 1
