@@ -7,11 +7,15 @@ polynomials are closed under every operator built here, so residuals
 measure floating-point error only, never discretization error.
 
 Every operator built here is diagonal in frequency and acts on the 4^n
-refined types by a fixed map (the Hodge star also negates frequencies),
-so it is stored as one multiplier array over the frequencies per pair
-of refined types (see OperatorMatrix).  Products and adjoints are then
-elementwise, the Laplacian is a diagonal multiplier, and its kernel is
-where that multiplier vanishes.
+refined types by a fixed map (the Hodge star also negates frequencies).
+Its multiplier for a pair of refined types is a polynomial in the
+frequency coordinates z_j = freq_cx[:, j] and their conjugates, so an
+operator is stored as scalar coefficients over such monomials, one
+polynomial per pair of types (see OperatorMatrix).  Sums, products and
+adjoints then change scalars only; arrays over the frequencies are formed
+where a number is read (norms, the Laplacian's diagonal, applying an
+operator), from monomial arrays each space forms once.  The Laplacian is a
+diagonal multiplier, and its kernel is where that multiplier vanishes.
 
 This module deliberately works in IEEE double precision (numpy); its
 acceptance tolerances are stated for that regime.
@@ -64,13 +68,16 @@ class FlatTorus:
     weights: tuple
 
     def __post_init__(self):
+        if not self.factors:
+            raise InputError("a flat torus needs at least one factor")
         if len(self.factors) != len(self.weights):
             raise InputError("one weight per factor required")
-        if any(w <= 0 for w in self.weights):
-            raise InputError("metric weights must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.weights):
+            raise InputError("metric weights must be finite and positive")
         for w1, w2 in self.factors:
-            if self._area(complex(w1), complex(w2)) == 0:
-                raise InputError("factor lattice is degenerate")
+            area = self._area(complex(w1), complex(w2))
+            if area == 0 or not math.isfinite(area):
+                raise InputError("factor lattice is degenerate or not finite")
 
     @staticmethod
     def _area(w1: complex, w2: complex) -> float:
@@ -137,6 +144,25 @@ class FourierFormSpace:
         self.dim = self.freq_count * self.type_count
         self.gram = self._gram()
         self._cache = {}
+        self.one = (0,) * (2 * n)  # exponents of the constant monomial
+        self._monomials = {self.one: np.ones(self.freq_count, dtype=np.complex128)}
+
+    def variable(self, k: int) -> tuple:
+        """Exponents of z_(k+1) for k < n, of conj(z_(k-n+1)) for n <= k < 2n."""
+        return tuple(int(i == k) for i in range(2 * self.torus.n))
+
+    def monomial(self, e: tuple) -> np.ndarray:
+        """The monomial with exponent tuple e over the frequencies, formed
+        once per space: e has length 2n, e[j] is the power of
+        z_j = freq_cx[:, j] and e[n + j] the power of its conjugate."""
+        arr = self._monomials.get(e)
+        if arr is None:
+            k = max(i for i, p in enumerate(e) if p)
+            n = self.torus.n
+            z = self.freq_cx[:, k] if k < n else np.conj(self.freq_cx[:, k - n])
+            arr = self.monomial(e[:k] + (e[k] - 1,) + e[k + 1 :]) * z
+            self._monomials[e] = arr
+        return arr
 
     def _gram(self) -> np.ndarray:
         """Diagonal of the L^2 Gram matrix, one entry per refined type
@@ -170,15 +196,19 @@ def _slot_factor(weights, alpha, beta, start=1.0) -> float:
 
 @dataclass
 class OperatorMatrix:
-    """Operator on a Fourier form space, stored by refined type.
+    """Operator on a Fourier form space, stored by refined type as
+    scalar coefficients over frequency monomials.
 
-    blocks[(dst, src)], for type indices dst and src, is an array over
-    the frequencies: the operator sends the basis element of type src at
-    frequency m to blocks[(dst, src)][m] times the one of type dst at the
-    same frequency.  Absent pairs are zero.  A conjugate-linear operator
-    (conjugates_argument, the Hodge star) conjugates the coefficients of
-    its argument first and sends frequency m to -m.  +, - and @
-    (composition) are for linear operators; scalar * is for all.
+    blocks[(dst, src)], for type indices dst and src, is a polynomial
+    {exponents: coefficient} in the frequency coordinates (see
+    FourierFormSpace.monomial): the operator sends the basis element of type
+    src at frequency m to the polynomial's value at m times the one of
+    type dst at the same frequency.  Absent pairs are zero.  +, -, scalar
+    *, @ (composition) and adjoint change coefficients only; multipliers()
+    forms the arrays.  A conjugate-linear operator (conjugates_argument,
+    the Hodge star) conjugates the coefficients of its argument first and
+    sends frequency m to -m; it may be scaled and added to another
+    conjugate-linear operator, but not composed or added to a linear one.
     """
 
     space: FourierFormSpace
@@ -187,31 +217,59 @@ class OperatorMatrix:
     conjugates_argument: bool = False
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        blocks = dict(self.blocks)
-        for key, m in other.blocks.items():
-            blocks[key] = blocks[key] + m if key in blocks else m
-        return OperatorMatrix(self.space, blocks)
+        if self.conjugates_argument != other.conjugates_argument:
+            raise InputError("cannot add a linear and a conjugate-linear operator")
+        blocks = {key: dict(p) for key, p in self.blocks.items()}
+        for key, p in other.blocks.items():
+            acc = blocks.setdefault(key, {})
+            for e, c in p.items():
+                acc[e] = acc.get(e, 0) + c
+        return OperatorMatrix(self.space, blocks, conjugates_argument=self.conjugates_argument)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "OperatorMatrix":
-        blocks = {key: scalar * m for key, m in self.blocks.items()}
+        blocks = {key: {e: scalar * c for e, c in p.items()} for key, p in self.blocks.items()}
         return OperatorMatrix(self.space, blocks, conjugates_argument=self.conjugates_argument)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Composition: (self @ other) applies other first."""
+        if self.conjugates_argument or other.conjugates_argument:
+            raise InputError("composition is defined for linear operators only")
         by_src = {}
         for (dst, mid), a in self.blocks.items():
             by_src.setdefault(mid, []).append((dst, a))
         blocks = {}
         for (mid, src), b in other.blocks.items():
             for dst, a in by_src.get(mid, ()):
-                key = (dst, src)
-                blocks[key] = blocks[key] + a * b if key in blocks else a * b
+                acc = blocks.setdefault((dst, src), {})
+                for ea, ca in a.items():
+                    for eb, cb in b.items():
+                        e = tuple(x + y for x, y in zip(ea, eb))
+                        acc[e] = acc.get(e, 0) + ca * cb
         return OperatorMatrix(self.space, blocks)
+
+    def multipliers(self):
+        """(arrays, column): the multiplier of block key over the
+        frequencies is arrays[:, column[key]].  Blocks with equal
+        coefficients share a column, so each distinct one is formed once,
+        as one product of the monomials' arrays with the coefficients."""
+        distinct, column = {}, {}
+        for key, p in self.blocks.items():
+            column[key] = distinct.setdefault(tuple(sorted(p.items())), len(distinct))
+        monos = sorted({e for p in distinct for e, _ in p})
+        row = {e: i for i, e in enumerate(monos)}
+        coeffs = np.zeros((len(monos), len(distinct)), dtype=np.complex128)
+        for col, p in enumerate(distinct):
+            for e, c in p:
+                coeffs[row[e], col] = c
+        values = np.empty((self.space.freq_count, len(monos)), dtype=np.complex128)
+        for i, e in enumerate(monos):
+            values[:, i] = self.space.monomial(e)
+        return values @ coeffs, column
 
 
 def build_space(torus: FlatTorus, truncation: int) -> FourierFormSpace:
@@ -223,15 +281,13 @@ def _raise_sign(bits, j0) -> int:
 
 
 def _type_shift_operator(space, j0, kind) -> dict:
-    """Blocks of a slot-raising operator; kind selects multiplier and slot.
-    The blocks share the arrays +mult and -mult: nothing writes into a block."""
+    """Blocks of a slot-raising operator; kind selects multiplier and slot."""
     if kind == "xi":
-        mult = (np.pi * 1j) * np.conj(space.freq_cx[:, j0])
+        mono, coeff = space.variable(space.torus.n + j0), math.pi * 1j
     elif kind == "xi_bar":
-        mult = (np.pi * 1j) * space.freq_cx[:, j0]
+        mono, coeff = space.variable(j0), math.pi * 1j
     else:  # e
-        mult = np.ones(space.freq_count, dtype=np.complex128)
-    signed = {1: mult, -1: -mult}
+        mono, coeff = space.one, 1.0 + 0.0j
     blocks = {}
     for t, (alpha, beta) in enumerate(space.types):
         if kind == "xi_bar":
@@ -244,7 +300,7 @@ def _type_shift_operator(space, j0, kind) -> dict:
                 continue
             t2 = space.type_index[(alpha[:j0] + (1,) + alpha[j0 + 1 :], beta)]
             sign = _raise_sign(alpha, j0)
-        blocks[(t2, t)] = signed[sign]
+        blocks[(t2, t)] = {mono: sign * coeff}
     return blocks
 
 
@@ -268,22 +324,21 @@ def e_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
     return OperatorMatrix(space, _type_shift_operator(space, j - 1, "e"), f"e_{j}")
 
 
-def _diag_operator(space, mult_per_freq) -> dict:
-    return {(t, t): mult_per_freq for t in range(space.type_count)}
+def _diag_operator(space, k) -> dict:
+    """pi i times the variable k on every type."""
+    return {(t, t): {space.variable(k): math.pi * 1j} for t in range(space.type_count)}
 
 
 def partial_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
     """Coefficientwise d/dz_j (diagonal in the Fourier basis)."""
     _check_j(space, j)
-    mult = (np.pi * 1j) * np.conj(space.freq_cx[:, j - 1])
-    return OperatorMatrix(space, _diag_operator(space, mult), f"partial_{j}")
+    return OperatorMatrix(space, _diag_operator(space, space.torus.n + j - 1), f"partial_{j}")
 
 
 def partial_bar_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
     """Coefficientwise d/dzbar_j (diagonal in the Fourier basis)."""
     _check_j(space, j)
-    mult = (np.pi * 1j) * space.freq_cx[:, j - 1]
-    return OperatorMatrix(space, _diag_operator(space, mult), f"partialbar_{j}")
+    return OperatorMatrix(space, _diag_operator(space, j - 1), f"partialbar_{j}")
 
 
 def _check_j(space, j):
@@ -310,11 +365,16 @@ def d_operator(space: FourierFormSpace) -> OperatorMatrix:
 
 def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     """Adjoint for the inner product with diagonal Gram matrix:
-    A* = G^-1 A^H G, so block (dst, src) with multiplier a becomes block
-    (src, dst) with multiplier conj(a) G_dst / G_src."""
-    G = op.space.gram
-    blocks = {(src, dst): (1.0 / G[src]) * np.conj(a) * G[dst]
-              for (dst, src), a in op.blocks.items()}
+    A* = G^-1 A^H G, so block (dst, src) with polynomial a becomes block
+    (src, dst) with polynomial conj(a) G_dst / G_src: each coefficient is
+    conjugated and scaled, and z_j and conj(z_j) swap places."""
+    if op.conjugates_argument:
+        raise InputError("adjoint is defined for linear operators only")
+    G = op.space.gram.tolist()
+    n = op.space.torus.n
+    blocks = {(src, dst): {e[n:] + e[:n]: c.conjugate() * (G[dst] / G[src])
+                           for e, c in p.items()}
+              for (dst, src), p in op.blocks.items()}
     return OperatorMatrix(op.space, blocks, op.name + "*")
 
 
@@ -342,7 +402,10 @@ def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
     to zero, so the assembly keeps only the diagonal terms and the
     result is type-block-diagonal by construction.  The measured maximum
     of the cross terms (floating-point noise only) is cached as
-    `laplacian_cross_max` and re-checked by verify_laplacian_sum.
+    `laplacian_cross_max` and re-checked by verify_laplacian_sum; the
+    absolute values of the diagonal multipliers, (freq_count, type_count),
+    and their maximum (the operator norm) are cached as `laplacian_diag`
+    for the harmonic mask.
     """
     key = "laplacian_d"
     if key in space._cache:
@@ -353,24 +416,29 @@ def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
     cross_max = 0.0
     for i, j in itertools.permutations(range(len(comps)), 2):
         cross_max = max(cross_max, _maxabs(comps[i] @ adjs[j] + adjs[j] @ comps[i]))
-    scale = max(1.0, _infnorm(total))
-    if cross_max > 1e-10 * scale:
+    arrays, column = total.multipliers()
+    absdiag = np.abs(arrays[:, [column[(t, t)] for t in range(space.type_count)]])
+    norm = float(absdiag.max())  # the largest absolute row sum of a diagonal operator
+    if cross_max > 1e-10 * max(1.0, norm):
         raise DegenerateInputError("Laplacian cross terms failed to anticommute")
     space._cache[key] = total
     space._cache["laplacian_cross_max"] = cross_max
+    space._cache["laplacian_diag"] = (absdiag, norm)
     return total
 
 
 def _maxabs(op: OperatorMatrix) -> float:
-    return max((float(np.abs(m).max()) for m in op.blocks.values()), default=0.0)
+    """Largest absolute entry."""
+    return float(np.abs(op.multipliers()[0]).max(initial=0.0))
 
 
 def _infnorm(op: OperatorMatrix) -> float:
     """Largest absolute row sum."""
-    rows = {}
-    for (dst, _), m in op.blocks.items():
-        rows[dst] = rows[dst] + np.abs(m) if dst in rows else np.abs(m)
-    return max((float(r.max()) for r in rows.values()), default=0.0)
+    arrays, column = op.multipliers()
+    counts = np.zeros((arrays.shape[1], op.space.type_count))
+    for (dst, _), col in column.items():
+        counts[col, dst] += 1
+    return float((np.abs(arrays) @ counts).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -421,7 +489,8 @@ def verify_laplacian_sum(space: FourierFormSpace, tol: float = 1e-10) -> Laplaci
     sum_res = _infnorm(dd - 2 * s)
     half_res = _infnorm(dd - 0.5 * s)
     dol_res = _infnorm(dd - 2 * laplacian(del_operator(space)))
-    block_ok = all(not np.any(m) for (dst, src), m in dd.blocks.items() if dst != src)
+    block_ok = all(c == 0 for (dst, src), p in dd.blocks.items() if dst != src
+                   for c in p.values())
     dims = {"dim": space.dim, "n": space.torus.n, "truncation": space.truncation}
     passed = bool(sum_res < tol and dol_res < tol and cross_max < tol and block_ok)
     return LaplacianReport(sum_res, dol_res, half_res, cross_max, block_ok, dims, passed)
@@ -450,9 +519,9 @@ class HarmonicBasis:
 def _harmonic_mask(space: FourierFormSpace, tol: float = 1e-9) -> np.ndarray:
     """(freq_count, type_count) mask where the Laplacian's diagonal
     multiplier is at most tol times its norm (at least 1)."""
-    dd = laplacian_d(space)
-    diag = np.stack([dd.blocks[(t, t)] for t in range(space.type_count)], axis=1)
-    return np.abs(diag) <= tol * max(1.0, _infnorm(dd))
+    laplacian_d(space)
+    absdiag, norm = space._cache["laplacian_diag"]
+    return absdiag <= tol * max(1.0, norm)
 
 
 def harmonic_space(space: FourierFormSpace, alpha, beta, tol: float = 1e-9) -> HarmonicBasis:
@@ -470,8 +539,8 @@ def harmonic_space(space: FourierFormSpace, alpha, beta, tol: float = 1e-9) -> H
 def hodge_star(space: FourierFormSpace) -> OperatorMatrix:
     """Conjugate-linear Hodge star: psi ^ (star eta) = (psi, eta) vol.
 
-    The blocks list the images of basis elements; applying the operator
-    to a general vector conjugates its coefficients first
+    The blocks are constants, the images of basis elements; applying the
+    operator to a general vector conjugates its coefficients first
     (conjugates_argument is set).  Types map to their slotwise
     complements and frequencies negate.
     """
@@ -489,7 +558,7 @@ def hodge_star(space: FourierFormSpace) -> OperatorMatrix:
         cbe = tuple(1 - b for b in beta)
         cslots = [j for j in range(n) if cal[j]] + [n + j for j in range(n) if cbe[j]]
         c_b = _slot_factor(weights, alpha, beta) * vol_coeff * _perm_sign(slots + cslots)
-        blocks[(space.type_index[(cal, cbe)], t)] = np.full(space.freq_count, c_b, complex)
+        blocks[(space.type_index[(cal, cbe)], t)] = {space.one: complex(c_b)}
     return OperatorMatrix(space, blocks, "star", conjugates_argument=True)
 
 
@@ -499,8 +568,9 @@ def apply_operator(op: OperatorMatrix, vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec).reshape((space.freq_count, space.type_count) + np.shape(vec)[1:])
     v = np.conj(v) if op.conjugates_argument else v
     out = np.zeros(v.shape, dtype=np.complex128)
-    for (dst, src), m in op.blocks.items():
-        out[:, dst] += m.reshape((-1,) + (1,) * (v.ndim - 2)) * v[:, src]
+    arrays, column = op.multipliers()
+    for (dst, src), col in column.items():
+        out[:, dst] += arrays[:, col].reshape((-1,) + (1,) * (v.ndim - 2)) * v[:, src]
     if op.conjugates_argument:
         out = out[space.negated_freq_indices()]
     return out.reshape(np.shape(vec))
@@ -550,8 +620,9 @@ def _distance_to_image(op: OperatorMatrix, w: np.ndarray, delta: np.ndarray) -> 
     target = w * delta.reshape(F, T)
     freqs = np.nonzero(np.any(target != 0, axis=1))[0]
     mats = np.zeros((len(freqs), T, T), dtype=np.complex128)
-    for (dst, src), m in op.blocks.items():
-        mats[:, dst, src] = w[dst] * m[freqs]
+    arrays, column = op.multipliers()
+    for (dst, src), col in column.items():
+        mats[:, dst, src] = w[dst] * arrays[freqs, col]
     sq = 0.0
     for A, b in zip(mats, target[freqs]):
         x = np.linalg.lstsq(A, b, rcond=None)[0]

@@ -334,6 +334,20 @@ def test_degenerate_input_exits_two(fixture, argv, mutate, fixtures, tmp_path, c
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "0"], "at least one factor"),
+    (["--n", "-1"], "at least one factor"),
+    (["--n", "2", "--weights", "nan,1"], "finite and positive"),
+    (["--n", "2", "--weights", "1,inf"], "finite and positive"),
+    (["--n", "1", "--weights=-inf"], "finite and positive"),
+], ids=["n-zero", "n-negative", "nan-weight", "inf-weight", "minus-inf-weight"])
+def test_bad_flat_torus_exits_two(argv, message, capsys):
+    code = main(["flat", "verify-identities", "--truncation", "1"] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
 def test_rm_construct_on_reducible_min_poly_exits_two(tmp_path, capsys):
     field = {"degree": 2, "min_poly": [1, -3, 2], "is_maximal": True,  # (x - 1)(x - 2)
              "integral_basis_mult_table": [[[1, 0], [0, 1]], [[0, 1], [-2, 3]]]}

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import subspace_distance
 from plectic import cxlinalg as cx
@@ -11,6 +13,7 @@ from plectic.errors import InputError
 from plectic.flat import (
     FlatTorus,
     _distance_to_image,
+    _infnorm,
     adjoint,
     apply_operator,
     build_space,
@@ -36,7 +39,8 @@ GENERIC = FlatTorus(((1, 0.3 + 1.7j), (1, -0.2 + 0.9j)), (1.0, 1.0))
 
 def maxabs(op):
     """Largest absolute entry of an operator."""
-    return max((float(np.abs(m).max()) for m in op.blocks.values()), default=0.0)
+    arrays, _ = op.multipliers()
+    return float(np.abs(arrays).max(initial=0.0))
 
 
 def dense(op):
@@ -326,3 +330,98 @@ def test_extract_tensor_part_matches_tensor_structure():
                 for c in range(basis.cols)]
         assert max(rest) < 1e-12
         assert subspace_distance(sub, t12.pieces[bd]) < 1e-7
+
+
+def test_conjugate_linear_sum_keeps_the_flag():
+    s = build_space(GENERIC, 1)
+    star = hodge_star(s)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
+    twice = apply_operator(2 * star, v)
+    assert np.abs(apply_operator(star + star, v) - twice).max() <= 1e-14 * np.abs(twice).max()
+    assert (star + star).conjugates_argument and (star - 0.5 * star).conjugates_argument
+
+
+def test_sum_of_linear_and_conjugate_linear_raises():
+    s = build_space(GENERIC, 1)
+    with pytest.raises(InputError):
+        hodge_star(s) + d_operator(s)
+    with pytest.raises(InputError):
+        d_operator(s) - hodge_star(s)
+
+
+def test_composition_with_conjugate_linear_raises():
+    s = build_space(GENERIC, 1)
+    with pytest.raises(InputError):
+        hodge_star(s) @ d_operator(s)
+    with pytest.raises(InputError):
+        d_operator(s) @ hodge_star(s)
+    with pytest.raises(InputError):
+        adjoint(hodge_star(s))
+
+
+@pytest.fixture(scope="module")
+def generic_algebra():
+    """xi_j, xibar_j, e_j, partial_j, partialbar_j (j = 1, 2) and d on
+    GENERIC at N = 1 with their dense matrices and largest absolute
+    entries, and one column per refined type at a seeded frequency."""
+    s = build_space(GENERIC, 1)
+    ops = [d_operator(s)]
+    for j in (1, 2):
+        ops += [xi_operator(s, j), xi_bar_operator(s, j), e_operator(s, j),
+                partial_operator(s, j), partial_bar_operator(s, j)]
+    rng = np.random.default_rng(11)
+    cols = rng.integers(s.freq_count, size=s.type_count) * s.type_count + np.arange(s.type_count)
+    mats = [dense(op) for op in ops]
+    return s, [(op, A, np.abs(A).max()) for op, A in zip(ops, mats)], cols
+
+
+def _close(got, want, scale):
+    """Entrywise agreement to 1e-12 relative to the operands' largest entry."""
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_composition_matches_dense_product(generic_algebra):
+    s, ops, cols = generic_algebra
+    unit = np.eye(s.dim)[:, cols]
+    for (a, A, amax), (b, B, bmax) in itertools.product(ops, repeat=2):
+        Bc = B[:, cols]
+        rows = np.any(Bc, axis=1)  # the other rows of Bc add exact zeros to A @ Bc
+        _close(apply_operator(a @ b, unit), A[:, rows] @ Bc[rows], amax * bmax)
+
+
+def test_sum_matches_dense_sum(generic_algebra):
+    s, ops, cols = generic_algebra
+    unit = np.eye(s.dim)[:, cols]
+    for (a, A, amax), (b, B, bmax) in itertools.combinations_with_replacement(ops, 2):
+        _close(apply_operator(a + b, unit), A[:, cols] + B[:, cols], max(amax, bmax))
+
+
+def test_adjoint_matches_dense_adjoint(generic_algebra):
+    s, ops, _ = generic_algebra
+    g = np.tile(s.gram, s.freq_count)
+    for a, A, amax in ops:
+        _close(dense(adjoint(a)), (A.conj().T * g) / g[:, None], amax)
+
+
+_factor = st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 2 * math.pi),
+                    st.floats(-1.0, 1.0), st.floats(0.5, 2.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(_factor, st.floats(0.5, 2.0)), min_size=1, max_size=2),
+       st.integers(0, 1))
+def test_random_flat_tori(factors, truncation):
+    """Per factor: w1 = r e^(i theta), w2 = w1 (x + i y), weight in [0.5, 2]."""
+    lattices = []
+    for (r, theta, x, y), _ in factors:
+        w1 = r * complex(math.cos(theta), math.sin(theta))
+        lattices.append((w1, w1 * complex(x, y)))
+    s = build_space(FlatTorus(tuple(lattices), tuple(w for _, w in factors)), truncation)
+    assert verify_refined_identities(s).passed
+    assert verify_laplacian_sum(s).passed
+    dd = laplacian_d(s)
+    assert maxabs(dd - laplacian(d_operator(s))) <= 1e-11 * _infnorm(dd)
+    for alpha, beta in s.types:
+        assert harmonic_space(s, alpha, beta).dim == 1
+
