@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .config import resolve_tolerance, working_precision
+from . import cxlinalg as cx
+from .config import default_tolerance, resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError
 from .hodge import PlecticHodgeStructure, elliptic_h1, tensor
 
@@ -122,6 +123,7 @@ class PeriodLatticeData:
     nu: int
     generators: tuple  # 2^n complex coordinate vectors
     real_matrix: mp.matrix  # rows = generators flattened over (Re, Im)
+    factors: cx.LU  # LU of real_matrix.T, formed once per lattice
 
     @property
     def rank(self) -> int:
@@ -132,7 +134,7 @@ class PeriodLatticeData:
         coordinates, integer combination, distance of the remainder)."""
         with working_precision():
             vec = _flatten(coords)
-            sol = mp.lu_solve(self.real_matrix.T, mp.matrix(vec))
+            sol = self.factors.solve(mp.matrix(vec))
             ints = [int(mp.nint(sol[i])) for i in range(self.rank)]
             red = list(coords)
             for c, gen in zip(ints, self.generators):
@@ -204,7 +206,10 @@ def functional(d: QuotientDatum, c: PlecticCycle, nu: int) -> PeriodFunctional:
 def period_lattice(d: QuotientDatum, nu: int) -> PeriodLatticeData:
     """Lattice of functionals integrating the F^{1_nu} basis over the
     product cycles built from one lattice loop per factor; mixed cycles
-    supported on fewer factors vanish on product forms and are omitted."""
+    supported on fewer factors vanish on product forms and are omitted.
+    Rank deficient when LU finds the generator matrix singular or its
+    Hadamard ratio |det| / prod ||generator_i|| (1 for orthogonal
+    generators, whatever their lengths) is below the default tolerance."""
     betas = d.form_indices(nu)
     gens = []
     with working_precision():
@@ -222,9 +227,11 @@ def period_lattice(d: QuotientDatum, nu: int) -> PeriodLatticeData:
             flat = _flatten(g)
             for k, v in enumerate(flat):
                 real[i, k] = v
-        if abs(mp.det(real)) < mp.mpf(2) ** (-mp.mp.prec // 2):
+        factors = cx.lu(real.T)
+        if factors is None or abs(factors.det()) < default_tolerance() * mp.fprod(
+                mp.norm(_flatten(g)) for g in gens):
             raise DegenerateInputError("period lattice is rank deficient")
-    return PeriodLatticeData(nu, tuple(gens), real)
+    return PeriodLatticeData(nu, tuple(gens), real, factors)
 
 
 def _flatten(coords):
@@ -349,5 +356,5 @@ def classical_aj(factor, x, y):
         w1, w2 = mp.mpmathify(factor[0]), mp.mpmathify(factor[1])
         z = mp.mpmathify(x) - mp.mpmathify(y)
         M = mp.matrix([[mp.re(w1), mp.re(w2)], [mp.im(w1), mp.im(w2)]])
-        sol = mp.lu_solve(M, mp.matrix([mp.re(z), mp.im(z)]))
+        sol = cx.solve(M, mp.matrix([mp.re(z), mp.im(z)]))
         return z - int(mp.nint(sol[0])) * w1 - int(mp.nint(sol[1])) * w2

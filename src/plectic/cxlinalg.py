@@ -1,16 +1,38 @@
-"""Complex linear algebra at the configured working precision (mpmath)."""
+"""Complex linear algebra at the configured working precision (mpmath).
+
+Every dense square solve in the package goes through one LU kernel.
+`lu(A)` is the Crout factorization PA = LU with partial pivoting (Golub &
+Van Loan, *Matrix Computations*, 4th ed., section 3.2), held on plain row
+lists: each entry of L and U is one `mp.fdot` of a row of L against a
+column of U.  The pivot is the entry of largest |re| + |im| in its column,
+which costs no square root.  The factorization runs at the caller's
+precision plus 10 guard bits, as mpmath's own `inverse` and `lu_solve` do,
+and its results keep those bits.  A pivot with |re| + |im| at most
+||A||_1 * eps (the norm in the same measure, eps at the caller's
+precision, mpmath's rule for `det`) means A is singular, and `lu` returns
+None.  Taking eps at the raised precision instead would judge by the
+guard bits: the last pivot of an exactly singular integer product, left
+by rounding, reached 18 ||A||_1 eps at that precision.  `inverse`,
+`solve` and `det` are built on `lu`; the first two raise
+`DegenerateInputError` on a singular matrix, and `det` returns 0.  SVDs
+remain only where a basis is reported (`nullspace`, `lstsq`).
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import mpmath as mp
 
 from .config import resolve_tolerance, working_precision
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, InputError
 
 __all__ = [
     "mpm", "conj", "ctranspose", "hstack", "frob", "kron", "nullspace", "lstsq",
-    "subspace_residual", "real_imag_stack",
+    "subspace_residual", "real_imag_stack", "LU", "lu", "inverse", "solve", "det",
 ]
+
+_LU_GUARD_BITS = 10
 
 
 def mpm(rows) -> mp.matrix:
@@ -124,3 +146,110 @@ def real_imag_stack(A: mp.matrix) -> mp.matrix:
             out[i, j] = mp.re(A[i, j])
             out[A.rows + i, j] = mp.im(A[i, j])
     return out
+
+
+def _mag(x):
+    """|re| + |im|: the pivot measure, within a factor sqrt(2) of |x|."""
+    return abs(x.real) + abs(x.imag)
+
+
+@dataclass(frozen=True)
+class LU:
+    """PA = LU of a square matrix, from `lu`, at `prec` bits."""
+
+    perm: list  # perm[i] is the row of A in row i of PA
+    lower: list  # lower[i] = L[i, :i]; L has a unit diagonal
+    diag: list  # diag[i] = U[i, i]
+    upper: list  # upper[i] = U[i, i+1:] reversed, so back substitution appends
+    sign: int  # det(P)
+    prec: int
+
+    def solve(self, B) -> mp.matrix:
+        """X with A X = B, for B with any number of columns."""
+        n = len(self.perm)
+        if B.rows != n:
+            raise InputError("right-hand side has the wrong number of rows")
+        X = mp.matrix(n, B.cols)
+        with mp.workprec(self.prec):
+            for j, b in enumerate(zip(*B.tolist())):
+                y = [b[p] for p in self.perm]
+                # leading zeros of PB stay zero in L^-1 PB (unit vectors of an inverse)
+                i0 = next((i for i, v in enumerate(y) if v), n)
+                for i in range(i0 + 1, n):
+                    y[i] -= mp.fdot(self.lower[i][i0:], y[i0:i])
+                xr = []  # x[n-1], x[n-2], ...
+                for i in range(n - 1, -1, -1):
+                    xr.append((y[i] - mp.fdot(self.upper[i], xr)) / self.diag[i])
+                for i, v in enumerate(reversed(xr)):
+                    X[i, j] = v
+        return X
+
+    def det(self):
+        with mp.workprec(self.prec):
+            return self.sign * mp.fprod(self.diag)
+
+
+def lu(A) -> LU | None:
+    """Crout LU with partial pivoting of the square mpmath matrix A, or None
+    when a pivot is at most ||A||_1 * eps (A is singular to the caller's
+    precision)."""
+    if A.rows != A.cols:
+        raise InputError("LU needs a square matrix")
+    n = A.rows
+    rows = A.tolist()
+    eps = +mp.eps  # evaluated now, at the caller's precision
+    prec = mp.mp.prec + _LU_GUARD_BITS
+    with mp.workprec(prec):
+        norm1 = max((mp.fsum(_mag(r[j]) for r in rows) for j in range(n)), default=0)
+        tol = norm1 * eps
+        perm = list(range(n))
+        lower = [[] for _ in range(n)]  # lower[i][m] = L[i, m] for the m done so far
+        ucols = [[] for _ in range(n)]  # ucols[j][m] = U[m, j] for the m done so far
+        sign = 1
+        for k in range(n):
+            uk = ucols[k]
+            col = [rows[i][k] - mp.fdot(lower[i], uk) for i in range(k, n)]
+            p = max(range(n - k), key=lambda t: _mag(col[t]))
+            piv = col[p]
+            if _mag(piv) <= tol:
+                return None
+            if p:
+                q = k + p
+                rows[k], rows[q] = rows[q], rows[k]
+                lower[k], lower[q] = lower[q], lower[k]
+                perm[k], perm[q] = perm[q], perm[k]
+                col[0], col[p] = piv, col[0]
+                sign = -sign
+            uk.append(piv)
+            lk, rk = lower[k], rows[k]
+            for j in range(k + 1, n):
+                ucols[j].append(rk[j] - mp.fdot(lk, ucols[j]))
+            for t in range(1, n - k):
+                lower[k + t].append(col[t] / piv)
+    diag = [ucols[i][i] for i in range(n)]
+    upper = [[ucols[j][i] for j in range(n - 1, i, -1)] for i in range(n)]
+    return LU(perm, lower, diag, upper, sign, prec)
+
+
+def _factor(A) -> LU:
+    f = lu(A)
+    if f is None:
+        raise DegenerateInputError("matrix is singular to working precision")
+    return f
+
+
+def inverse(A) -> mp.matrix:
+    """A^-1 by `lu`; raises DegenerateInputError when A is singular."""
+    return _factor(A).solve(mp.eye(A.rows))
+
+
+def solve(A, B) -> mp.matrix:
+    """X with A X = B for square A, by `lu`; raises DegenerateInputError
+    when A is singular."""
+    return _factor(A).solve(B)
+
+
+def det(A):
+    """det(A) by `lu`, and 0 when `lu` finds A singular."""
+    f = lu(A)
+    return mp.mpf(0) if f is None else f.det()

@@ -255,12 +255,8 @@ def _piece_coordinates(pieces, what: str):
         block[key] = slice(start, start + basis.cols)
         start += basis.cols
     with working_precision():
-        try:
-            X = B**-1
-        except (ZeroDivisionError, TypeError):
-            # mpmath's LU raises TypeError, not ZeroDivisionError, when a
-            # pivot column is exactly zero
-            X = None
+        factors = cx.lu(B)
+        X = None if factors is None else factors.solve(mp.eye(B.rows))
     return B, X, block
 
 

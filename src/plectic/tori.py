@@ -80,12 +80,7 @@ class ComplexTorus:
     def __post_init__(self):
         if self.periods.rows != self.g or self.periods.cols != 2 * self.g:
             raise InputError("period matrix must be g x 2g")
-        try:
-            singular = mp.det(self.real_matrix()) == 0
-        except (ZeroDivisionError, TypeError):
-            # mpmath's LU raises TypeError when a pivot column is exactly zero
-            singular = True
-        if singular:
+        if cx.lu(self.real_matrix()) is None:
             raise DegenerateInputError("periods do not span a full lattice")
 
     def real_matrix(self) -> mp.matrix:
@@ -101,7 +96,7 @@ class ComplexTorus:
             for k in range(g):
                 J0[k, g + k] = mp.mpf(-1)
                 J0[g + k, k] = mp.mpf(1)
-            return P**-1 * J0 * P
+            return cx.solve(P, J0 * P)
 
     def multiplier(self, N: IntMatrix):
         """Complex matrix M with M * periods = periods * N, and the
@@ -125,7 +120,7 @@ def _multiplier_fit(Pi):
     least-squares solution of M Pi = B, and the relative residual of
     that equation; (Pi Pi^H)^-1 is formed once, here."""
     Ph = cx.ctranspose(Pi)
-    Ginv = (Pi * Ph) ** -1
+    Ginv = cx.inverse(Pi * Ph)
 
     def fit(B):
         M = B * Ph * Ginv
@@ -200,13 +195,11 @@ def dual_torus(t: ComplexTorus) -> ComplexTorus:
                 p = t.periods[i, j]
                 A[j, i] = -mp.im(p)          # coefficient of Re(w_i)
                 A[j, g + i] = mp.re(p)       # coefficient of Im(w_i)
+        sol = cx.inverse(A)
         dual = mp.matrix(g, 2 * g)
         for k in range(2 * g):
-            rhs = mp.matrix(2 * g, 1)
-            rhs[k, 0] = mp.mpf(1)
-            sol = mp.lu_solve(A, rhs)
             for i in range(g):
-                dual[i, k] = mp.mpc(sol[i, 0], sol[g + i, 0])
+                dual[i, k] = mp.mpc(sol[i, k], sol[g + i, k])
         return ComplexTorus(g, dual)
 
 
@@ -698,7 +691,8 @@ def algebraize_rm(t: ComplexTorus, rm: RMStructure, sign_bound: int = 50, tol=No
                 cols.append(ns)
             E = cx.hstack(cols)
         U, ideal0 = steinitz_decompose(rm)
-        Pi_eig = E**-1 * t.periods
+        Einv = cx.inverse(E)
+        Pi_eig = Einv * t.periods
         C = Pi_eig * cx.mpm(U.entries)
         lam = [C[l, 0] for l in range(d)]
         mu = []
@@ -715,7 +709,7 @@ def algebraize_rm(t: ComplexTorus, rm: RMStructure, sign_bound: int = 50, tol=No
         x = _sign_correction(field, emb, tau, sign_bound)
         z = tuple(field.element_embedding(x, emb[l]) * tau[l] for l in range(d))
         ideal = ideal0.scaled(x)
-        iso = mp.diag([field.element_embedding(x, emb[l]) / mu[l] for l in range(d)]) * E**-1
+        iso = mp.diag([field.element_embedding(x, emb[l]) / mu[l] for l in range(d)]) * Einv
         model = construct_rm_torus(field, z, ideal)
         resid = cx.frob(iso * t.periods * cx.mpm(U.entries) - model.periods)
         resid = resid / max(mp.mpf(1), cx.frob(model.periods))

@@ -17,7 +17,7 @@ from plectic.abeljacobi import (
     theorem_b_harness,
 )
 from plectic.config import working_precision
-from plectic.errors import InputError
+from plectic.errors import DegenerateInputError, InputError
 
 SQ = (1, mp.mpc(0, 1))
 GEN1 = (1, mp.mpc("0.3", "1.7"))
@@ -75,6 +75,36 @@ def test_period_lattice_scaling():
 def test_degenerate_period_lattice_raises():
     with pytest.raises(InputError):
         QuotientDatum(((1, 2),))  # collinear generators
+
+
+def _scaled_datum_and_cycle(s):
+    with working_precision():
+        s = mp.mpf(s)
+        w = (s, mp.mpc("0.3", "1.1") * s)
+        lifts = [(mp.mpc("0.3", "0.7") * s, mp.mpc("0.1", "0") * s),
+                 (mp.mpc("0", "0.2") * s, mp.mpc("0.5", "0") * s),
+                 (mp.mpc("0.4", "0.4") * s, 0)]
+        return QuotientDatum((w, w, w)), PlecticCycle.elementary(lifts)
+
+
+def test_period_lattice_rank_does_not_depend_on_scale():
+    """The rank test is the scale-free Hadamard ratio, so shrinking every
+    period by the same factor changes neither the rank nor any verdict."""
+    seen = set()
+    for s in ("0.01", "0.1", "1", "10"):
+        d, c = _scaled_datum_and_cycle(s)
+        rep = theorem_b_harness(d, c, 1, 5, 11)
+        seen.add((period_lattice(d, 1).rank, rep.diagonal.memberships,
+                  rep.factorwise.memberships))
+    assert seen == {(8, (True,) * 5, (False,) * 5)}
+
+
+def test_nearly_collinear_factor_is_rank_deficient():
+    with working_precision():
+        skew = (1, mp.mpc(1, mp.ldexp(1, -80)))  # Im(w2 / w1) = 2^-80, not 0
+    for factors in ((skew,), (SQ, SQ, skew)):
+        with pytest.raises(DegenerateInputError, match="rank deficient"):
+            period_lattice(QuotientDatum(factors), 1)
 
 
 def test_abel_jacobi_matches_classical():

@@ -334,6 +334,44 @@ def test_degenerate_input_exits_two(fixture, argv, mutate, fixtures, tmp_path, c
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _repeat_first_piece(doc):
+    doc["pieces"][1]["basis"] = doc["pieces"][0]["basis"]
+
+
+def _dependent_periods(doc):
+    doc["periods"] = [[["1", "0"], ["2", "0"]]]
+
+
+def test_singular_piece_basis_fails_validation(fixtures, tmp_path, capsys):
+    """A repeated piece basis leaves the stacked basis singular: LU finds no
+    pivot, and the check fails with span_defect 1."""
+    doc = json.loads(pathlib.Path(fixtures["phs.json"]).read_text())
+    _repeat_first_piece(doc)
+    path = tmp_path / "phs.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["phs", "validate", "--input", str(path)])
+    assert code == 1
+    assert json.loads(out)["payload"]["span_defect"].startswith("1")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture,argv,mutate,message", [
+    ("phs.json", ["phs", "jacobian", "--index", "1"], _repeat_first_piece,
+     "filtration complement is degenerate"),
+    ("torus.json", ["torus", "dual"], _dependent_periods,
+     "periods do not span a full lattice"),
+], ids=["dependent-filtration", "dependent-periods"])
+def test_singular_solve_exits_two(fixture, argv, mutate, message, fixtures, tmp_path, capsys):
+    doc = json.loads(pathlib.Path(fixtures[fixture]).read_text())
+    mutate(doc)
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    code, _ = run(argv + ["--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--n", "0"], "at least one factor"),
     (["--n", "-1"], "at least one factor"),
