@@ -10,12 +10,12 @@ nonconstant factor forms but sits outside the acceptance surface.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
 
 from . import cxlinalg as cx
 from .config import default_tolerance, resolve_tolerance, working_precision
@@ -159,9 +159,8 @@ class GaussLegendreForm:
     def __init__(self, f, antiholomorphic: bool = False, nodes: int = 64):
         self.f = f
         self.antiholomorphic = antiholomorphic
-        nodes_w = np.polynomial.legendre.leggauss(int(nodes))
-        self._t = [(x + 1) / 2 for x in nodes_w[0]]
-        self._w = [w / 2 for w in nodes_w[1]]
+        with working_precision():
+            self._t, self._w = _legendre_rule(int(nodes), mp.mp.prec)
 
     def __call__(self, x, y):
         x, y = mp.mpmathify(x), mp.mpmathify(y)
@@ -170,6 +169,14 @@ class GaussLegendreForm:
         for t, w in zip(self._t, self._w):
             acc += w * self.f(y + seg * t)
         return (mp.conj(seg) if self.antiholomorphic else seg) * acc
+
+
+@functools.cache
+def _legendre_rule(nodes: int, prec: int):
+    """Gauss-Legendre nodes and weights at `prec` bits, moved to [0, 1]."""
+    with mp.workprec(prec):
+        xs, ws = mp.gauss_quadrature(nodes, "legendre")
+        return [(x + 1) / 2 for x in xs], [w / 2 for w in ws]
 
 
 def iterated_integral(d: QuotientDatum, c: PlecticCycle, beta) -> mp.mpc:

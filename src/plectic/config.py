@@ -47,9 +47,9 @@ def resolve_tolerance(tol) -> mp.mpf:
 
 
 @contextlib.contextmanager
-def working_precision(extra: int = 0):
+def working_precision():
     """Context manager running mpmath at the configured precision."""
-    with mp.workprec(_precision + _GUARD_BITS + extra):
+    with mp.workprec(_precision + _GUARD_BITS):
         yield
 
 

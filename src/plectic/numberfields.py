@@ -7,12 +7,15 @@ configured precision.  Maximal orders are computed for degree <= 2 only,
 which is all the acceptance surface needs.
 
 A minimal polynomial is accepted only if it is irreducible with all its
-roots real, decided exactly: a Sturm count of the real roots and an
-irreducibility test over Q with certified root discs.
+roots real, decided exactly on those real roots: a Sturm count shows
+that all d roots are real and distinct, and Sturm bisection isolates
+them in rational intervals, narrow enough that every monic integer
+factor can be read off a subset of them and checked by exact division.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,14 +38,6 @@ from .lattices import (
 __all__ = ["FieldOrder", "FractionalIdealRep"]
 
 
-def _poly_real_roots(coeffs):
-    """All roots, ascending, of a monic integer polynomial whose roots are
-    all real (FieldOrder checks that exactly)."""
-    with working_precision():
-        roots = mp.polyroots([mp.mpf(c) for c in coeffs], maxsteps=200, extraprec=120)
-        return sorted(mp.re(r) for r in roots)
-
-
 def _generates_totally_real_field(p, degree: int) -> bool:
     """Whether the monic integer polynomial p (highest degree first) is
     irreducible of the given degree with all its roots real.
@@ -63,7 +58,9 @@ def _real_root_count(p) -> int:
 
 
 def _sign_changes(values) -> int:
-    return sum(1 for a, b in zip(values, values[1:]) if (a > 0) != (b > 0))
+    """Sign changes along `values`, zeros dropped."""
+    signs = [v > 0 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _sturm_sequence(p):
@@ -98,20 +95,27 @@ def _pseudo_remainder(a, b):
     return tuple(x // g for x in r)
 
 
+def _poly_eval(p, x):
+    """p(x) for integer coefficients p and a rational x (Horner)."""
+    value = Fraction(0)
+    for c in p:
+        value = value * x + c
+    return value
+
+
 def _is_irreducible(p) -> bool:
     """Whether the monic integer polynomial p is irreducible over Q.
 
-    Degree 2: the discriminant is not a square.  Above that, p must be
-    squarefree, and then a factor of degree k <= d/2 is monic with integer
-    coefficients (Gauss) and its roots are k of the roots of p.  Each root
-    is enclosed in a certified disc (:func:`_root_discs`); for each subset
-    of k discs the coefficients of prod (x - z_i) are rounded to integers,
-    which are the factor's coefficients if the subset is a factor's roots
-    and every exact error bound is below 1/2; each candidate is then
-    confirmed or refuted by exact division, so a miss is a proof.  The
-    root precision starts from the bits of Mignotte's factor bound
-    2^(d/2) ||p||_2 (Cohen, GTM 138, Thm 3.5.1) and doubles until every
-    error bound is below 1/2.
+    Degree 2: the discriminant is not a square.  Above that, p must have
+    d distinct real roots (its one caller has counted them).  A factor of
+    degree k <= d/2 is monic with integer coefficients (Gauss), and its
+    roots are k of the roots of p.  From the Cauchy bound on, every
+    interval (a, b] is halved and the halves that hold a root are kept,
+    counted as V(a) - V(b), V(x) the sign changes of the Sturm sequence
+    at x.  Once the d roots are apart, the halving goes on until the
+    intervals pin each possible factor (:func:`_factor_candidates`), and
+    exact division confirms or refutes each candidate, so a miss is a
+    proof.
     """
     d = len(p) - 1
     if d <= 1:
@@ -119,86 +123,41 @@ def _is_irreducible(p) -> bool:
     if d == 2:
         disc = p[1] * p[1] - 4 * p[2]
         return disc < 0 or math.isqrt(disc) ** 2 != disc
-    if len(_sturm_sequence(p)[-1]) > 1:
-        return False  # gcd(p, p') is a proper factor
-    bits = d // 2 + math.isqrt(sum(c * c for c in p)).bit_length() + 53
+    seq = _sturm_sequence(p)
+
+    @functools.cache
+    def changes(x):
+        return _sign_changes([_poly_eval(q, x) for q in seq])
+
+    bound = Fraction(1 + max(abs(c) for c in p[1:]))  # every root lies in (-bound, bound)
+    intervals = [(-bound, bound)]
     while True:
-        candidates = _factor_candidates(p, bits)
-        if candidates is not None:
+        halves = [h for a, b in intervals for h in ((a, (a + b) / 2), ((a + b) / 2, b))]
+        intervals = [(a, b) for a, b in halves if changes(a) > changes(b)]
+        if len(intervals) == d and (candidates := _factor_candidates(intervals)) is not None:
             return all(_pseudo_remainder(p, q) for q in candidates)
-        bits *= 2
 
 
-def _factor_candidates(p, bits: int):
-    """Integer candidates for the monic factors of degree <= d/2 of the
-    squarefree p, from root discs found at `bits` of precision; None when
-    the discs are too wide to decide."""
-    d = len(p) - 1
-    discs = _root_discs(p, bits)
-    if discs is None:
+def _factor_candidates(intervals):
+    """The monic integer polynomials prod (x - m_i), rounded, over every
+    subset of at most d/2 root intervals, m_i their midpoints: the factor
+    whose roots a subset holds, if there is one.  None when the intervals
+    are too wide for that, judged on (x + M + w)^k - (x + M)^k, k = d/2,
+    M the largest |m_i| and w the largest half-width: its coefficients
+    bound how far those of any prod (x - r_i) lie from these."""
+    k = len(intervals) // 2
+    size = max(abs(a + b) for a, b in intervals) / 2
+    half = max(b - a for a, b in intervals) / 2
+    if any(math.comb(k, j) * ((size + half) ** j - size ** j) >= Fraction(1, 2)
+           for j in range(1, k + 1)):
         return None
     out = []
-    for k in range(1, d // 2 + 1):
-        for subset in itertools.combinations(discs, k):
-            approx = [(Fraction(1), Fraction(0))]
-            majorant = [Fraction(1)]  # prod (x + |z_i| + r_i)
-            minorant = [Fraction(1)]  # prod (x + |z_i|)
-            for (re, im), r in subset:
-                approx = _cpoly_mul_linear(approx, (-re, -im))
-                size = abs(re) + abs(im)
-                majorant = _poly_mul_linear(majorant, size + r)
-                minorant = _poly_mul_linear(minorant, size)
-            # a factor's coefficients are within majorant - minorant of these
-            if any(hi - lo >= Fraction(1, 2) for hi, lo in zip(majorant, minorant)):
-                return None
-            out.append(tuple(round(re) for re, _ in approx))
-    return out
-
-
-def _root_discs(p, bits: int):
-    """Pairs ((re, im), r) of exact rationals, one per root of the
-    squarefree p: the discs |w - z| <= r are disjoint and each holds a
-    root, since some root lies within d |p(z) / p'(z)| of any z.  None
-    when the approximations at `bits` of precision do not separate."""
-    d = len(p) - 1
-    scale = 2 ** bits
-    with mp.workprec(bits):
-        approx, _ = mp.polyroots(p, maxsteps=200, extraprec=bits, error=True)
-        zs = [(Fraction(int(mp.nint(mp.re(z) * scale)), scale),
-               Fraction(int(mp.nint(mp.im(z) * scale)), scale)) for z in approx]
-    dp = _derivative(p)
-    discs = []
-    for z in zs:
-        den = _cabs2(_cpoly_eval(dp, z))
-        if den == 0:
-            return None
-        r2 = d * d * _cabs2(_cpoly_eval(p, z)) / den
-        r = Fraction(math.isqrt(math.floor(r2 * scale * scale)) + 1, scale)  # >= sqrt(r2)
-        discs.append((z, r))
-    for (z1, r1), (z2, r2) in itertools.combinations(discs, 2):
-        if _cabs2((z1[0] - z2[0], z1[1] - z2[1])) <= (r1 + r2) ** 2:
-            return None
-    return discs
-
-
-def _cpoly_eval(p, z):
-    """p(z) for integer coefficients p and a complex rational z = (re, im)."""
-    re, im = Fraction(0), Fraction(0)
-    for c in p:  # Horner
-        re, im = re * z[0] - im * z[1] + c, re * z[1] + im * z[0]
-    return re, im
-
-
-def _cabs2(z):
-    return z[0] * z[0] + z[1] * z[1]
-
-
-def _cpoly_mul_linear(q, a):
-    """q(x) * (x + a) for complex rational coefficients, highest first."""
-    out = q + [(Fraction(0), Fraction(0))]
-    for i, (re, im) in enumerate(q):
-        out[i + 1] = (out[i + 1][0] + re * a[0] - im * a[1],
-                      out[i + 1][1] + re * a[1] + im * a[0])
+    for j in range(1, k + 1):
+        for subset in itertools.combinations(intervals, j):
+            approx = [Fraction(1)]
+            for a, b in subset:
+                approx = _poly_mul_linear(approx, -(a + b) / 2)
+            out.append(tuple(round(c) for c in approx))
     return out
 
 
@@ -310,12 +269,15 @@ class FieldOrder:
     def embeddings(self) -> list:
         """Real embedding values of the basis elements, one row per
         embedding, ordered by ascending root of min_poly."""
-        roots = _poly_real_roots(self.min_poly)
         if self.degree == 1:
             return [[mp.mpf(1)]]
-        if self.degree == 2:
-            return [[mp.mpf(1), r] for r in roots]
-        raise InputError("embeddings beyond degree 2 are out of scope")
+        if self.degree != 2:
+            raise InputError("embeddings beyond degree 2 are out of scope")
+        _, b, c = self.min_poly
+        with working_precision():  # the larger root in size, then c / big: no cancellation
+            root = mp.sqrt(b * b - 4 * c)
+            big = -(b + root) / 2 if b >= 0 else (root - b) / 2
+            return [[mp.mpf(1), r] for r in sorted((big, c / big))]
 
     def element_embedding(self, x, emb) -> mp.mpf:
         """sigma(x) for coordinates x and one embedding row."""

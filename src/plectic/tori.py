@@ -105,15 +105,6 @@ class ComplexTorus:
             Pi = self.periods
             return _multiplier_fit(Pi)(Pi * cx.mpm(N.entries))
 
-    def to_json(self) -> dict:
-        from .serialize import complex_to_json
-
-        return {
-            "g": self.g,
-            "periods": [[complex_to_json(self.periods[i, j]) for j in range(2 * self.g)]
-                        for i in range(self.g)],
-        }
-
 
 def _multiplier_fit(Pi):
     """The map B -> (M, residual) with M = B Pi^H (Pi Pi^H)^-1, the

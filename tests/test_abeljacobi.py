@@ -16,7 +16,7 @@ from plectic.abeljacobi import (
     relift,
     theorem_b_harness,
 )
-from plectic.config import working_precision
+from plectic.config import default_tolerance, working_precision
 from plectic.errors import DegenerateInputError, InputError
 
 SQ = (1, mp.mpc(0, 1))
@@ -219,16 +219,19 @@ def test_harness_deterministic():
 
 
 def test_gauss_legendre_provider():
+    tol = default_tolerance()
     with working_precision():
         const = GaussLegendreForm(lambda z: mp.mpc(1), nodes=24)
-        assert abs(const(1 + 1j, 0) - (1 + 1j)) < mp.mpf("1e-15")
+        assert abs(const(1 + 1j, 0) - (1 + 1j)) < tol
         linear = GaussLegendreForm(lambda z: z, nodes=24)
-        assert abs(linear(2, 0) - 2) < mp.mpf("1e-15")
+        assert abs(linear(2, 0) - 2) < tol
         d = QuotientDatum((SQ,))
         c = PlecticCycle.elementary([(0.7 + 0.4j, 0.1)])
         quad = iterated_integral_forms(d, c, [GaussLegendreForm(lambda z: mp.mpc(1))])
         exact = iterated_integral(d, c, (0,))
-        assert abs(quad - exact) < mp.mpf("1e-15")
+        assert abs(quad - exact) < tol
+        end = mp.mpc(1, "0.5")  # float64 nodes would be off by about 2e-16 here
+        assert abs(GaussLegendreForm(mp.exp)(end, 0) - (mp.exp(end) - 1)) < tol
 
 
 def test_genericity_hook():

@@ -418,3 +418,7 @@ def test_cli_import_leaves_scipy_out():
 
 def test_cli_import_leaves_sympy_out():
     assert not _loaded_after_cli_import("sympy")
+
+
+def test_cli_import_leaves_jsonschema_out():
+    assert not _loaded_after_cli_import("jsonschema")
