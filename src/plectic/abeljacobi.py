@@ -214,9 +214,8 @@ def period_lattice(d: QuotientDatum, nu: int) -> PeriodLatticeData:
     """Lattice of functionals integrating the F^{1_nu} basis over the
     product cycles built from one lattice loop per factor; mixed cycles
     supported on fewer factors vanish on product forms and are omitted.
-    Rank deficient when LU finds the generator matrix singular or its
-    Hadamard ratio |det| / prod ||generator_i|| (1 for orthogonal
-    generators, whatever their lengths) is below the default tolerance."""
+    Rank deficient when `cxlinalg.lattice_lu` finds that the generators do
+    not span at the default tolerance."""
     betas = d.form_indices(nu)
     gens = []
     with working_precision():
@@ -234,9 +233,8 @@ def period_lattice(d: QuotientDatum, nu: int) -> PeriodLatticeData:
             flat = _flatten(g)
             for k, v in enumerate(flat):
                 real[i, k] = v
-        factors = cx.lu(real.T)
-        if factors is None or abs(factors.det()) < default_tolerance() * mp.fprod(
-                mp.norm(_flatten(g)) for g in gens):
+        factors = cx.lattice_lu(real.T, default_tolerance())
+        if factors is None:
             raise DegenerateInputError("period lattice is rank deficient")
     return PeriodLatticeData(nu, tuple(gens), real, factors)
 

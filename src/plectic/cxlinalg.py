@@ -14,8 +14,10 @@ None.  Taking eps at the raised precision instead would judge by the
 guard bits: the last pivot of an exactly singular integer product, left
 by rounding, reached 18 ||A||_1 eps at that precision.  `inverse`,
 `solve` and `det` are built on `lu`; the first two raise
-`DegenerateInputError` on a singular matrix, and `det` returns 0.  SVDs
-remain only where a basis is reported (`nullspace`, `lstsq`).
+`DegenerateInputError` on a singular matrix, and `det` returns 0.
+`lattice_lu` adds the test that lattice generators span: a Hadamard
+ratio at least the tolerance.  SVDs remain only where a basis is
+reported (`nullspace`, `lstsq`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import DegenerateInputError, InputError
 
 __all__ = [
     "mpm", "conj", "ctranspose", "hstack", "frob", "kron", "nullspace", "lstsq",
-    "subspace_residual", "real_imag_stack", "LU", "lu", "inverse", "solve", "det",
+    "subspace_residual", "real_imag_stack", "LU", "lu", "lattice_lu", "inverse", "solve", "det",
 ]
 
 _LU_GUARD_BITS = 10
@@ -229,6 +231,17 @@ def lu(A) -> LU | None:
     diag = [ucols[i][i] for i in range(n)]
     upper = [[ucols[j][i] for j in range(n - 1, i, -1)] for i in range(n)]
     return LU(perm, lower, diag, upper, sign, prec)
+
+
+def lattice_lu(A, tol) -> LU | None:
+    """`lu` of the real square matrix A whose columns generate a lattice,
+    or None when they do not span a full one at tolerance tol: `lu` finds
+    A singular, or the Hadamard ratio |det A| / prod ||column|| (1 for
+    orthogonal columns, whatever their lengths) is below tol."""
+    f = lu(A)
+    if f is None or abs(f.det()) < tol * mp.fprod(mp.norm(c) for c in zip(*A.tolist())):
+        return None
+    return f
 
 
 def _factor(A) -> LU:

@@ -341,6 +341,45 @@ def _is_disc(d: int) -> bool:
     return d % 4 in (0, 1)
 
 
+def _denominator(rows) -> int:
+    """The lcm of the denominators of a matrix of Fractions."""
+    return math.lcm(*(x.denominator for row in rows for x in row))
+
+
+def _represents_unit(form, disc: int) -> bool:
+    """Whether the primitive integer form (a, b, c) of discriminant disc > 0,
+    not a square, takes the value 1 or -1.
+
+    Cohen's rho (GTM 138, Def. 5.6.4) reduces the form, then walks the
+    cycle of reduced forms equivalent to it; the form represents +-1
+    exactly when that cycle holds a form (+-1, b, c) (Cohen Prop. 5.6.6,
+    Buchmann & Vollmer 6.10).  Every test is on integers: with s =
+    isqrt(disc), x < sqrt(disc) is x <= s, since disc is not a square.
+    """
+    s = math.isqrt(disc)
+
+    def rho(a, b, c):
+        m = 2 * abs(c)
+        if abs(c) > s:  # r = -b mod 2|c| in (-|c|, |c|]
+            r = -b % m
+            r = r - m if r > abs(c) else r
+        else:  # r = -b mod 2|c| in (sqrt(disc) - 2|c|, sqrt(disc))
+            r = s - (s + b) % m
+        return c, r, (r * r - disc) // (4 * c)
+
+    def reduced(a, b, c):  # |sqrt(disc) - 2|a|| < b < sqrt(disc)
+        return 0 < b <= s and s - b < 2 * abs(a) <= s + b
+
+    while not reduced(*form):
+        form = rho(*form)
+    start = form
+    while abs(form[0]) != 1:
+        form = rho(*form)
+        if form == start:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class FractionalIdealRep:
     """Fractional ideal: Z-basis rows in integral-basis coordinates."""
@@ -384,10 +423,7 @@ class FractionalIdealRep:
             raise InputError("ideals over different orders")
         d = self.order.degree
         prods = [self.order.mul_coords(a, b) for a in self.basis for b in other.basis]
-        den = 1
-        for row in prods:
-            for x in row:
-                den = math.lcm(den, x.denominator)
+        den = _denominator(prods)
         int_rows = [[int(x * den) for x in row] for row in prods]
         basis = row_lattice_basis(IntMatrix.from_rows(int_rows))
         rows = tuple(tuple(Fraction(x, den) for x in row) for row in basis)
@@ -408,9 +444,11 @@ class FractionalIdealRep:
         The search runs over the basis combinations with coefficients in
         [-search_bound, search_bound], shell by shell in the max-norm and
         up to sign, since |Nm(-x)| = |Nm(x)|.  A hit is a certificate of
-        principality; None means "not found within the bound" and is not
-        a proof of the converse, so class checks should compare against a
-        known representative.
+        principality.  In degree 2 the search runs only when
+        :meth:`_generated_by_one_element` has decided that a generator
+        exists, so None means "not principal" when that decision says so,
+        and "a generator exists but none within the bound" otherwise.
+        Class checks use :meth:`same_class`, which is exact in degree <= 2.
 
         Norms are evaluated in integers: with L the lcm of the basis
         denominators, Nm(L x) = det of the same combination of the
@@ -418,7 +456,9 @@ class FractionalIdealRep:
         Nm(ideal) * L^d.  The Fraction generator is built on a hit only.
         """
         d = self.order.degree
-        scale = math.lcm(*(x.denominator for row in self.basis for x in row))
+        if d == 2 and not self._generated_by_one_element():
+            return None
+        scale = _denominator(self.basis)
         mats = [IntMatrix.from_rows(self.order.mult_matrix(tuple(scale * x for x in row)))
                 for row in self.basis]
         target = int(self.norm() * scale**d)
@@ -428,12 +468,34 @@ class FractionalIdealRep:
                              for k in range(d))
         return None
 
-    def same_class(self, other: "FractionalIdealRep", search_bound: int = 50) -> bool:
-        """Class equality via principality of self * conj(other) (degree 2)."""
+    def _generated_by_one_element(self) -> bool:
+        """Whether this ideal of a quadratic order is principal, decided
+        exactly on its binary quadratic form (Cohen, GTM 138, 5.2 and 5.6).
+
+        With (a, b) the basis scaled to integral elements, N(x a + y b) is
+        an integer form whose primitive part f has the discriminant of the
+        ideal's multiplier ring.  An ideal whose multiplier ring is larger
+        than the order is not invertible, so not principal.  Otherwise the
+        content of N(x a + y b) is |Nm| of the scaled ideal, so an element
+        of norm +-Nm, a generator, exists exactly when f represents +-1.
+        Neither the basis nor its orientation matters: GL2(Z) changes
+        leave the represented values alone.
+        """
+        scale = _denominator(self.basis)
+        alpha, beta = (tuple(scale * x for x in row) for row in self.basis)
+        a, c = int(self.order.norm(alpha)), int(self.order.norm(beta))
+        b = int(self.order.norm(tuple(x + y for x, y in zip(alpha, beta)))) - a - c
+        g = math.gcd(a, b, c)
+        form = (a // g, b // g, c // g)
+        disc = self.order.discriminant()
+        return form[1] ** 2 - 4 * form[0] * form[2] == disc and _represents_unit(form, disc)
+
+    def same_class(self, other: "FractionalIdealRep") -> bool:
+        """Class equality, exact in degree <= 2: whether self * conj(other)
+        is principal."""
         if self.order.degree == 1:
             return True
-        prod = self.multiply(other.conjugate())
-        return prod.is_principal(search_bound) is not None
+        return self.multiply(other.conjugate())._generated_by_one_element()
 
     def to_json(self) -> dict:
         return {"basis": [[str(x) for x in row] for row in self.basis]}

@@ -22,7 +22,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import cxlinalg as cx
-from .config import resolve_tolerance, working_precision
+from .config import default_tolerance, resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError, SearchExhaustedError
 from .lattices import (
     IntMatrix,
@@ -70,8 +70,9 @@ __all__ = [
 @dataclass(frozen=True)
 class ComplexTorus:
     """V/Lambda presented by a g x 2g period matrix whose columns
-    generate the lattice; optionally carries a real-multiplication
-    witness."""
+    generate the lattice, which they must span at the working precision
+    and default tolerance (`cxlinalg.lattice_lu`); optionally carries a
+    real-multiplication witness."""
 
     g: int
     periods: mp.matrix
@@ -80,8 +81,9 @@ class ComplexTorus:
     def __post_init__(self):
         if self.periods.rows != self.g or self.periods.cols != 2 * self.g:
             raise InputError("period matrix must be g x 2g")
-        if cx.lu(self.real_matrix()) is None:
-            raise DegenerateInputError("periods do not span a full lattice")
+        with working_precision():
+            if cx.lattice_lu(self.real_matrix(), default_tolerance()) is None:
+                raise DegenerateInputError("periods do not span a full lattice")
 
     def real_matrix(self) -> mp.matrix:
         """2g x 2g real matrix whose columns are the lattice generators."""

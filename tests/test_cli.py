@@ -372,6 +372,23 @@ def test_singular_solve_exits_two(fixture, argv, mutate, message, fixtures, tmp_
     assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("precision,want", [("128", 2), ("256", 0)])
+def test_thin_periods_decided_at_configured_precision(precision, want, tmp_path, capsys):
+    """Periods 1 and 1 + 1e-20 i have Hadamard ratio about 1e-20: below
+    2^-64, the default tolerance at 128 bits, and above 2^-128 at 256."""
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({"g": 1, "periods": [[["1", "0"], ["1", "1e-20"]]]}))
+    try:
+        code, _ = run(["torus", "dual", "--input", str(path), "--precision", precision])
+    finally:
+        set_precision(128)
+    err = capsys.readouterr().err
+    assert code == want
+    assert (err == "") == (want == 0)
+    if want == 2:
+        assert "periods do not span a full lattice" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--n", "0"], "at least one factor"),
     (["--n", "-1"], "at least one factor"),

@@ -1,7 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from plectic import numberfields
 from plectic.errors import InputError
 from plectic.lattices import coefficient_shells
 from plectic.numberfields import FieldOrder, FractionalIdealRep
@@ -64,6 +68,83 @@ def test_principal_ideal_class():
     I = O10.unit_ideal().scaled(gen)
     assert I.norm() == 6
     assert I.same_class(O10.unit_ideal())
+
+
+def _rows(*rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def test_same_class_finds_generator_beyond_search_bound():
+    """P = (2, sqrt46) is principal, generated by 156 + 23 sqrt46 of norm
+    2, whose height is above 50: the search misses it, the class check
+    does not."""
+    O46 = FieldOrder.quadratic_maximal(46)
+    P = FractionalIdealRep(O46, _rows((2, 0), (0, 1)))
+    assert O46.norm((156, 23)) == 2 and P._contains((156, 23))
+    assert P.same_class(O46.unit_ideal())
+    assert P.is_principal(50) is None
+
+
+def test_same_class_fixed_cases():
+    O10 = FieldOrder.quadratic_maximal(10)  # class number 2
+    P2 = FractionalIdealRep(O10, _rows((2, 0), (0, 1)))
+    assert not P2.same_class(O10.unit_ideal())
+    assert P2.multiply(P2).same_class(O10.unit_ideal())
+
+    O79 = FieldOrder.quadratic_maximal(79)  # class number 3
+    P3 = FractionalIdealRep(O79, _rows((3, 0), (1, 1)))  # (3, 1 + sqrt79)
+    P3sq = P3.multiply(P3)
+    cube = P3sq.multiply(P3)
+    assert not P3.same_class(O79.unit_ideal())
+    assert not P3sq.same_class(O79.unit_ideal())
+    assert cube.same_class(O79.unit_ideal())
+    assert cube.is_principal(50) is not None
+    assert P3sq.same_class(P3.conjugate())  # P3 conj(P3) = (3)
+    assert not P3.same_class(P3.conjugate())
+
+    O20 = FieldOrder.quadratic(0, -20)  # Z[sqrt20], inside Z[sqrt5] with index 2
+    I = FractionalIdealRep(O20, _rows((2, 0), (0, 1)))  # (2, sqrt20)
+    sqrt5 = (0, Fraction(1, 2))  # not in Z[sqrt20], yet sqrt5 * I lies in I
+    assert all(I._contains(O20.mul_coords(sqrt5, row)) for row in I.basis)
+    assert not I.same_class(O20.unit_ideal())
+    assert not I.same_class(I)  # I conj(I) = 2 I, not principal in Z[sqrt20]
+    assert I.is_principal(50) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-6, 6), st.integers(-60, 10), st.integers(-12, 12), st.integers(0, 2**16),
+       st.tuples(st.integers(-9, 9), st.integers(-9, 9)), st.integers(1, 7))
+def test_same_class_decision(t, n, b, pick, gen, den):
+    """The ideal I = (a, b + w) of Z[w], w^2 = t w - n, for a divisor a of
+    Nm(b + w).  Its form is a (a, 2b + t, c), c = Nm(b + w) / a, so I is
+    invertible exactly when gcd(a, 2b + t, c) = 1."""
+    disc = t * t - 4 * n
+    assume(disc > 0 and math.isqrt(disc) ** 2 != disc and gen != (0, 0))
+    O = FieldOrder.quadratic(t, n)
+    norm_b = b * b + t * b + n
+    divisors = [a for a in range(1, abs(norm_b) + 1) if norm_b % a == 0]
+    a = divisors[pick % len(divisors)]
+    I = FractionalIdealRep(O, _rows((a, 0), (b, 1)))
+    invertible = math.gcd(a, 2 * b + t, norm_b // a) == 1
+    principal = I.same_class(O.unit_ideal())
+    assert I.same_class(I) == invertible
+    if norm_oracle_generator(I, 4) is not None:
+        assert principal
+    x = (Fraction(gen[0], den), Fraction(gen[1]))
+    assert I.scaled(x).same_class(O.unit_ideal()) == principal
+    assert I.scaled(x).same_class(I) == invertible
+
+
+def test_same_class_runs_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("same_class searched a coefficient box")
+
+    monkeypatch.setattr(numberfields, "coefficient_shells", no_search)
+    O10 = FieldOrder.quadratic_maximal(10)
+    P2 = FractionalIdealRep(O10, _rows((2, 0), (0, 1)))
+    assert not P2.same_class(O10.unit_ideal())
+    assert P2.same_class(P2)
+    assert P2.is_principal() is None
 
 
 def test_closure_enforced():
