@@ -376,10 +376,51 @@ def _min_poly(N: IntMatrix) -> tuple:
     raise AssertionError("unreachable: the characteristic polynomial annihilates N")
 
 
-def _is_scalar(N: IntMatrix) -> bool:
+def _rm_poly(N: IntMatrix, g: int):
+    """N's minimal polynomial (monic ints, highest degree first) when it is
+    irreducible of degree g with all its roots real, else None; N is a
+    2g x 2g integer matrix.
+
+    Half traces s_k = tr(N^k)/2, k = 1..g, give by Newton's identities
+    k m_k = -(m_{k-1} s_1 + ... + m_0 s_k) the monic degree-g polynomial
+    m whose roots have power sums s_k (Cohen, GTM 138, §4.3).  A trace
+    that is odd or a division that is inexact rejects N at once; so does
+    `_generates_totally_real_field(m, g)`; N is accepted only if m(N) = 0.
+
+    The accept set is exactly that of "the minimal polynomial p is
+    irreducible of degree g with all roots real".  If p is, N's
+    characteristic polynomial has p as its only irreducible factor, so it
+    is p^2; then tr(N^k) is twice the k-th power sum of p's roots, the
+    Newton divisions are exact, m = p and p(N) = 0.  Conversely, if
+    m(N) = 0 then p divides m, and m is irreducible, so p = m.  The zero
+    and scalar matrices give m = x^g or (x - a)^g, which have one real
+    root, so they are rejected for g >= 2.
+    """
     n = N.rows
-    c = N.entries[0][0]
-    return N.entries == IntMatrix.identity(n).scale(c).entries
+    cols = tuple(zip(*N.entries))
+    traces = [sum(N.entries[i][i] for i in range(n))]
+    P = N  # N^(k-1)
+    for k in range(2, g + 1):
+        # tr(N^k) = sum_ij (N^(k-1))_ij N_ji: N^g itself is never formed
+        traces.append(sum(sum(a * b for a, b in zip(row, col))
+                          for row, col in zip(P.entries, cols)))
+        if k < g:
+            P = P @ N
+    if any(t % 2 for t in traces):
+        return None
+    s = [t // 2 for t in traces]
+    m = [1]
+    for k in range(1, g + 1):
+        q, r = divmod(-sum(m[k - i] * s[i - 1] for i in range(1, k + 1)), k)
+        if r:
+            return None
+        m.append(q)
+    if not _generates_totally_real_field(m, g):
+        return None
+    value = IntMatrix.identity(n)
+    for c in m[1:]:  # Horner: m(N)
+        value = value @ N + IntMatrix.identity(n).scale(c)
+    return tuple(m) if value.is_zero() else None
 
 
 def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | None = None):
@@ -391,11 +432,15 @@ def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | 
     coefficients in [-height_bound, height_bound], by increasing height
     and up to sign; at rank > 6 only the first six basis vectors are
     combined, so None then says nothing about the rest of the lattice.
-    The returned order is theta^{-1}(End(T)), the full order realized on
-    the lattice, so already-maximal actions are detected as maximal.  A
-    non-generic torus can carry several real-multiplication fields; pass
-    field_hint to select a specific one (matched on the fundamental
-    discriminant, degree 2 only).
+    Each candidate N is decided exactly by `_rm_poly`: from the half
+    traces tr(N^k)/2 and Newton's identities, then one identity m(N) = 0
+    for a candidate m that is irreducible with g real roots.  The first
+    N it accepts generates the field.  The returned order is
+    theta^{-1}(End(T)), the full order realized on the lattice, so
+    already-maximal actions are detected as maximal.  A non-generic torus
+    can carry several real-multiplication fields; pass field_hint to
+    select a specific one (matched on the fundamental discriminant,
+    degree 2 only).
     """
     g = t.g
     if g == 1:
@@ -406,11 +451,10 @@ def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | 
     searched = basis[:6]  # at rank > 6 only the first six basis vectors are combined
     for coeffs in coefficient_shells(len(searched), height_bound, positive_first=True):
         N = int_combination(coeffs, searched)
-        if N.is_zero() or _is_scalar(N):
+        # zero, scalar, CM and non-semisimple directions are all rejected here
+        p = _rm_poly(N, g)
+        if p is None:
             continue
-        p = _min_poly(N)
-        if not _generates_totally_real_field(p, g):
-            continue  # CM directions are rejected here
         if field_hint is not None and not _same_quadratic_field(p, field_hint):
             continue
         return _order_from_generator(N, basis, g)

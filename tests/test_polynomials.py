@@ -1,7 +1,9 @@
 """The exact integer polynomial routines of plectic.tori and
-plectic.numberfields, checked against sympy (a test dependency only)."""
+plectic.numberfields, checked against sympy (a test dependency only), and
+tori._rm_poly checked against the minimal-polynomial test it replaces."""
 
 import itertools
+import random
 
 import pytest
 import sympy
@@ -14,7 +16,7 @@ from plectic.numberfields import (
     _is_irreducible,
     _real_root_count,
 )
-from plectic.tori import _min_poly
+from plectic.tori import _min_poly, _rm_poly
 
 X = sympy.Symbol("x")
 
@@ -117,3 +119,112 @@ def test_sturm_count_and_irreducibility_match_sympy(p):
         assert _is_irreducible(p) == P.is_irreducible
     assert _generates_totally_real_field(p, d) == (P.is_irreducible
                                                    and len(P.real_roots()) == d)
+
+
+# ----------------------------------------------------------------------
+# tori._rm_poly against the minimal-polynomial path it replaces
+# ----------------------------------------------------------------------
+
+
+def old_rm_poly(N: IntMatrix, g: int):
+    """The per-candidate test `detect_rm` ran before `_rm_poly`."""
+    p = _min_poly(N)
+    return p if _generates_totally_real_field(p, g) else None
+
+
+def companion(m):
+    """Companion matrix of the monic m (highest degree first)."""
+    d = len(m) - 1
+    return [[int(i == j + 1) for j in range(d - 1)] + [-m[d - i]] for i in range(d)]
+
+
+def blocks(rows_of_blocks):
+    """Block matrix from a grid of equal-size square blocks, None for zero."""
+    d = next(len(b) for row in rows_of_blocks for b in row if b is not None)
+    return [sum(((b[i] if b is not None else [0] * d) for b in row), [])
+            for row in rows_of_blocks for i in range(d)]
+
+
+def conjugate(rows, ops):
+    """U N U^-1, U the product of the row operations row_i += k row_j in ops."""
+    N = IntMatrix.from_rows(rows)
+    n = N.rows
+    for i, j, k in ops:
+        if i % n == j % n:
+            continue
+        E = [[int(a == b) for b in range(n)] for a in range(n)]
+        E_inv = [r[:] for r in E]
+        E[i % n][j % n], E_inv[i % n][j % n] = k, -k
+        N = IntMatrix.from_rows(E) @ N @ IntMatrix.from_rows(E_inv)
+    return N
+
+
+def assert_rm_poly_matches(N: IntMatrix, g: int):
+    expected = old_rm_poly(N, g)
+    assert _rm_poly(N, g) == expected
+    return expected
+
+
+row_ops = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)),
+                   max_size=6)
+random_even = st.sampled_from([4, 6]).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+# diag(C_m, C_m) for a random monic m of degree 2 or 3, in a random basis: both
+# accepted and rejected candidates, the latter with traces that pass
+doubled_companions = st.tuples(
+    st.integers(2, 3).flatmap(
+        lambda d: st.lists(st.integers(-4, 4), min_size=d, max_size=d).map(lambda c: (1, *c))),
+    row_ops,
+).map(lambda mo: conjugate(blocks([[companion(mo[0]), None], [None, companion(mo[0])]]), mo[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_even.map(IntMatrix.from_rows), doubled_companions))
+def test_rm_poly_matches_min_poly_path(N):
+    assert_rm_poly_matches(N, N.rows // 2)
+
+
+RM_POLYS = [(1, 0, -2), (1, -1, -1), (1, 0, -3, 1)]
+
+
+@pytest.mark.parametrize("m", RM_POLYS, ids=["x2-2", "x2-x-1", "x3-3x+1"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rm_poly_accepts_doubled_companion(m, seed):
+    rng = random.Random(seed)
+    C = companion(m)
+    ops = [(rng.randrange(6), rng.randrange(6), rng.choice((-2, -1, 1, 2))) for _ in range(8)]
+    N = conjugate(blocks([[C, None], [None, C]]), ops)
+    assert assert_rm_poly_matches(N, len(m) - 1) == m
+
+
+@pytest.mark.parametrize("m", RM_POLYS, ids=["x2-2", "x2-x-1", "x3-3x+1"])
+def test_rm_poly_rejects_non_semisimple_block(m):
+    """[[C_m, I], [0, C_m]] has characteristic polynomial m^2, so its half
+    traces give m, which passes the field test; only m(N) != 0 rejects it."""
+    C = companion(m)
+    d = len(m) - 1
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    N = IntMatrix.from_rows(blocks([[C, ident], [None, C]]))
+    semisimple = IntMatrix.from_rows(blocks([[C, None], [None, C]]))
+    P, Q = N, semisimple
+    for _ in range(d):
+        assert sum(P.entries[i][i] for i in range(2 * d)) == sum(
+            Q.entries[i][i] for i in range(2 * d))
+        P, Q = P @ N, Q @ semisimple
+    assert _generates_totally_real_field(m, d)
+    assert assert_rm_poly_matches(N, d) is None
+
+
+@pytest.mark.parametrize("rows, g", [
+    (blocks([[companion((1, 0, 1)), None], [None, companion((1, 0, 2))]]), 2),
+    ([[0] * 4 for _ in range(4)], 2),
+    ([[0] * 6 for _ in range(6)], 3),
+    ([[3 * (i == j) for j in range(4)] for i in range(4)], 2),
+    ([[-2 * (i == j) for j in range(6)] for i in range(6)], 3),
+    (blocks([[companion((1, -3, 2)), None], [None, companion((1, -3, 2))]]), 2),
+    (blocks([[companion((1, -3, 2)), None], [None, companion((1, 0, -2))]]), 2),
+], ids=["cm-product", "zero-4", "zero-6", "scalar-4", "scalar-6", "(x-1)(x-2)-doubled",
+        "(x-1)(x-2)+(x2-2)"])
+def test_rm_poly_rejects_non_rm_candidates(rows, g):
+    assert assert_rm_poly_matches(IntMatrix.from_rows(rows), g) is None

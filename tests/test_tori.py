@@ -9,8 +9,15 @@ import plectic.tori as tori
 from plectic import cxlinalg as cx
 from plectic.config import set_precision, working_precision
 from plectic.errors import InputError
-from plectic.lattices import IntMatrix, lll_reduce, saturation, solve_integer
-from plectic.numberfields import FieldOrder, FractionalIdealRep
+from plectic.lattices import (
+    IntMatrix,
+    coefficient_shells,
+    int_combination,
+    lll_reduce,
+    saturation,
+    solve_integer,
+)
+from plectic.numberfields import FieldOrder, FractionalIdealRep, _generates_totally_real_field
 from plectic.tori import (
     ComplexTorus,
     RMStructure,
@@ -383,3 +390,54 @@ def test_integer_kernel_matches_single_stage_reference(monkeypatch):
         assert len(_assert_staging_changes_nothing(_seeded_rm_torus(5, 4), monkeypatch)) == 2
     finally:
         set_precision(128)
+
+
+def min_poly_detect_rm(t: ComplexTorus, height_bound: int, field_hint=None):
+    """detect_rm's search with the minimal-polynomial test of each candidate
+    that it used before `_rm_poly`, as the reference for its search order."""
+    basis = hom_lattice(t, t)
+    searched = basis[:6]
+    for coeffs in coefficient_shells(len(searched), height_bound, positive_first=True):
+        N = int_combination(coeffs, searched)
+        p = tori._min_poly(N)
+        if not _generates_totally_real_field(p, t.g):
+            continue
+        if field_hint is not None and not tori._same_quadratic_field(p, field_hint):
+            continue
+        return tori._order_from_generator(N, basis, t.g)
+    return None
+
+
+def _cm_product(d1, d2, rng):
+    """E_{tau1} x E_{tau2}, tau_k in Q(sqrt -d_k), in a random complex basis."""
+    with working_precision():
+        tau = [mp.mpf(rng.randint(-2, 2)) / rng.randint(2, 5)
+               + 1j * mp.mpf(rng.randint(1, 3)) / rng.randint(1, 2) * mp.sqrt(d)
+               for d in (d1, d2)]
+        A = mp.matrix([[mp.mpc(round(rng.uniform(-1, 1), 3), round(rng.uniform(-1, 1), 3))
+                        + 2 * (i == j) for j in range(2)] for i in range(2)])
+        return ComplexTorus(2, A * mp.matrix([[1, tau[0], 0, 0], [0, 0, 1, tau[1]]]))
+
+
+def _same_rm(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.field.min_poly == b.field.min_poly
+            and [N.entries for N in a.action] == [N.entries for N in b.action])
+
+
+def test_detect_rm_keeps_min_poly_search_order():
+    rng = random.Random(7)
+    for d1, d2 in ((2, 5), (7, 11)):
+        t = _cm_product(d1, d2, rng)
+        assert detect_rm(t, 2) is None
+        assert min_poly_detect_rm(t, 2) is None
+    O5 = FieldOrder.quadratic_maximal(5)
+    t = dual_torus(construct_rm_torus(O5, [mp.mpc(0, 1), mp.mpc(0, 2)]))
+    assert t.rm is None
+    rm = detect_rm(t, 10)
+    assert rm.field.min_poly == (1, 0, -2)  # Q(sqrt 2) is met before Q(sqrt 5)
+    assert _same_rm(rm, min_poly_detect_rm(t, 10))
+    hinted = detect_rm(t, 10, field_hint=O5)
+    assert hinted.field.min_poly == (1, -1, -1)
+    assert _same_rm(hinted, min_poly_detect_rm(t, 10, field_hint=O5))
