@@ -1,5 +1,13 @@
 """Plectic Hodge structures, complex tori with real multiplication,
-refined Hodge theory on flat tori, and plectic Abel-Jacobi maps."""
+refined Hodge theory on flat tori, and plectic Abel-Jacobi maps.
+
+The flat-torus spectral model (`plectic.flat`) is the one module built on
+a float array library.  It is imported on first use of `plectic.flat` or
+of one of the names in `_FLAT_NAMES`, so the exact and mpmath layers load
+without that library.
+"""
+
+import importlib
 
 from .config import DEFAULT_PRECISION, default_tolerance, get_precision, set_precision
 from .errors import DegenerateInputError, InputError, PlecticError, SearchExhaustedError
@@ -42,21 +50,6 @@ from .tori import (
     steinitz_decompose,
     tori_isomorphic,
 )
-from .flat import (
-    FlatTorus,
-    FourierFormSpace,
-    OperatorMatrix,
-    adjoint,
-    build_space,
-    d_operator,
-    extract_plectic_structure,
-    harmonic_space,
-    hodge_star,
-    metric_independence_check,
-    verify_laplacian_sum,
-    verify_refined_identities,
-    xi_operator,
-)
 from .shimura import (
     CupOperator,
     StronglyPrimitiveDatum,
@@ -78,3 +71,32 @@ from .abeljacobi import (
 )
 
 __version__ = "0.1.0"
+
+_FLAT_NAMES = frozenset({
+    "FlatTorus",
+    "FourierFormSpace",
+    "OperatorMatrix",
+    "adjoint",
+    "build_space",
+    "d_operator",
+    "extract_plectic_structure",
+    "harmonic_space",
+    "hodge_star",
+    "metric_independence_check",
+    "verify_laplacian_sum",
+    "verify_refined_identities",
+    "xi_operator",
+})
+
+
+def __getattr__(name):
+    # importlib, not `from . import flat`: the latter asks hasattr(plectic,
+    # "flat") first, which lands back here.
+    if name == "flat" or name in _FLAT_NAMES:
+        flat = importlib.import_module(".flat", __name__)
+        return flat if name == "flat" else getattr(flat, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _FLAT_NAMES | {"flat"})

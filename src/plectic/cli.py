@@ -17,7 +17,6 @@ import mpmath as mp
 
 from . import abeljacobi as aj
 from . import config as cfg
-from . import flat as fl
 from . import hodge as hg
 from . import serialize as ser
 from . import shimura as sh
@@ -94,6 +93,8 @@ def _parse_weights(text, n):
 
 
 def _flat_space(args, config):
+    from . import flat as fl
+
     if args.input:
         torus = ser.flat_torus_from_json(_load_input(args))
     else:
@@ -225,6 +226,8 @@ def cmd_torus_rm_algebraize(args, config):
 
 
 def cmd_flat_verify_identities(args, config):
+    from . import flat as fl
+
     space = _flat_space(args, config)
     rep = fl.verify_refined_identities(space, args.check_tolerance)
     payload = {
@@ -237,6 +240,8 @@ def cmd_flat_verify_identities(args, config):
 
 
 def cmd_flat_verify_laplacian(args, config):
+    from . import flat as fl
+
     space = _flat_space(args, config)
     rep = fl.verify_laplacian_sum(space, args.check_tolerance)
     payload = {
@@ -252,6 +257,8 @@ def cmd_flat_verify_laplacian(args, config):
 
 
 def cmd_flat_harmonic(args, config):
+    from . import flat as fl
+
     space = _flat_space(args, config)
     n = space.torus.n
     alpha = _parse_bits(args.alpha, n)
@@ -266,13 +273,15 @@ def cmd_flat_harmonic(args, config):
 
 
 def cmd_flat_extract_phs(args, config):
+    from . import flat as fl
+
     space = _flat_space(args, config)
     phs = fl.extract_plectic_structure(space, args.degree)
     return {"degree": args.degree, "structure": ser.phs_to_json(phs)}, True
 
 
 def cmd_flat_metric_independence(args, config):
-    import numpy as np
+    from . import flat as fl
 
     if args.n is None:
         raise InputError("--n is required")
@@ -280,13 +289,7 @@ def cmd_flat_metric_independence(args, config):
     wa = _parse_weights(args.weights_a, n)
     wb = _parse_weights(args.weights_b, n)
     torus = fl.FlatTorus.square(n, wa)
-    space = fl.build_space(torus, config.truncation)
-    rng = np.random.default_rng(config.seed)
-    psi = np.zeros(space.dim, dtype=complex)
-    t0 = space.type_index[((1,) + (0,) * (n - 1), (0,) * n)]
-    psi[space.index(fl._zero_freq_index(space), t0)] = 1.0
-    zeta = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    psi = psi + fl.apply_operator(fl.d_operator(space), zeta)
+    psi = fl.seeded_closed_form(fl.build_space(torus, config.truncation), config.seed)
     res = fl.metric_independence_check(torus, wa, wb, psi, config.truncation,
                                        args.check_tolerance)
     payload = {
@@ -312,15 +315,24 @@ def cmd_qsv_build(args, config):
     return payload, rep.passed
 
 
+def _cup_from_json(c) -> sh.CupOperator:
+    if not isinstance(c, dict):
+        raise InputError(f"strongly-primitive input: a cup must be an object, not {c!r}")
+    nu = c["nu"]
+    if isinstance(nu, bool) or not isinstance(nu, int):
+        raise InputError(f"strongly-primitive input: cup nu must be an integer, not {nu!r}")
+    return sh.CupOperator(nu, ser.int_rows_from_json(c["matrix"]),
+                          ser.phs_from_json(c["target"]))
+
+
 def cmd_qsv_strongly_primitive(args, config):
     obj = _load_input(args)
+    cups = obj.get("cups", [])
+    if not isinstance(cups, list):
+        raise InputError(f"strongly-primitive input: cups must be a list, not {cups!r}")
     try:
         h = ser.phs_from_json(obj["structure"])
-        cups = [
-            sh.CupOperator(int(c["nu"]), ser.int_rows_from_json(c["matrix"]),
-                           ser.phs_from_json(c["target"]))
-            for c in obj.get("cups", [])
-        ]
+        cups = [_cup_from_json(c) for c in cups]
     except KeyError as exc:
         raise InputError(f"strongly-primitive input: missing {exc}") from exc
     out = sh.strongly_primitive(h, cups, config.resolved_tolerance())

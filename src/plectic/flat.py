@@ -53,6 +53,7 @@ __all__ = [
     "harmonic_space",
     "hodge_star",
     "metric_independence_check",
+    "seeded_closed_form",
     "extract_plectic_structure",
     "ResidualReport",
     "LaplacianReport",
@@ -611,6 +612,18 @@ def metric_independence_check(torus: FlatTorus, weights_a, weights_b, coefficien
         "projection_difference": float(np.linalg.norm(delta)),
         "passed": bool(resid < tol),
     }
+
+
+def seeded_closed_form(space: FourierFormSpace, seed: int) -> np.ndarray:
+    """A closed form with a known class: dz_1 at frequency 0 plus d of a
+    complex Gaussian vector drawn from numpy's default_rng(seed)."""
+    n = space.torus.n
+    rng = np.random.default_rng(seed)
+    psi = np.zeros(space.dim, dtype=complex)
+    t0 = space.type_index[((1,) + (0,) * (n - 1), (0,) * n)]
+    psi[space.index(_zero_freq_index(space), t0)] = 1.0
+    zeta = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    return psi + apply_operator(d_operator(space), zeta)
 
 
 def _distance_to_image(op: OperatorMatrix, w: np.ndarray, delta: np.ndarray) -> float:

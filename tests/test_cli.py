@@ -303,6 +303,30 @@ def test_bad_rm_construct_json_exits_two(document, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _set_cups(cups):
+    return lambda doc: doc.update(cups=cups)
+
+
+def _set_nu(nu):
+    return lambda doc: doc["cups"][0].update(nu=nu)
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_cups(1), _set_cups("x"), _set_cups(None), _set_cups([[1]]), _set_cups([1]),
+    _set_nu([]), _set_nu(None), _set_nu({}), _set_nu(1.5), _set_nu("1"), _set_nu(True),
+], ids=["cups-int", "cups-string", "cups-null", "cup-list", "cup-int",
+        "nu-list", "nu-null", "nu-object", "nu-float", "nu-string", "nu-bool"])
+def test_malformed_cups_exit_two(mutate, fixtures, tmp_path, capsys):
+    doc = json.loads(pathlib.Path(fixtures["sp.json"]).read_text())
+    mutate(doc)
+    path = tmp_path / "sp.json"
+    path.write_text(json.dumps(doc))
+    code = main(["qsv", "strongly-primitive", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: strongly-primitive input:") and err.count("\n") == 1
+
+
 def _zero_period(doc):
     doc["periods"][0][0] = ["0", "0"]
 
@@ -414,8 +438,8 @@ def test_rm_construct_on_reducible_min_poly_exits_two(tmp_path, capsys):
     assert err.startswith("error:") and "irreducible" in err
 
 
-def _loaded_after_cli_import(module):
-    """Whether a fresh interpreter has `module` loaded after importing plectic.cli."""
+def _fresh_interpreter(probe):
+    """Standard output of `probe` run by a fresh interpreter on this plectic."""
     import os
     import subprocess
     import sys
@@ -423,9 +447,13 @@ def _loaded_after_cli_import(module):
     import plectic
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plectic.__file__)))
-    probe = f"import sys, plectic.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+def _loaded_after_cli_import(module):
+    """Whether a fresh interpreter has `module` loaded after importing plectic.cli."""
+    out = _fresh_interpreter(f"import sys, plectic.cli; print({module!r} in sys.modules)")
     return out.strip() == "True"
 
 
@@ -439,3 +467,60 @@ def test_cli_import_leaves_sympy_out():
 
 def test_cli_import_leaves_jsonschema_out():
     assert not _loaded_after_cli_import("jsonschema")
+
+
+def test_package_and_cli_import_leave_numpy_out():
+    out = _fresh_interpreter("import sys, plectic; a = 'numpy' in sys.modules; "
+                             "import plectic.cli; print(a, 'numpy' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
+def test_torus_command_leaves_numpy_out(fixtures, tmp_path):
+    argv = ["torus", "dual", "--input", fixtures["torus.json"],
+            "--output", str(tmp_path / "report.json")]
+    out = _fresh_interpreter(f"import sys; from plectic.cli import main; "
+                             f"print(main({argv!r}), 'numpy' in sys.modules)")
+    assert out.split() == ["0", "False"]
+
+
+def test_flat_command_in_fresh_interpreter(tmp_path):
+    """The first flat call of a process loads plectic.flat through the CLI;
+    nothing has imported it before."""
+    argv = ["flat", "harmonic", "--n", "1", "--truncation", "1", "--alpha", "1",
+            "--beta", "0", "--output", str(tmp_path / "report.json")]
+    out = _fresh_interpreter(f"import sys; from plectic.cli import main; "
+                             f"print('plectic.flat' in sys.modules, main({argv!r}))")
+    assert out.split() == ["False", "0"]
+    assert json.loads((tmp_path / "report.json").read_text())["payload"]["dimension"] == 1
+
+
+FLAT_EXPORTS = ["FlatTorus", "FourierFormSpace", "OperatorMatrix", "adjoint", "build_space",
+                "d_operator", "extract_plectic_structure", "harmonic_space", "hodge_star",
+                "metric_independence_check", "verify_laplacian_sum",
+                "verify_refined_identities", "xi_operator"]
+
+
+def test_flat_names_load_on_first_use():
+    probe = f"""
+import json, sys
+import plectic
+before = "plectic.flat" in sys.modules
+flat = getattr(plectic, "flat")
+names = {FLAT_EXPORTS!r}
+try:
+    plectic.no_such_name
+    missing = "resolved"
+except AttributeError:
+    missing = "AttributeError"
+print(json.dumps({{
+    "before": before,
+    "module": flat is sys.modules["plectic.flat"],
+    "same": [getattr(plectic, k) is getattr(flat, k) for k in names],
+    "in_dir": [k in dir(plectic) for k in names + ["flat"]],
+    "missing": missing,
+}}))
+"""
+    out = json.loads(_fresh_interpreter(probe))
+    assert out["before"] is False and out["module"] is True
+    assert all(out["same"]) and all(out["in_dir"])
+    assert out["missing"] == "AttributeError"
