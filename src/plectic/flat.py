@@ -14,8 +14,11 @@ operator is stored as scalar coefficients over such monomials, one
 polynomial per pair of types (see OperatorMatrix).  Sums, products and
 adjoints then change scalars only; arrays over the frequencies are formed
 where a number is read (norms, the Laplacian's diagonal, applying an
-operator), from monomial arrays each space forms once.  The Laplacian is a
-diagonal multiplier, and its kernel is where that multiplier vanishes.
+operator), and only for the operator's distinct polynomials.  Norms and the
+Laplacian's diagonal are reduced one block of at most _BLOCK frequencies at
+a time, so no array spans all frequencies times all refined types.  The
+Laplacian is a diagonal multiplier, and its kernel is where that
+multiplier vanishes.
 
 This module deliberately works in IEEE double precision (numpy); its
 acceptance tolerances are stated for that regime.
@@ -30,6 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
+
+_BLOCK = 4096  # frequencies per block of a reduction over the frequencies
 
 __all__ = [
     "FlatTorus",
@@ -146,24 +151,10 @@ class FourierFormSpace:
         self.gram = self._gram()
         self._cache = {}
         self.one = (0,) * (2 * n)  # exponents of the constant monomial
-        self._monomials = {self.one: np.ones(self.freq_count, dtype=np.complex128)}
 
     def variable(self, k: int) -> tuple:
         """Exponents of z_(k+1) for k < n, of conj(z_(k-n+1)) for n <= k < 2n."""
         return tuple(int(i == k) for i in range(2 * self.torus.n))
-
-    def monomial(self, e: tuple) -> np.ndarray:
-        """The monomial with exponent tuple e over the frequencies, formed
-        once per space: e has length 2n, e[j] is the power of
-        z_j = freq_cx[:, j] and e[n + j] the power of its conjugate."""
-        arr = self._monomials.get(e)
-        if arr is None:
-            k = max(i for i, p in enumerate(e) if p)
-            n = self.torus.n
-            z = self.freq_cx[:, k] if k < n else np.conj(self.freq_cx[:, k - n])
-            arr = self.monomial(e[:k] + (e[k] - 1,) + e[k + 1 :]) * z
-            self._monomials[e] = arr
-        return arr
 
     def _gram(self) -> np.ndarray:
         """Diagonal of the L^2 Gram matrix, one entry per refined type
@@ -201,15 +192,18 @@ class OperatorMatrix:
     scalar coefficients over frequency monomials.
 
     blocks[(dst, src)], for type indices dst and src, is a polynomial
-    {exponents: coefficient} in the frequency coordinates (see
-    FourierFormSpace.monomial): the operator sends the basis element of type
-    src at frequency m to the polynomial's value at m times the one of
-    type dst at the same frequency.  Absent pairs are zero.  +, -, scalar
-    *, @ (composition) and adjoint change coefficients only; multipliers()
-    forms the arrays.  A conjugate-linear operator (conjugates_argument,
-    the Hodge star) conjugates the coefficients of its argument first and
-    sends frequency m to -m; it may be scaled and added to another
-    conjugate-linear operator, but not composed or added to a linear one.
+    {exponents: coefficient} in the frequency coordinates: exponents has
+    length 2n, exponents[j] is the power of z_j = freq_cx[:, j] and
+    exponents[n + j] that of its conjugate.  The operator sends the basis
+    element of type src at frequency m to the polynomial's value at m
+    times the one of type dst at the same frequency.  Absent pairs are
+    zero.  +, -, scalar *, @ (composition) and adjoint change coefficients
+    only; multipliers() forms the arrays, and _frequency_blocks the
+    monomials one block of frequencies at a time.  A conjugate-linear
+    operator (conjugates_argument, the Hodge star) conjugates the
+    coefficients of its argument first and sends frequency m to -m; it may
+    be scaled and added to another conjugate-linear operator, but not
+    composed or added to a linear one.
     """
 
     space: FourierFormSpace
@@ -255,22 +249,66 @@ class OperatorMatrix:
 
     def multipliers(self):
         """(arrays, column): the multiplier of block key over the
-        frequencies is arrays[:, column[key]].  Blocks with equal
-        coefficients share a column, so each distinct one is formed once,
-        as one product of the monomials' arrays with the coefficients."""
-        distinct, column = {}, {}
-        for key, p in self.blocks.items():
-            column[key] = distinct.setdefault(tuple(sorted(p.items())), len(distinct))
-        monos = sorted({e for p in distinct for e, _ in p})
-        row = {e: i for i, e in enumerate(monos)}
-        coeffs = np.zeros((len(monos), len(distinct)), dtype=np.complex128)
-        for col, p in enumerate(distinct):
-            for e, c in p:
-                coeffs[row[e], col] = c
-        values = np.empty((self.space.freq_count, len(monos)), dtype=np.complex128)
+        frequencies is arrays[:, column[key]], one column per distinct
+        polynomial (see _polynomials)."""
+        monos, coeffs, column = _polynomials(self.blocks)
+        arrays = np.empty((self.space.freq_count, coeffs.shape[1]), dtype=np.complex128)
+        for rows, block in _frequency_blocks(self.space):
+            arrays[rows] = block.monomials(monos) @ coeffs
+        return arrays, column
+
+
+def _polynomials(blocks: dict):
+    """(monos, coeffs, column) for the blocks {key: polynomial}: the
+    monomials of the distinct polynomials, their coefficients (one row per
+    monomial, one column per distinct polynomial) and the column of each
+    key.  Blocks with equal coefficients share a column, so each distinct
+    multiplier is evaluated once."""
+    distinct, column = {}, {}
+    for key, p in blocks.items():
+        column[key] = distinct.setdefault(tuple(sorted(p.items())), len(distinct))
+    monos = sorted({e for p in distinct for e, _ in p})
+    row = {e: i for i, e in enumerate(monos)}
+    coeffs = np.zeros((len(monos), len(distinct)), dtype=np.complex128)
+    for col, p in enumerate(distinct):
+        for e, c in p:
+            coeffs[row[e], col] = c
+    return monos, coeffs, column
+
+
+def _frequency_blocks(space: FourierFormSpace):
+    """Yield (rows, block) over consecutive runs of at most _BLOCK
+    frequencies; block.monomials(monos) @ coeffs are the multipliers at
+    the frequencies rows (see _polynomials)."""
+    for start in range(0, space.freq_count, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        yield rows, _FrequencyBlock(space, rows)
+
+
+class _FrequencyBlock:
+    """Monomials at a run of frequencies, each formed once, from its
+    quotient by the last variable it contains."""
+
+    def __init__(self, space: FourierFormSpace, rows: slice):
+        z = space.freq_cx[rows].T
+        self.variables = np.concatenate([z, np.conj(z)])  # z_j, then conj(z_j)
+        self.known = {space.one: np.ones(self.variables.shape[1], dtype=np.complex128)}
+
+    def power_product(self, e: tuple) -> np.ndarray:
+        arr = self.known.get(e)
+        if arr is None:
+            k = max(i for i, p in enumerate(e) if p)
+            arr = self.power_product(e[:k] + (e[k] - 1,) + e[k + 1 :]) * self.variables[k]
+            self.known[e] = arr
+        return arr
+
+    def monomials(self, monos) -> np.ndarray:
+        """(rows, len(monos)) array of the monomials monos (exponent
+        tuples, see OperatorMatrix)."""
+        out = np.empty((self.variables.shape[1], len(monos)), dtype=np.complex128)
         for i, e in enumerate(monos):
-            values[:, i] = self.space.monomial(e)
-        return values @ coeffs, column
+            out[:, i] = self.power_product(e)
+        return out
 
 
 def build_space(torus: FlatTorus, truncation: int) -> FourierFormSpace:
@@ -403,10 +441,12 @@ def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
     to zero, so the assembly keeps only the diagonal terms and the
     result is type-block-diagonal by construction.  The measured maximum
     of the cross terms (floating-point noise only) is cached as
-    `laplacian_cross_max` and re-checked by verify_laplacian_sum; the
-    absolute values of the diagonal multipliers, (freq_count, type_count),
-    and their maximum (the operator norm) are cached as `laplacian_diag`
-    for the harmonic mask.
+    `laplacian_cross_max` and re-checked by verify_laplacian_sum.  For
+    the harmonic mask, `laplacian_diag` caches (absdiag, column, norm):
+    the absolute values of the distinct diagonal multipliers,
+    (freq_count, number of distinct ones), the column of absdiag that
+    holds type t's multiplier at column[t], and their maximum (the
+    operator norm).  They are formed one block of frequencies at a time.
     """
     key = "laplacian_d"
     if key in space._cache:
@@ -414,32 +454,45 @@ def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
     comps = _components(space)
     adjs = [adjoint(c) for c in comps]
     total = _sum((c @ a + a @ c for c, a in zip(comps, adjs)), "Delta_d")
-    cross_max = 0.0
-    for i, j in itertools.permutations(range(len(comps)), 2):
-        cross_max = max(cross_max, _maxabs(comps[i] @ adjs[j] + adjs[j] @ comps[i]))
-    arrays, column = total.multipliers()
-    absdiag = np.abs(arrays[:, [column[(t, t)] for t in range(space.type_count)]])
+    cross_max = _maxabs(*(comps[i] @ adjs[j] + adjs[j] @ comps[i]
+                          for i, j in itertools.permutations(range(len(comps)), 2)))
+    monos, coeffs, column = _polynomials(total.blocks)
+    diag = sorted({column[(t, t)] for t in range(space.type_count)})
+    type_column = np.array([diag.index(column[(t, t)]) for t in range(space.type_count)])
+    absdiag = np.empty((space.freq_count, len(diag)))
+    for rows, block in _frequency_blocks(space):
+        absdiag[rows] = np.abs(block.monomials(monos) @ coeffs[:, diag])
     norm = float(absdiag.max())  # the largest absolute row sum of a diagonal operator
     if cross_max > 1e-10 * max(1.0, norm):
         raise DegenerateInputError("Laplacian cross terms failed to anticommute")
     space._cache[key] = total
     space._cache["laplacian_cross_max"] = cross_max
-    space._cache["laplacian_diag"] = (absdiag, norm)
+    space._cache["laplacian_diag"] = (absdiag, type_column, norm)
     return total
 
 
-def _maxabs(op: OperatorMatrix) -> float:
-    """Largest absolute entry."""
-    return float(np.abs(op.multipliers()[0]).max(initial=0.0))
+def _maxabs(*ops: OperatorMatrix) -> float:
+    """Largest absolute entry of the operators, which share one space;
+    each block of frequencies forms their monomials once."""
+    polynomials = [_polynomials(op.blocks)[:2] for op in ops]
+    return max((float(np.abs(block.monomials(monos) @ coeffs).max(initial=0.0))
+                for _, block in _frequency_blocks(ops[0].space)
+                for monos, coeffs in polynomials), default=0.0)
 
 
 def _infnorm(op: OperatorMatrix) -> float:
-    """Largest absolute row sum."""
-    arrays, column = op.multipliers()
-    counts = np.zeros((arrays.shape[1], op.space.type_count))
+    """Largest absolute row sum.  The row sum of type dst adds the
+    absolute multipliers of the blocks (dst, src), so it is the product of
+    the absolute multipliers with column dst of a count matrix; types with
+    equal count columns have equal row sums, and only the distinct columns
+    are multiplied."""
+    monos, coeffs, column = _polynomials(op.blocks)
+    counts = np.zeros((coeffs.shape[1], op.space.type_count))
     for (dst, _), col in column.items():
         counts[col, dst] += 1
-    return float((np.abs(arrays) @ counts).max(initial=0.0))
+    counts = np.unique(counts, axis=1)
+    return max((float((np.abs(block.monomials(monos) @ coeffs) @ counts).max(initial=0.0))
+                for _, block in _frequency_blocks(op.space)), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -517,12 +570,13 @@ class HarmonicBasis:
         return out
 
 
-def _harmonic_mask(space: FourierFormSpace, tol: float = 1e-9) -> np.ndarray:
-    """(freq_count, type_count) mask where the Laplacian's diagonal
-    multiplier is at most tol times its norm (at least 1)."""
+def _harmonic_mask(space: FourierFormSpace, tol: float = 1e-9):
+    """(mask, column): mask[:, column[t]] marks the frequencies where the
+    Laplacian's diagonal multiplier on type t is at most tol times its
+    norm (at least 1); mask has one column per distinct multiplier."""
     laplacian_d(space)
-    absdiag, norm = space._cache["laplacian_diag"]
-    return absdiag <= tol * max(1.0, norm)
+    absdiag, column, norm = space._cache["laplacian_diag"]
+    return absdiag <= tol * max(1.0, norm), column
 
 
 def harmonic_space(space: FourierFormSpace, alpha, beta, tol: float = 1e-9) -> HarmonicBasis:
@@ -531,7 +585,8 @@ def harmonic_space(space: FourierFormSpace, alpha, beta, tol: float = 1e-9) -> H
     if (alpha, beta) not in space.type_index:
         raise InputError("unknown refined type")
     t = space.type_index[(alpha, beta)]
-    kernel = np.nonzero(_harmonic_mask(space, tol)[:, t])[0]
+    mask, column = _harmonic_mask(space, tol)
+    kernel = np.nonzero(mask[:, column[t]])[0]
     coeffs = np.zeros((space.freq_count, len(kernel)), dtype=np.complex128)
     coeffs[kernel, np.arange(len(kernel))] = 1.0
     return HarmonicBasis(space, alpha, beta, coeffs)
@@ -591,7 +646,13 @@ def metric_independence_check(torus: FlatTorus, weights_a, weights_b, coefficien
                               truncation: int, tol: float = 1e-9):
     """Compare harmonic projections of one closed form under two flat
     metrics; the residual is the distance of their difference to the
-    image of d (measured in the first metric)."""
+    image of d (measured in the first metric).
+
+    On a flat torus the Laplacian's kernel is the zero frequency for
+    every metric, so both projections are the restriction of the form to
+    frequency 0, their difference is exactly 0 and the check cannot fail:
+    it is a smoke check of the pipeline, not a test of the theorem.
+    """
     ta = FlatTorus(torus.factors, tuple(float(w) for w in weights_a))
     tb = FlatTorus(torus.factors, tuple(float(w) for w in weights_b))
     sa = FourierFormSpace(ta, truncation)
@@ -645,7 +706,8 @@ def _distance_to_image(op: OperatorMatrix, w: np.ndarray, delta: np.ndarray) -> 
 
 def _harmonic_projection(space: FourierFormSpace, psi: np.ndarray) -> np.ndarray:
     """psi restricted to the kernel of the (diagonal) Laplacian."""
-    return np.where(_harmonic_mask(space).ravel(), psi, 0)
+    mask, column = _harmonic_mask(space)
+    return np.where(mask[:, column].ravel(), psi, 0)
 
 
 def extract_plectic_structure(space: FourierFormSpace, degree: int):

@@ -34,8 +34,7 @@ from .tori import (
     detect_rm,
     jacobian_is_abelian_certificate,
 )
-from .tori import _generates_totally_real_field
-from .tori import _min_poly as _matrix_min_poly
+from .tori import _rm_poly
 
 __all__ = [
     "StronglyPrimitiveDatum",
@@ -349,8 +348,8 @@ def _hecke_rm(d: StronglyPrimitiveDatum, basis: IntMatrix, h_chi) -> RMStructure
         if not ok:
             continue
         restricted = IntMatrix.from_rows(cols).transpose()
-        p = _matrix_min_poly(restricted)
-        if not _generates_totally_real_field(p, want):
+        p = _rm_poly(restricted, want)
+        if p is None:
             continue
         if want == 1:
             return RMStructure(FieldOrder.rationals(), (IntMatrix.identity(basis.rows),))

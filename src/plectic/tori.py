@@ -343,39 +343,6 @@ def _bounded_lattice_elements(basis, height_bound):
 # ----------------------------------------------------------------------
 
 
-def _min_poly(N: IntMatrix) -> tuple:
-    """Minimal polynomial of a square integer matrix: monic, with integer
-    coefficients, highest degree first.
-
-    It is the first linear dependency among vec(I), vec(N), vec(N^2), ...
-    (Krylov), found by fraction-free elimination on Python ints: each power
-    is reduced against the echelon rows of the earlier ones, carrying its
-    combination of the powers, until one reduces to zero.  The monic
-    minimal polynomial divides the characteristic polynomial, so its
-    coefficients are integers (Gauss's lemma) and the last division is
-    exact.
-    """
-    n = N.rows
-    echelon = []  # (pivot column, reduced row, its combination of the powers)
-    P = IntMatrix.identity(n)
-    for k in range(n + 1):  # Cayley-Hamilton: a dependency by k = n
-        row = list(_vec(P))
-        combo = [int(j == k) for j in range(n + 1)]
-        for piv, erow, ecombo in echelon:
-            c = row[piv]
-            if c:
-                a = erow[piv]
-                row = [a * x - c * y for x, y in zip(row, erow)]
-                combo = [a * x - c * y for x, y in zip(combo, ecombo)]
-        if not any(row):
-            return tuple(c // combo[k] for c in reversed(combo[:k + 1]))
-        g = math.gcd(*row, *combo)
-        echelon.append((next(i for i, x in enumerate(row) if x),
-                        [x // g for x in row], [x // g for x in combo]))
-        P = P @ N
-    raise AssertionError("unreachable: the characteristic polynomial annihilates N")
-
-
 def _rm_poly(N: IntMatrix, g: int):
     """N's minimal polynomial (monic ints, highest degree first) when it is
     irreducible of degree g with all its roots real, else None; N is a
@@ -501,7 +468,9 @@ def _order_from_generator(N: IntMatrix, endo_basis, g: int):
                 raise DegenerateInputError("detected order is not closed under products")
             row.append(tuple(int(v) for v in sol))
         table.append(tuple(row))
-    coeffs = _min_poly(mats[1]) if g >= 2 else (1, -1)
+    coeffs = _rm_poly(mats[1], g) if g >= 2 else (1, -1)
+    if coeffs is None:
+        raise DegenerateInputError("the order's second basis element does not generate the field")
     if g == 2:
         tt, nn = -coeffs[1], coeffs[2]
         field = FieldOrder.quadratic(tt, nn)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 
 from conftest import subspace_distance
 from plectic import cxlinalg as cx
+from plectic import flat
 from plectic.errors import InputError
 from plectic.flat import (
     FlatTorus,
+    _components,
     _distance_to_image,
+    _harmonic_mask,
     _infnorm,
+    _maxabs,
     adjoint,
     apply_operator,
     build_space,
@@ -31,6 +36,7 @@ from plectic.flat import (
     verify_laplacian_sum,
     verify_refined_identities,
     xi_bar_operator,
+    xi_laplacians,
     xi_operator,
 )
 
@@ -425,3 +431,67 @@ def test_random_flat_tori(factors, truncation):
     for alpha, beta in s.types:
         assert harmonic_space(s, alpha, beta).dim == 1
 
+
+def _whole_array_norms(op):
+    """(largest absolute entry, largest absolute row sum) from the whole
+    (freq_count, distinct polynomials) array of multipliers() and its
+    (freq_count, type_count) expansion into row sums."""
+    arrays, column = op.multipliers()
+    rowsums = np.zeros((op.space.freq_count, op.space.type_count))
+    for (dst, _), col in column.items():
+        rowsums[:, dst] += np.abs(arrays[:, col])
+    return float(np.abs(arrays).max(initial=0.0)), float(rowsums.max(initial=0.0))
+
+
+def test_blockwise_reductions_match_whole_arrays_across_block_boundaries(monkeypatch):
+    """81 frequencies in blocks of 7 (11 whole blocks and one of 4) give the
+    norms and the harmonic mask of one whole-array evaluation."""
+    torus = FlatTorus(GENERIC.factors, (1.3, 0.7))
+    s = build_space(torus, 1)
+    assert s.freq_count == 81 and flat._BLOCK > s.freq_count  # one block by default
+    comps = _components(s)
+    adjs = [adjoint(c) for c in comps]
+    dd = laplacian_d(s)
+    l1, l2 = xi_laplacians(s)
+    xi_sum = l1 + l2
+    ops = [comps[i] @ adjs[j] + adjs[j] @ comps[i]
+           for i, j in itertools.permutations(range(len(comps)), 2)]
+    ops += [dd - 2 * xi_sum, dd - 0.5 * xi_sum, dd - 2 * laplacian(del_operator(s))]
+    ops += [d_operator(s), adjoint(d_operator(s))]  # row sums that differ by type
+    want = [_whole_array_norms(op) for op in ops]
+    scale = _whole_array_norms(dd)[1]
+    arrays, column = dd.multipliers()
+    absdiag = np.abs(arrays[:, [column[(t, t)] for t in range(s.type_count)]])
+    want_mask = absdiag <= 1e-9 * max(1.0, float(absdiag.max()))
+
+    monkeypatch.setattr(flat, "_BLOCK", 7)
+    for op, (maxabs_want, infnorm_want) in zip(ops, want):
+        assert abs(_maxabs(op) - maxabs_want) <= 1e-12 * max(maxabs_want, scale)
+        assert abs(_infnorm(op) - infnorm_want) <= 1e-12 * max(infnorm_want, scale)
+    assert want[-4][1] > 1.0  # the half-coefficient residual is not noise
+    assert _maxabs(*ops[:12]) == max(_maxabs(op) for op in ops[:12])
+    fresh = build_space(torus, 1)
+    mask, column = _harmonic_mask(fresh)
+    assert np.array_equal(mask[:, column], want_mask)
+    assert fresh._cache["laplacian_diag"][0].shape == (81, len(set(column.tolist())))
+    assert all(harmonic_space(fresh, a, b).dim == 1 for a, b in fresh.types)
+
+
+@pytest.mark.parametrize("step", ["verify_laplacian_sum", "harmonic_space"])
+def test_flat_reductions_bound_peak_memory(step):
+    """tracemalloc's peak, which counts numpy's buffers, over one step on a
+    fresh space at (n, N) = (3, 2), dimension 10^6: about 30 MB when the
+    reductions formed whole (freq_count, type_count) arrays, about 4 MB
+    block by block."""
+    s = build_space(FlatTorus.square(3, (1.0, 2.0, 3.0)), 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if step == "verify_laplacian_sum":
+            assert verify_laplacian_sum(s).passed
+        else:
+            assert harmonic_space(s, (1, 0, 0), (0, 1, 1)).dim == 1
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20

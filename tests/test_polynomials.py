@@ -1,8 +1,10 @@
 """The exact integer polynomial routines of plectic.tori and
 plectic.numberfields, checked against sympy (a test dependency only), and
-tori._rm_poly checked against the minimal-polynomial test it replaces."""
+tori._rm_poly checked against the minimal-polynomial test it replaces: the
+Krylov minimal polynomial, kept here as the reference."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,9 +18,42 @@ from plectic.numberfields import (
     _is_irreducible,
     _real_root_count,
 )
-from plectic.tori import _min_poly, _rm_poly
+from plectic.tori import _rm_poly
 
 X = sympy.Symbol("x")
+
+
+def krylov_min_poly(N: IntMatrix) -> tuple:
+    """Minimal polynomial of a square integer matrix: monic, with integer
+    coefficients, highest degree first.
+
+    It is the first linear dependency among vec(I), vec(N), vec(N^2), ...
+    (Krylov), found by fraction-free elimination on Python ints: each power
+    is reduced against the echelon rows of the earlier ones, carrying its
+    combination of the powers, until one reduces to zero.  The monic
+    minimal polynomial divides the characteristic polynomial, so its
+    coefficients are integers (Gauss's lemma) and the last division is
+    exact.
+    """
+    n = N.rows
+    echelon = []  # (pivot column, reduced row, its combination of the powers)
+    P = IntMatrix.identity(n)
+    for k in range(n + 1):  # Cayley-Hamilton: a dependency by k = n
+        row = [x for r in P.entries for x in r]
+        combo = [int(j == k) for j in range(n + 1)]
+        for piv, erow, ecombo in echelon:
+            c = row[piv]
+            if c:
+                a = erow[piv]
+                row = [a * x - c * y for x, y in zip(row, erow)]
+                combo = [a * x - c * y for x, y in zip(combo, ecombo)]
+        if not any(row):
+            return tuple(c // combo[k] for c in reversed(combo[:k + 1]))
+        g = math.gcd(*row, *combo)
+        echelon.append((next(i for i, x in enumerate(row) if x),
+                        [x // g for x in row], [x // g for x in combo]))
+        P = P @ N
+    raise AssertionError("unreachable: the characteristic polynomial annihilates N")
 
 
 def sympy_min_poly(N: IntMatrix):
@@ -50,7 +85,7 @@ square_matrices = st.integers(1, 6).flatmap(
 @given(square_matrices)
 def test_min_poly_matches_sympy(rows):
     N = IntMatrix.from_rows(rows)
-    assert _min_poly(N) == sympy_min_poly(N)
+    assert krylov_min_poly(N) == sympy_min_poly(N)
 
 
 @pytest.mark.parametrize("rows", [
@@ -62,7 +97,7 @@ def test_min_poly_matches_sympy(rows):
 ], ids=["zero", "scalar", "repeated-eigenvalue", "repeated-block", "jordan"])
 def test_min_poly_of_derogatory_matrices(rows):
     N = IntMatrix.from_rows(rows)
-    assert _min_poly(N) == sympy_min_poly(N)
+    assert krylov_min_poly(N) == sympy_min_poly(N)
 
 
 @pytest.mark.parametrize("expr, degree, expected", [
@@ -128,7 +163,7 @@ def test_sturm_count_and_irreducibility_match_sympy(p):
 
 def old_rm_poly(N: IntMatrix, g: int):
     """The per-candidate test `detect_rm` ran before `_rm_poly`."""
-    p = _min_poly(N)
+    p = krylov_min_poly(N)
     return p if _generates_totally_real_field(p, g) else None
 
 

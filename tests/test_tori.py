@@ -33,6 +33,7 @@ from plectic.tori import (
     steinitz_decompose,
     tori_isomorphic,
 )
+from test_polynomials import krylov_min_poly
 
 
 def elliptic(tau):
@@ -399,7 +400,7 @@ def min_poly_detect_rm(t: ComplexTorus, height_bound: int, field_hint=None):
     searched = basis[:6]
     for coeffs in coefficient_shells(len(searched), height_bound, positive_first=True):
         N = int_combination(coeffs, searched)
-        p = tori._min_poly(N)
+        p = krylov_min_poly(N)
         if not _generates_totally_real_field(p, t.g):
             continue
         if field_hint is not None and not tori._same_quadratic_field(p, field_hint):
