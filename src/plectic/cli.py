@@ -229,7 +229,7 @@ def cmd_flat_verify_identities(args, config):
     from . import flat as fl
 
     space = _flat_space(args, config)
-    rep = fl.verify_refined_identities(space, args.check_tolerance)
+    rep = fl.verify_refined_identities(space)
     payload = {
         "identity": rep.identity,
         "max_residual": repr(rep.max_residual),
@@ -243,7 +243,7 @@ def cmd_flat_verify_laplacian(args, config):
     from . import flat as fl
 
     space = _flat_space(args, config)
-    rep = fl.verify_laplacian_sum(space, args.check_tolerance)
+    rep = fl.verify_laplacian_sum(space)
     payload = {
         "sum_residual": repr(rep.sum_residual),
         "dolbeault_residual": repr(rep.dolbeault_residual),
@@ -519,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = flat.add_parser(name); _common_flags(p)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--weights", type=str, default=None)
-        p.add_argument("--check-tolerance", type=float, default=1e-10)
     p = flat.add_parser("harmonic"); _common_flags(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--weights", type=str, default=None)

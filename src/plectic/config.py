@@ -3,8 +3,9 @@
 The package works at a single configurable binary precision (default 128
 bits).  All tolerance defaults derive from it as 2**(-precision/2), so a
 caller who raises the precision automatically tightens every default
-check.  The flat-torus spectral module is the one deliberate exception:
-it runs in IEEE double precision and says so in its reports.
+check.  The flat-torus spectral module is the one exception: it decides
+its identities exactly on rational coefficients, and evaluates numbers
+over the frequencies in IEEE double precision.
 """
 
 from __future__ import annotations

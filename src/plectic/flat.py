@@ -3,38 +3,40 @@
 Basis elements are exp(2*pi*i <m, x>) dz_A ^ dzbar_B with m running over
 the dual lattice (coordinates bounded by the truncation) and one
 holomorphic / antiholomorphic bit per complex factor.  Trigonometric
-polynomials are closed under every operator built here, so residuals
-measure floating-point error only, never discretization error.
+polynomials are closed under every operator built here, so nothing is
+discretized.
 
 Every operator built here is diagonal in frequency and acts on the 4^n
 refined types by a fixed map (the Hodge star also negates frequencies).
 Its multiplier for a pair of refined types is a polynomial in the
 frequency coordinates z_j = freq_cx[:, j] and their conjugates, so an
-operator is stored as scalar coefficients over such monomials, one
-polynomial per pair of types (see OperatorMatrix).  Sums, products and
-adjoints then change scalars only; arrays over the frequencies are formed
-where a number is read (norms, the Laplacian's diagonal, applying an
-operator), and only for the operator's distinct polynomials.  Norms and the
-Laplacian's diagonal are reduced one block of at most _BLOCK frequencies at
-a time, so no array spans all frequencies times all refined types.  The
-Laplacian is a diagonal multiplier, and its kernel is where that
-multiplier vanishes.
-
-This module deliberately works in IEEE double precision (numpy); its
-acceptance tolerances are stated for that regime.
+operator is stored as coefficients over such monomials, one polynomial
+per pair of types (see OperatorMatrix).  The factor (pi i)^|e| of a
+monomial e is left out of its coefficient and the metric weights enter as
+the exact rationals of their floats, so the derivatives, their adjoints
+and everything composed from them have exact rational coefficients.  The
+refined identities, the Laplacian decomposition and the Laplacian's
+kernel are decided on those coefficients, exactly and for every
+truncation.  Arrays over the frequencies (numpy, IEEE double precision)
+are formed only where a number is read: the size of a nonzero residual,
+or an operator applied to a vector.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
+from . import cxlinalg as cx
+from .config import working_precision
 from .errors import DegenerateInputError, InputError
-
-_BLOCK = 4096  # frequencies per block of a reduction over the frequencies
 
 __all__ = [
     "FlatTorus",
@@ -162,8 +164,16 @@ class FourierFormSpace:
         vol = 1.0
         for (w1, w2), w in zip(self.torus.factors, self.torus.weights):
             vol *= w * abs(FlatTorus._area(complex(w1), complex(w2)))
-        return np.array([_slot_factor(self.torus.weights, alpha, beta, vol)
+        factors = [2.0 / w for w in self.torus.weights]
+        return np.array([_slot_factor(factors, alpha, beta, vol)
                          for alpha, beta in self.types])
+
+    @functools.cached_property
+    def slot_factors(self) -> list:
+        """Gram entry over the volume, one per refined type, exactly: the
+        weights enter as the rationals their floats are."""
+        factors = [2 / Fraction(w) for w in self.torus.weights]
+        return [_slot_factor(factors, alpha, beta, 1) for alpha, beta in self.types]
 
     def index(self, freq_idx: int, type_idx: int) -> int:
         return freq_idx * self.type_count + type_idx
@@ -179,10 +189,10 @@ class FourierFormSpace:
         return (self.negated_freq_indices()[:, None] * self.type_count + type_map).ravel()
 
 
-def _slot_factor(weights, alpha, beta, start=1.0) -> float:
-    """start times 2 / w_j for each set slot of alpha and of beta: the
-    squared length of dz_j and of dzbar_j is 2 / w_j."""
-    return math.prod((2.0 / w for w, a, b in zip(weights, alpha, beta) for bit in (a, b) if bit),
+def _slot_factor(factors, alpha, beta, start=1.0):
+    """start times factors[j] = 2 / w_j for each set slot of alpha and of
+    beta: the squared length of dz_j and of dzbar_j is 2 / w_j."""
+    return math.prod((f for f, a, b in zip(factors, alpha, beta) for bit in (a, b) if bit),
                      start=start)
 
 
@@ -192,14 +202,15 @@ class OperatorMatrix:
     scalar coefficients over frequency monomials.
 
     blocks[(dst, src)], for type indices dst and src, is a polynomial
-    {exponents: coefficient} in the frequency coordinates: exponents has
-    length 2n, exponents[j] is the power of z_j = freq_cx[:, j] and
-    exponents[n + j] that of its conjugate.  The operator sends the basis
-    element of type src at frequency m to the polynomial's value at m
-    times the one of type dst at the same frequency.  Absent pairs are
-    zero.  +, -, scalar *, @ (composition) and adjoint change coefficients
-    only; multipliers() forms the arrays, and _frequency_blocks the
-    monomials one block of frequencies at a time.  A conjugate-linear
+    {exponents: coefficient} in the frequency coordinates: exponents e has
+    length 2n, e[j] is the power of z_j = freq_cx[:, j] and e[n + j] that
+    of its conjugate, and coefficient c stands for c (pi i)^|e| times that
+    monomial, |e| = sum(e).  The operator sends the basis element of type
+    src at frequency m to the polynomial's value at m times the one of type
+    dst at the same frequency.  Absent pairs are zero.  Coefficients are
+    exact (int or Fraction) except the Hodge star's complex constants.  +,
+    -, scalar *, @ (composition) and adjoint change coefficients only;
+    multipliers() forms the arrays over the frequencies.  A conjugate-linear
     operator (conjugates_argument, the Hodge star) conjugates the
     coefficients of its argument first and sends frequency m to -m; it may
     be scaled and added to another conjugate-linear operator, but not
@@ -218,11 +229,11 @@ class OperatorMatrix:
         for key, p in other.blocks.items():
             acc = blocks.setdefault(key, {})
             for e, c in p.items():
-                acc[e] = acc.get(e, 0) + c
+                acc[e] = acc[e] + c if e in acc else c
         return OperatorMatrix(self.space, blocks, conjugates_argument=self.conjugates_argument)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + (-1.0) * other
+        return self + (-1) * other
 
     def __mul__(self, scalar) -> "OperatorMatrix":
         blocks = {key: {e: scalar * c for e, c in p.items()} for key, p in self.blocks.items()}
@@ -232,83 +243,55 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Composition: (self @ other) applies other first."""
-        if self.conjugates_argument or other.conjugates_argument:
-            raise InputError("composition is defined for linear operators only")
-        by_src = {}
-        for (dst, mid), a in self.blocks.items():
-            by_src.setdefault(mid, []).append((dst, a))
-        blocks = {}
-        for (mid, src), b in other.blocks.items():
-            for dst, a in by_src.get(mid, ()):
-                acc = blocks.setdefault((dst, src), {})
-                for ea, ca in a.items():
-                    for eb, cb in b.items():
-                        e = tuple(x + y for x, y in zip(ea, eb))
-                        acc[e] = acc.get(e, 0) + ca * cb
-        return OperatorMatrix(self.space, blocks)
+        return OperatorMatrix(self.space, _compose(self, other, {}))
 
     def multipliers(self):
-        """(arrays, column): the multiplier of block key over the
+        """(arrays, column): the multiplier of block key over all
         frequencies is arrays[:, column[key]], one column per distinct
-        polynomial (see _polynomials)."""
-        monos, coeffs, column = _polynomials(self.blocks)
-        arrays = np.empty((self.space.freq_count, coeffs.shape[1]), dtype=np.complex128)
-        for rows, block in _frequency_blocks(self.space):
-            arrays[rows] = block.monomials(monos) @ coeffs
+        polynomial; each monomial is formed once."""
+        distinct, column = {}, {}
+        for key, p in self.blocks.items():
+            column[key] = distinct.setdefault(tuple(sorted(p.items())), len(distinct))
+        z = self.space.freq_cx
+        variables = np.concatenate([z, np.conj(z)], axis=1)  # z_j, then conj(z_j)
+        monomials = {}
+        arrays = np.zeros((self.space.freq_count, len(distinct)), dtype=np.complex128)
+        for col, p in enumerate(distinct):
+            for e, c in p:
+                if e not in monomials:
+                    mono = np.full(len(variables), (1j * math.pi) ** sum(e))
+                    for k, power in enumerate(e):
+                        if power:
+                            mono *= variables[:, k] ** power
+                    monomials[e] = mono
+                arrays[:, col] += complex(c) * monomials[e]
         return arrays, column
 
-
-def _polynomials(blocks: dict):
-    """(monos, coeffs, column) for the blocks {key: polynomial}: the
-    monomials of the distinct polynomials, their coefficients (one row per
-    monomial, one column per distinct polynomial) and the column of each
-    key.  Blocks with equal coefficients share a column, so each distinct
-    multiplier is evaluated once."""
-    distinct, column = {}, {}
-    for key, p in blocks.items():
-        column[key] = distinct.setdefault(tuple(sorted(p.items())), len(distinct))
-    monos = sorted({e for p in distinct for e, _ in p})
-    row = {e: i for i, e in enumerate(monos)}
-    coeffs = np.zeros((len(monos), len(distinct)), dtype=np.complex128)
-    for col, p in enumerate(distinct):
-        for e, c in p:
-            coeffs[row[e], col] = c
-    return monos, coeffs, column
+    def is_zero(self) -> bool:
+        """Whether every coefficient is exactly zero."""
+        return not any(c for p in self.blocks.values() for c in p.values())
 
 
-def _frequency_blocks(space: FourierFormSpace):
-    """Yield (rows, block) over consecutive runs of at most _BLOCK
-    frequencies; block.monomials(monos) @ coeffs are the multipliers at
-    the frequencies rows (see _polynomials)."""
-    for start in range(0, space.freq_count, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        yield rows, _FrequencyBlock(space, rows)
+def _compose(a: OperatorMatrix, b: OperatorMatrix, blocks: dict) -> dict:
+    """blocks with the blocks of the composition a b (b first) added in."""
+    if a.conjugates_argument or b.conjugates_argument:
+        raise InputError("composition is defined for linear operators only")
+    by_src = {}
+    for (dst, mid), pa in a.blocks.items():
+        by_src.setdefault(mid, []).append((dst, pa))
+    for (mid, src), pb in b.blocks.items():
+        for dst, pa in by_src.get(mid, ()):
+            acc = blocks.setdefault((dst, src), {})
+            for ea, ca in pa.items():
+                for eb, cb in pb.items():
+                    e, c = tuple(map(operator.add, ea, eb)), ca * cb
+                    acc[e] = acc[e] + c if e in acc else c
+    return blocks
 
 
-class _FrequencyBlock:
-    """Monomials at a run of frequencies, each formed once, from its
-    quotient by the last variable it contains."""
-
-    def __init__(self, space: FourierFormSpace, rows: slice):
-        z = space.freq_cx[rows].T
-        self.variables = np.concatenate([z, np.conj(z)])  # z_j, then conj(z_j)
-        self.known = {space.one: np.ones(self.variables.shape[1], dtype=np.complex128)}
-
-    def power_product(self, e: tuple) -> np.ndarray:
-        arr = self.known.get(e)
-        if arr is None:
-            k = max(i for i, p in enumerate(e) if p)
-            arr = self.power_product(e[:k] + (e[k] - 1,) + e[k + 1 :]) * self.variables[k]
-            self.known[e] = arr
-        return arr
-
-    def monomials(self, monos) -> np.ndarray:
-        """(rows, len(monos)) array of the monomials monos (exponent
-        tuples, see OperatorMatrix)."""
-        out = np.empty((self.variables.shape[1], len(monos)), dtype=np.complex128)
-        for i, e in enumerate(monos):
-            out[:, i] = self.power_product(e)
-        return out
+def _anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+    """a b + b a, composed into one set of blocks."""
+    return OperatorMatrix(a.space, _compose(b, a, _compose(a, b, {})))
 
 
 def build_space(torus: FlatTorus, truncation: int) -> FourierFormSpace:
@@ -322,11 +305,11 @@ def _raise_sign(bits, j0) -> int:
 def _type_shift_operator(space, j0, kind) -> dict:
     """Blocks of a slot-raising operator; kind selects multiplier and slot."""
     if kind == "xi":
-        mono, coeff = space.variable(space.torus.n + j0), math.pi * 1j
+        mono = space.variable(space.torus.n + j0)
     elif kind == "xi_bar":
-        mono, coeff = space.variable(j0), math.pi * 1j
+        mono = space.variable(j0)
     else:  # e
-        mono, coeff = space.one, 1.0 + 0.0j
+        mono = space.one
     blocks = {}
     for t, (alpha, beta) in enumerate(space.types):
         if kind == "xi_bar":
@@ -339,7 +322,7 @@ def _type_shift_operator(space, j0, kind) -> dict:
                 continue
             t2 = space.type_index[(alpha[:j0] + (1,) + alpha[j0 + 1 :], beta)]
             sign = _raise_sign(alpha, j0)
-        blocks[(t2, t)] = {mono: sign * coeff}
+        blocks[(t2, t)] = {mono: sign}
     return blocks
 
 
@@ -365,7 +348,7 @@ def e_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
 
 def _diag_operator(space, k) -> dict:
     """pi i times the variable k on every type."""
-    return {(t, t): {space.variable(k): math.pi * 1j} for t in range(space.type_count)}
+    return {(t, t): {space.variable(k): 1} for t in range(space.type_count)}
 
 
 def partial_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
@@ -406,12 +389,14 @@ def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     """Adjoint for the inner product with diagonal Gram matrix:
     A* = G^-1 A^H G, so block (dst, src) with polynomial a becomes block
     (src, dst) with polynomial conj(a) G_dst / G_src: each coefficient is
-    conjugated and scaled, and z_j and conj(z_j) swap places."""
+    conjugated, times (-1)^|e| for the conjugate of (pi i)^|e|, and scaled
+    by the exact ratio of slot factors (the volume cancels), and z_j and
+    conj(z_j) swap places."""
     if op.conjugates_argument:
         raise InputError("adjoint is defined for linear operators only")
-    G = op.space.gram.tolist()
+    G = op.space.slot_factors
     n = op.space.torus.n
-    blocks = {(src, dst): {e[n:] + e[:n]: c.conjugate() * (G[dst] / G[src])
+    blocks = {(src, dst): {e[n:] + e[:n]: (-1) ** sum(e) * c.conjugate() * G[dst] / G[src]
                            for e, c in p.items()}
               for (dst, src), p in op.blocks.items()}
     return OperatorMatrix(op.space, blocks, op.name + "*")
@@ -419,7 +404,7 @@ def adjoint(op: OperatorMatrix) -> OperatorMatrix:
 
 def laplacian(op: OperatorMatrix) -> OperatorMatrix:
     a = adjoint(op)
-    return replace(op @ a + a @ op, name=f"Delta_{op.name}")
+    return replace(_anticommutator(op, a), name=f"Delta_{op.name}")
 
 
 def _components(space):
@@ -439,60 +424,42 @@ def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
     d splits into the 2n type-raising components; the diagonal terms
     P P* + P* P add up while every cross term P Q* + Q* P anticommutes
     to zero, so the assembly keeps only the diagonal terms and the
-    result is type-block-diagonal by construction.  The measured maximum
-    of the cross terms (floating-point noise only) is cached as
-    `laplacian_cross_max` and re-checked by verify_laplacian_sum.  For
-    the harmonic mask, `laplacian_diag` caches (absdiag, column, norm):
-    the absolute values of the distinct diagonal multipliers,
-    (freq_count, number of distinct ones), the column of absdiag that
-    holds type t's multiplier at column[t], and their maximum (the
-    operator norm).  They are formed one block of frequencies at a time.
+    result is type-block-diagonal by construction.  All (2n)(2n - 1)
+    cross terms are checked to have exactly zero coefficients first;
+    DegenerateInputError is raised otherwise.  The result is cached on
+    the space.
     """
     key = "laplacian_d"
     if key in space._cache:
         return space._cache[key]
     comps = _components(space)
     adjs = [adjoint(c) for c in comps]
-    total = _sum((c @ a + a @ c for c, a in zip(comps, adjs)), "Delta_d")
-    cross_max = _maxabs(*(comps[i] @ adjs[j] + adjs[j] @ comps[i]
-                          for i, j in itertools.permutations(range(len(comps)), 2)))
-    monos, coeffs, column = _polynomials(total.blocks)
-    diag = sorted({column[(t, t)] for t in range(space.type_count)})
-    type_column = np.array([diag.index(column[(t, t)]) for t in range(space.type_count)])
-    absdiag = np.empty((space.freq_count, len(diag)))
-    for rows, block in _frequency_blocks(space):
-        absdiag[rows] = np.abs(block.monomials(monos) @ coeffs[:, diag])
-    norm = float(absdiag.max())  # the largest absolute row sum of a diagonal operator
-    if cross_max > 1e-10 * max(1.0, norm):
+    if not all(_anticommutator(comps[i], adjs[j]).is_zero()
+               for i, j in itertools.permutations(range(len(comps)), 2)):
         raise DegenerateInputError("Laplacian cross terms failed to anticommute")
+    total = _sum((_anticommutator(c, a) for c, a in zip(comps, adjs)), "Delta_d")
     space._cache[key] = total
-    space._cache["laplacian_cross_max"] = cross_max
-    space._cache["laplacian_diag"] = (absdiag, type_column, norm)
     return total
 
 
-def _maxabs(*ops: OperatorMatrix) -> float:
-    """Largest absolute entry of the operators, which share one space;
-    each block of frequencies forms their monomials once."""
-    polynomials = [_polynomials(op.blocks)[:2] for op in ops]
-    return max((float(np.abs(block.monomials(monos) @ coeffs).max(initial=0.0))
-                for _, block in _frequency_blocks(ops[0].space)
-                for monos, coeffs in polynomials), default=0.0)
-
-
-def _infnorm(op: OperatorMatrix) -> float:
-    """Largest absolute row sum.  The row sum of type dst adds the
-    absolute multipliers of the blocks (dst, src), so it is the product of
-    the absolute multipliers with column dst of a count matrix; types with
-    equal count columns have equal row sums, and only the distinct columns
-    are multiplied."""
-    monos, coeffs, column = _polynomials(op.blocks)
-    counts = np.zeros((coeffs.shape[1], op.space.type_count))
+def _residual(op: OperatorMatrix) -> float:
+    """0.0 when every coefficient of op is exactly zero, else its largest
+    absolute row sum over the truncation box.  The row sum of type dst adds
+    the absolute multipliers of the blocks (dst, src), so it is the product
+    of the absolute multipliers with column dst of a count matrix; types
+    with equal count columns have equal row sums, and only the distinct
+    columns are multiplied.  inf when a coefficient exceeds the range of a
+    double."""
+    if op.is_zero():
+        return 0.0
+    try:
+        arrays, column = op.multipliers()
+    except OverflowError:
+        return math.inf
+    counts = np.zeros((arrays.shape[1], op.space.type_count))
     for (dst, _), col in column.items():
         counts[col, dst] += 1
-    counts = np.unique(counts, axis=1)
-    return max((float((np.abs(block.monomials(monos) @ coeffs) @ counts).max(initial=0.0))
-                for _, block in _frequency_blocks(op.space)), default=0.0)
+    return float((np.abs(arrays) @ np.unique(counts, axis=1)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -503,17 +470,17 @@ class ResidualReport:
     passed: bool
 
 
-def verify_refined_identities(space: FourierFormSpace, tol: float = 1e-10) -> ResidualReport:
-    """Max operator-norm residual of xi_j xi_k* + xi_k* xi_j over all
-    j != k."""
+def verify_refined_identities(space: FourierFormSpace) -> ResidualReport:
+    """Decide xi_j xi_k* + xi_k* xi_j = 0 for all j != k exactly on the
+    coefficients; max_residual is the largest _residual, 0.0 when the
+    identities hold."""
     n = space.torus.n
     xis = [xi_operator(space, j + 1) for j in range(n)]
     adjs = [adjoint(x) for x in xis]
-    worst = 0.0
-    for j, k in itertools.permutations(range(n), 2):
-        worst = max(worst, _infnorm(xis[j] @ adjs[k] + adjs[k] @ xis[j]))
+    ops = [_anticommutator(xis[j], adjs[k]) for j, k in itertools.permutations(range(n), 2)]
+    worst = max((_residual(op) for op in ops), default=0.0)
     dims = {"dim": space.dim, "n": n, "truncation": space.truncation}
-    return ResidualReport("anticommutators", worst, dims, worst < tol)
+    return ResidualReport("anticommutators", worst, dims, all(op.is_zero() for op in ops))
 
 
 @dataclass(frozen=True)
@@ -521,16 +488,17 @@ class LaplacianReport:
     sum_residual: float          # || Delta_d - 2 sum_j Delta_{xi_j} ||
     dolbeault_residual: float    # || Delta_d - 2 Delta_del ||
     half_sum_residual: float     # || Delta_d - (1/2) sum_j Delta_{xi_j} ||, reported only
-    cross_term_max: float        # largest off-diagonal anticommutator entry
+    cross_term_max: float        # 0.0: laplacian_d raises unless every cross term is zero
     block_diagonal_exact: bool
     dims: dict
     passed: bool
 
 
-def verify_laplacian_sum(space: FourierFormSpace, tol: float = 1e-10) -> LaplacianReport:
-    """Check the Laplacian decomposition: Delta_d = 2 sum_j Delta_{xi_j}
-    and Delta_d = 2 Delta_del, plus type-block diagonality (exact for
-    the assembled Laplacian).
+def verify_laplacian_sum(space: FourierFormSpace) -> LaplacianReport:
+    """Decide the Laplacian decomposition exactly on the coefficients:
+    Delta_d = 2 sum_j Delta_{xi_j} and Delta_d = 2 Delta_del, plus
+    type-block diagonality (exact for the assembled Laplacian).  Each
+    residual is _residual of the difference.
 
     The residual of the half-coefficient variant is measured and
     reported but is not part of the pass verdict: Delta_del equals the
@@ -538,16 +506,15 @@ def verify_laplacian_sum(space: FourierFormSpace, tol: float = 1e-10) -> Laplaci
     coefficient at 2.
     """
     dd = laplacian_d(space)
-    cross_max = space._cache.get("laplacian_cross_max", 0.0)
     s = _sum(xi_laplacians(space), "sum_j Delta_xi_j")
-    sum_res = _infnorm(dd - 2 * s)
-    half_res = _infnorm(dd - 0.5 * s)
-    dol_res = _infnorm(dd - 2 * laplacian(del_operator(space)))
+    sum_op = dd - 2 * s
+    dol_op = dd - 2 * laplacian(del_operator(space))
     block_ok = all(c == 0 for (dst, src), p in dd.blocks.items() if dst != src
                    for c in p.values())
     dims = {"dim": space.dim, "n": space.torus.n, "truncation": space.truncation}
-    passed = bool(sum_res < tol and dol_res < tol and cross_max < tol and block_ok)
-    return LaplacianReport(sum_res, dol_res, half_res, cross_max, block_ok, dims, passed)
+    passed = sum_op.is_zero() and dol_op.is_zero() and block_ok
+    return LaplacianReport(_residual(sum_op), _residual(dol_op),
+                           _residual(dd - Fraction(1, 2) * s), 0.0, block_ok, dims, passed)
 
 
 @dataclass(frozen=True)
@@ -570,23 +537,35 @@ class HarmonicBasis:
         return out
 
 
-def _harmonic_mask(space: FourierFormSpace, tol: float = 1e-9):
-    """(mask, column): mask[:, column[t]] marks the frequencies where the
-    Laplacian's diagonal multiplier on type t is at most tol times its
-    norm (at least 1); mask has one column per distinct multiplier."""
-    laplacian_d(space)
-    absdiag, column, norm = space._cache["laplacian_diag"]
-    return absdiag <= tol * max(1.0, norm), column
+def _kernel_factors(space: FourierFormSpace, t: int) -> tuple:
+    """The factors j on which the Laplacian's kernel on type t has z_j = 0.
+
+    Exactly, its diagonal coefficients on t are sum_j c_j z_j conj(z_j)
+    with every c_j of one sign, so it vanishes where z_j = 0 for every j
+    with c_j != 0.  DegenerateInputError if they have any other form."""
+    n = space.torus.n
+    squares = {tuple(int(i in (j, n + j)) for i in range(2 * n)): j for j in range(n)}
+    p = {e: c for e, c in laplacian_d(space).blocks.get((t, t), {}).items() if c}
+    if not set(p) <= set(squares) or len({c > 0 for c in p.values()}) > 1:
+        raise DegenerateInputError("the Laplacian's diagonal is not a definite sum of |z_j|^2")
+    return tuple(sorted(squares[e] for e in p))
 
 
-def harmonic_space(space: FourierFormSpace, alpha, beta, tol: float = 1e-9) -> HarmonicBasis:
-    """Kernel of the Hodge Laplacian on forms of one refined type."""
+def _harmonic_frequencies(space: FourierFormSpace, factors: tuple) -> np.ndarray:
+    """Mask of the frequencies with z_j = 0, that is with both digits of
+    factor j zero, for every j in factors (see _kernel_factors)."""
+    digits = space.freq_digits.reshape(space.freq_count, space.torus.n, 2)
+    return ~digits[:, list(factors)].any(axis=(1, 2))
+
+
+def harmonic_space(space: FourierFormSpace, alpha, beta) -> HarmonicBasis:
+    """Kernel of the Hodge Laplacian on forms of one refined type: the
+    unit vectors at the frequencies where its diagonal vanishes."""
     alpha, beta = tuple(alpha), tuple(beta)
     if (alpha, beta) not in space.type_index:
         raise InputError("unknown refined type")
-    t = space.type_index[(alpha, beta)]
-    mask, column = _harmonic_mask(space, tol)
-    kernel = np.nonzero(mask[:, column[t]])[0]
+    factors = _kernel_factors(space, space.type_index[(alpha, beta)])
+    kernel = np.nonzero(_harmonic_frequencies(space, factors))[0]
     coeffs = np.zeros((space.freq_count, len(kernel)), dtype=np.complex128)
     coeffs[kernel, np.arange(len(kernel))] = 1.0
     return HarmonicBasis(space, alpha, beta, coeffs)
@@ -602,6 +581,7 @@ def hodge_star(space: FourierFormSpace) -> OperatorMatrix:
     """
     n = space.torus.n
     weights = space.torus.weights
+    factors = [2.0 / w for w in weights]
     vol_coeff = 1.0 + 0.0j
     for w in weights:
         vol_coeff *= 1j * w / 2.0
@@ -613,7 +593,7 @@ def hodge_star(space: FourierFormSpace) -> OperatorMatrix:
         cal = tuple(1 - a for a in alpha)
         cbe = tuple(1 - b for b in beta)
         cslots = [j for j in range(n) if cal[j]] + [n + j for j in range(n) if cbe[j]]
-        c_b = _slot_factor(weights, alpha, beta) * vol_coeff * _perm_sign(slots + cslots)
+        c_b = _slot_factor(factors, alpha, beta) * vol_coeff * _perm_sign(slots + cslots)
         blocks[(space.type_index[(cal, cbe)], t)] = {space.one: complex(c_b)}
     return OperatorMatrix(space, blocks, "star", conjugates_argument=True)
 
@@ -706,14 +686,16 @@ def _distance_to_image(op: OperatorMatrix, w: np.ndarray, delta: np.ndarray) -> 
 
 def _harmonic_projection(space: FourierFormSpace, psi: np.ndarray) -> np.ndarray:
     """psi restricted to the kernel of the (diagonal) Laplacian."""
-    mask, column = _harmonic_mask(space)
-    return np.where(mask[:, column].ravel(), psi, 0)
+    factors = [_kernel_factors(space, t) for t in range(space.type_count)]
+    masks = {f: _harmonic_frequencies(space, f) for f in set(factors)}
+    return np.where(np.stack([masks[f] for f in factors], axis=1).ravel(), psi, 0)
 
 
 def extract_plectic_structure(space: FourierFormSpace, degree: int):
     """Plectic structure on the degree-k integral cohomology whose pieces
-    are the computed harmonic spaces."""
-    from . import cxlinalg as cx
+    are the computed harmonic spaces; the minors that span them are formed
+    in mpmath at working precision, and the structure is validated at the
+    default tolerance."""
     from .hodge import Bidegree, PlecticHodgeStructure, validate
     from .lattices import Lattice
 
@@ -722,10 +704,8 @@ def extract_plectic_structure(space: FourierFormSpace, degree: int):
         raise InputError("degree out of range")
     subsets = list(itertools.combinations(range(2 * n), degree))
     rank = len(subsets)
-    gens = []
-    for j, (w1, w2) in enumerate(space.torus.factors):
-        gens.append((j, complex(w1)))
-        gens.append((j, complex(w2)))
+    gens = [(j, mp.mpc(complex(w))) for j, pair in enumerate(space.torus.factors) for w in pair]
+    m0 = _zero_freq_index(space)
     pieces = {}
     total = 0
     for (alpha, beta) in space.types:
@@ -735,22 +715,18 @@ def extract_plectic_structure(space: FourierFormSpace, degree: int):
         total += hb.dim
         if hb.dim == 0:
             continue
-        m0 = _zero_freq_index(space)
         slot_rows = _slot_rows(alpha, beta, gens, n)
-        cols = []
-        for c in range(hb.dim):
-            coef = hb.coefficients[m0, c]
-            vec = [coef * _minor(slot_rows, subset) for subset in subsets]
-            cols.append(vec)
-        basis = cx.mpm([[cols[c][r] for c in range(hb.dim)] for r in range(rank)])
-        pieces[Bidegree(alpha, beta)] = basis
+        with working_precision():
+            minors = [_minor(slot_rows, subset) for subset in subsets]
+            pieces[Bidegree(alpha, beta)] = cx.mpm(
+                [[complex(coef) * m for coef in hb.coefficients[m0]] for m in minors])
     expected = math.comb(2 * n, degree)
     if total != expected:
         raise DegenerateInputError(
             f"harmonic rank {total} does not match the exterior-algebra count {expected}"
         )
     phs = PlecticHodgeStructure(n, Lattice.standard(rank), pieces)
-    report = validate(phs, tol=1e-7)
+    report = validate(phs)
     if not report.passed:
         raise DegenerateInputError("extracted structure failed validation")
     return phs
@@ -766,16 +742,19 @@ def _slot_rows(alpha, beta, gens, n):
     rows = []
     for j in range(n):
         if alpha[j]:
-            rows.append([lam if fj == j else 0.0 for (fj, lam) in gens])
+            rows.append([lam if fj == j else 0 for (fj, lam) in gens])
     for j in range(n):
         if beta[j]:
-            rows.append([np.conj(lam) if fj == j else 0.0 for (fj, lam) in gens])
+            rows.append([mp.conj(lam) if fj == j else 0 for (fj, lam) in gens])
     return rows
 
 
-def _minor(rows, subset):
-    k = len(rows)
-    if k == 0:
-        return 1.0 + 0.0j
-    m = np.array([[row[i] for i in subset] for row in rows], dtype=np.complex128)
-    return complex(np.linalg.det(m))
+def _minor(rows, cols):
+    """Determinant of the rows restricted to the columns cols, expanded
+    along the first row.  A row of factor j is zero off the two columns of
+    factor j, so at most 2^len(rows) terms survive."""
+    if not rows:
+        return mp.mpc(1)
+    first, rest = rows[0], rows[1:]
+    return mp.fsum((-1) ** i * first[c] * _minor(rest, cols[:i] + cols[i + 1:])
+                   for i, c in enumerate(cols) if first[c])

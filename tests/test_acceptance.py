@@ -56,7 +56,7 @@ def test_criterion_1_refined_identities():
             for _ in range(5):
                 weights = tuple(rng.uniform(0.5, 3.0, n))
                 space = build_space(FlatTorus.square(n, weights), N)
-                rep = verify_refined_identities(space, tol=1e-10)
+                rep = verify_refined_identities(space)
                 worst = max(worst, rep.max_residual)
     elapsed = time.monotonic() - t0
     ok = worst < 1e-10 and elapsed < 30.0
@@ -72,7 +72,7 @@ def test_criterion_2_laplacian_decomposition():
         for N in (1, 2):
             weights = tuple(rng.uniform(0.5, 3.0, n))
             space = build_space(FlatTorus.square(n, weights), N)
-            rep = verify_laplacian_sum(space, tol=1e-10)
+            rep = verify_laplacian_sum(space)
             worst_sum = max(worst_sum, rep.sum_residual)
             worst_dol = max(worst_dol, rep.dolbeault_residual)
             blocks_ok = blocks_ok and rep.block_diagonal_exact

@@ -184,11 +184,13 @@ def _within(new, old, tol):
 @pytest.mark.parametrize("command,argv_fn", COMMANDS, ids=[c for c, _ in COMMANDS])
 def test_report_matches_golden(command, argv_fn, fixtures):
     """Every report against the committed one (regenerate with
-    tests/golden/regen.py).  Reports of the `flat` group come from numpy
-    floating point, whose last bits move with the BLAS build, so their
-    numbers are held to the check tolerance they were decided with (1e-10
-    for extract-phs, which has none of its own); every other report is
-    pure mpmath and exact integer arithmetic and must match byte for byte."""
+    tests/golden/regen.py).  The `flat` group decides its verdicts and
+    harmonic dimensions exactly, but some of the numbers it reports (the
+    size of a nonzero residual, the metric-independence residuals) come
+    from numpy floating point, whose last bits move with the BLAS build, so
+    its numbers are held to 1e-10, or to metric-independence's own check
+    tolerance; every other report is pure mpmath and exact integer
+    arithmetic and must match byte for byte."""
     argv = argv_fn(fixtures)
     code, out = run(argv)
     golden = GOLDEN / f"{command}.json"
@@ -411,6 +413,28 @@ def test_thin_periods_decided_at_configured_precision(precision, want, tmp_path,
     assert (err == "") == (want == 0)
     if want == 2:
         assert "periods do not span a full lattice" in err
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["verify-laplacian", "--n", "2", "--truncation", "0", "--weights", "1e300,1e300"],
+     {"pass": True}),
+    (["harmonic", "--n", "2", "--truncation", "1", "--weights", "1e300,1e300",
+      "--alpha", "1,0", "--beta", "0,1"], {"dimension": 1}),
+    (["verify-identities", "--n", "2", "--truncation", "1", "--weights", "1e-170,1e-170"],
+     {"pass": True}),
+    (["extract-phs", "--n", "2", "--truncation", "0", "--degree", "1",
+      "--weights", "1e300,1e300"], {"degree": 1}),
+    (["verify-laplacian", "--n", "2", "--truncation", "1", "--weights", "1e-308,1e-308"],
+     {"pass": True, "half_sum_residual": "inf"}),
+], ids=["laplacian-huge", "harmonic-huge", "identities-tiny", "extract-huge", "laplacian-tiny"])
+def test_extreme_weights_are_decided_exactly(argv, want):
+    """Weights whose Gram entries overflow or underflow a double: the
+    verdicts and the harmonic kernel come from exact coefficients, so each
+    call passes."""
+    code, out = run(["flat"] + argv)
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert want.items() <= report["payload"].items()
 
 
 @pytest.mark.parametrize("argv,message", [
