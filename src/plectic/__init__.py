@@ -1,10 +1,9 @@
 """Plectic Hodge structures, complex tori with real multiplication,
 refined Hodge theory on flat tori, and plectic Abel-Jacobi maps.
 
-The flat-torus spectral model (`plectic.flat`) is the one module built on
-a float array library.  It is imported on first use of `plectic.flat` or
-of one of the names in `_FLAT_NAMES`, so the exact and mpmath layers load
-without that library.
+The flat-torus spectral model (`plectic.flat`) is imported on first use
+of `plectic.flat` or of one of the names in `_FLAT_NAMES`, so the exact
+and mpmath layers load without paying for its import.
 """
 
 import importlib

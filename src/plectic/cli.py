@@ -283,15 +283,9 @@ def cmd_flat_extract_phs(args, config):
 def cmd_flat_metric_independence(args, config):
     from . import flat as fl
 
-    if args.n is None:
-        raise InputError("--n is required")
-    n = args.n
-    wa = _parse_weights(args.weights_a, n)
-    wb = _parse_weights(args.weights_b, n)
-    torus = fl.FlatTorus.square(n, wa)
-    psi = fl.seeded_closed_form(fl.build_space(torus, config.truncation), config.seed)
-    res = fl.metric_independence_check(torus, wa, wb, psi, config.truncation,
-                                       args.check_tolerance)
+    wa = _parse_weights(args.weights_a, args.n)  # argparse requires --n here
+    wb = _parse_weights(args.weights_b, args.n)
+    res = fl.metric_independence_check(fl.FlatTorus.square(args.n, wa), wa, wb, config.truncation)
     payload = {
         "residual": repr(res["residual"]),
         "projection_difference": repr(res["projection_difference"]),
@@ -532,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weights-a", type=str, default=None)
     p.add_argument("--weights-b", type=str, default=None)
-    p.add_argument("--check-tolerance", type=float, default=1e-9)
 
     qsv = parser_group(groups, "qsv")
     sub(qsv, "build")

@@ -9,7 +9,7 @@ import pytest
 
 import plectic.serialize as ser
 from plectic import cxlinalg as cx
-from plectic.cli import build_parser, main
+from plectic.cli import main
 from plectic.config import set_precision
 from plectic.hodge import elliptic_h1, tensor
 from plectic.lattices import IntMatrix
@@ -162,44 +162,15 @@ def test_subcommand_passes_and_validates(command, argv_fn, fixtures):
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def _within(new, old, tol):
-    """Same keys, lengths, verdicts, integers and words; numbers (floats, and
-    strings that parse as one) within tol of each other."""
-    if new == old:
-        return True
-    if isinstance(old, dict):
-        return (isinstance(new, dict) and new.keys() == old.keys()
-                and all(_within(new[k], old[k], tol) for k in old))
-    if isinstance(old, list):
-        return (isinstance(new, list) and len(new) == len(old)
-                and all(_within(a, b, tol) for a, b in zip(new, old)))
-    if isinstance(old, (bool, int)) or isinstance(new, (bool, int)):
-        return False
-    try:
-        return abs(float(new) - float(old)) <= tol
-    except (TypeError, ValueError):
-        return False
-
-
 @pytest.mark.parametrize("command,argv_fn", COMMANDS, ids=[c for c, _ in COMMANDS])
 def test_report_matches_golden(command, argv_fn, fixtures):
     """Every report against the committed one (regenerate with
-    tests/golden/regen.py).  The `flat` group decides its verdicts and
-    harmonic dimensions exactly, but some of the numbers it reports (the
-    size of a nonzero residual, the metric-independence residuals) come
-    from numpy floating point, whose last bits move with the BLAS build, so
-    its numbers are held to 1e-10, or to metric-independence's own check
-    tolerance; every other report is pure mpmath and exact integer
-    arithmetic and must match byte for byte."""
-    argv = argv_fn(fixtures)
-    code, out = run(argv)
-    golden = GOLDEN / f"{command}.json"
+    tests/golden/regen.py), byte for byte: the `flat` numbers are exact
+    rationals or rounded once from an mpmath sum, and every other report is
+    mpmath and exact integer arithmetic."""
+    code, out = run(argv_fn(fixtures))
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[command]
-    if not command.startswith("flat."):
-        assert out == golden.read_text()
-        return
-    tol = getattr(build_parser().parse_args(argv), "check_tolerance", 1e-10)
-    assert _within(json.loads(out), json.loads(golden.read_text()), tol)
+    assert out == (GOLDEN / f"{command}.json").read_text()
 
 
 def test_all_published_schemas_are_exercised():
@@ -426,7 +397,10 @@ def test_thin_periods_decided_at_configured_precision(precision, want, tmp_path,
       "--weights", "1e300,1e300"], {"degree": 1}),
     (["verify-laplacian", "--n", "2", "--truncation", "1", "--weights", "1e-308,1e-308"],
      {"pass": True, "half_sum_residual": "inf"}),
-], ids=["laplacian-huge", "harmonic-huge", "identities-tiny", "extract-huge", "laplacian-tiny"])
+    (["metric-independence", "--n", "2", "--truncation", "1", "--weights-a", "1e300,1e300",
+      "--weights-b", "1,1"], {"passed": True, "residual": "0.0"}),
+], ids=["laplacian-huge", "harmonic-huge", "identities-tiny", "extract-huge", "laplacian-tiny",
+        "metric-huge"])
 def test_extreme_weights_are_decided_exactly(argv, want):
     """Weights whose Gram entries overflow or underflow a double: the
     verdicts and the harmonic kernel come from exact coefficients, so each
@@ -493,18 +467,17 @@ def test_cli_import_leaves_jsonschema_out():
     assert not _loaded_after_cli_import("jsonschema")
 
 
-def test_package_and_cli_import_leave_numpy_out():
-    out = _fresh_interpreter("import sys, plectic; a = 'numpy' in sys.modules; "
-                             "import plectic.cli; print(a, 'numpy' in sys.modules)")
-    assert out.split() == ["False", "False"]
-
-
-def test_torus_command_leaves_numpy_out(fixtures, tmp_path):
-    argv = ["torus", "dual", "--input", fixtures["torus.json"],
-            "--output", str(tmp_path / "report.json")]
-    out = _fresh_interpreter(f"import sys; from plectic.cli import main; "
-                             f"print(main({argv!r}), 'numpy' in sys.modules)")
-    assert out.split() == ["0", "False"]
+def test_golden_commands_leave_numpy_out(fixtures):
+    """All golden commands through cli.main in one fresh interpreter, with
+    their golden exit codes; no plectic module imports numpy."""
+    argvs = [argv_fn(fixtures) for _, argv_fn in COMMANDS]
+    out = _fresh_interpreter(
+        "import contextlib, io, json, sys; from plectic.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))")
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert json.loads(out) == [[codes[c] for c, _ in COMMANDS], False]
 
 
 def test_flat_command_in_fresh_interpreter(tmp_path):

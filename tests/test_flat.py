@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -14,13 +15,12 @@ from hypothesis import strategies as st
 from conftest import subspace_distance
 from plectic import cxlinalg as cx
 from plectic import flat
+from plectic.cli import main
 from plectic.errors import DegenerateInputError, InputError
 from plectic.flat import (
     FlatTorus,
-    _distance_to_image,
     _residual,
     adjoint,
-    apply_operator,
     build_space,
     d_operator,
     del_operator,
@@ -42,10 +42,77 @@ from plectic.flat import (
 GENERIC = FlatTorus(((1, 0.3 + 1.7j), (1, -0.2 + 0.9j)), (1.0, 1.0))
 
 
+def frequencies(space):
+    """Digits (F, 2n) and coordinates z (F, n) of every frequency in the
+    order of the basis: digits in [-N, N], lexicographic, so -m sits at
+    F - 1 - m and frequency 0 at (F - 1) / 2.  Factor j's dual generators
+    are the columns of the inverse of [[Re w1, Im w1], [Re w2, Im w2]]."""
+    n, N = space.torus.n, space.truncation
+    digits = np.array(list(itertools.product(range(-N, N + 1), repeat=2 * n)))
+    z = np.zeros((len(digits), n), dtype=complex)
+    for j, (w1, w2) in enumerate(space.torus.factors):
+        w1, w2 = complex(w1), complex(w2)
+        D = np.linalg.inv([[w1.real, w1.imag], [w2.real, w2.imag]])
+        z[:, j] = digits[:, 2 * j : 2 * j + 2] @ (D[0] + 1j * D[1])
+    return digits, z
+
+
+def multipliers(op):
+    """Each block's polynomial at every frequency in double precision: the
+    numpy evaluator that the exact coefficients are checked against."""
+    _, z = frequencies(op.space)
+    variables = np.concatenate([z, z.conj()], axis=1)
+    return {key: sum((complex(c) * (1j * np.pi) ** sum(e) * np.prod(variables ** np.array(e), axis=1)
+                      for e, c in p.items()), np.zeros(len(z), dtype=complex))
+            for key, p in op.blocks.items()}
+
+
+def apply(op, vec):
+    """op applied to a vector of length dim, or to each column of a (dim, k) array."""
+    s = op.space
+    v = np.asarray(vec).reshape((s.freq_count, s.type_count) + np.shape(vec)[1:])
+    v = np.conj(v) if op.conjugates_argument else v
+    out = np.zeros(v.shape, dtype=complex)
+    for (dst, src), values in multipliers(op).items():
+        out[:, dst] += values.reshape((-1,) + (1,) * (v.ndim - 2)) * v[:, src]
+    if op.conjugates_argument:
+        out = out[::-1]  # frequency m goes to -m
+    return out.reshape(np.shape(vec))
+
+
+def dense(op):
+    """Dense matrix of an operator, column by column from unit vectors."""
+    return apply(op, np.eye(op.space.dim))
+
+
 def maxabs(op):
     """Largest absolute entry of an operator."""
-    arrays, _ = op.multipliers()
-    return float(np.abs(arrays).max(initial=0.0))
+    return max((float(np.abs(v).max()) for v in multipliers(op).values()), default=0.0)
+
+
+def index(space, freq_idx, type_idx):
+    return freq_idx * space.type_count + type_idx
+
+
+def zero_freq(space):
+    return (space.freq_count - 1) // 2
+
+
+def conjugation(space):
+    """Index involution (m, alpha, beta) -> (-m, beta, alpha)."""
+    type_map = np.array([space.type_index[(beta, alpha)] for alpha, beta in space.types])
+    return (np.arange(space.freq_count)[::-1, None] * space.type_count + type_map).ravel()
+
+
+def harmonic_vectors(hb):
+    """The unit vectors that span a harmonic space, in the ambient form space."""
+    s = hb.space
+    digits, _ = frequencies(s)
+    freqs = np.nonzero(~digits.reshape(s.freq_count, s.torus.n, 2)[:, list(hb.factors)]
+                       .any(axis=(1, 2)))[0]
+    out = np.zeros((s.dim, len(freqs)), dtype=complex)
+    out[index(s, freqs, s.type_index[(hb.alpha, hb.beta)]), np.arange(len(freqs))] = 1.0
+    return out
 
 
 def coefficients(op):
@@ -54,24 +121,21 @@ def coefficients(op):
     return {key: p for key, p in out.items() if p}
 
 
-def dense(op):
-    """Dense matrix of an operator, column by column from unit vectors."""
-    return apply_operator(op, np.eye(op.space.dim))
-
-
 def test_space_dimensions():
     assert build_space(FlatTorus.square(1), 0).dim == 4
     assert build_space(FlatTorus.square(2), 1).dim == 3**4 * 16 == 1296
 
 
 def test_conjugation_involution_squares_to_identity():
-    s = build_space(FlatTorus.square(2), 1)
-    inv = s.conj_involution()
+    """Conjugation of forms is an involution and commutes with Delta_d,
+    which is type-diagonal, so it conjugates Delta_d's matrix."""
+    s = build_space(GENERIC, 1)
+    inv = conjugation(s)
     assert np.array_equal(inv[inv], np.arange(s.dim))
-    from plectic.flat import _zero_freq_index
-
-    assert np.array_equal(s.freq_digits[s.negated_freq_indices()], -s.freq_digits)
-    assert not s.freq_digits[_zero_freq_index(s)].any()
+    digits, _ = frequencies(s)
+    assert np.array_equal(digits[::-1], -digits) and not digits[zero_freq(s)].any()
+    D = dense(laplacian_d(s))
+    assert np.abs(D[np.ix_(inv, inv)] - D.conj()).max() <= 1e-12 * np.abs(D).max()
 
 
 def test_xi_nilpotent_and_sums_to_del():
@@ -86,10 +150,8 @@ def test_xi_nilpotent_and_sums_to_del():
 def test_xi_kills_constants():
     s = build_space(FlatTorus.square(1), 1)
     v = np.zeros(s.dim, dtype=complex)
-    from plectic.flat import _zero_freq_index
-
-    v[s.index(_zero_freq_index(s), s.type_index[((0,), (0,))])] = 1.0
-    assert np.abs(apply_operator(xi_operator(s, 1), v)).max() == 0.0
+    v[index(s, zero_freq(s), s.type_index[((0,), (0,))])] = 1.0
+    assert np.abs(apply(xi_operator(s, 1), v)).max() == 0.0
 
 
 def test_operator_grading():
@@ -176,14 +238,14 @@ def test_laplacian_assembly_matches_direct_product():
 
 def test_residual_is_the_largest_row_sum():
     """_residual against row sums over every (frequency, type) pair, on
-    operators whose row sums differ by type, and 0.0 on an exact zero."""
-    s = build_space(FlatTorus(GENERIC.factors, (1.3, 0.7)), 1)
+    operators whose row sums differ by type or whose monomials hold squares
+    (Delta_d d), and 0.0 on an exact zero."""
+    s = build_space(FlatTorus(((0.8 + 0.3j, -0.2 + 1.1j), (1.1 - 0.4j, 0.5 + 0.9j)), (1.3, 0.7)), 1)
     d = d_operator(s)
-    for op in (d, adjoint(d), laplacian_d(s)):
-        arrays, column = op.multipliers()
+    for op in (d, adjoint(d), laplacian_d(s), laplacian_d(s) @ d):
         rowsums = np.zeros((s.freq_count, s.type_count))
-        for (dst, _), col in column.items():
-            rowsums[:, dst] += np.abs(arrays[:, col])
+        for (dst, _), values in multipliers(op).items():
+            rowsums[:, dst] += np.abs(values)
         assert abs(_residual(op) - rowsums.max()) <= 1e-12 * rowsums.max()
     assert _residual(d - d) == 0.0
 
@@ -205,22 +267,25 @@ def test_betti_numbers():
 
 def test_harmonic_conjugation_symmetry():
     s = build_space(GENERIC, 1)
-    negf = s.negated_freq_indices()
     h = harmonic_space(s, (1, 0), (0, 1))
     hc = harmonic_space(s, (0, 1), (1, 0))
-    conj = np.conj(h.coefficients)[negf, :]
+    conj = np.conj(harmonic_vectors(h))[conjugation(s), :]
     # spans agree after conjugation and frequency negation
-    assert np.linalg.matrix_rank(np.hstack([conj, hc.coefficients])) == hc.dim
+    assert np.linalg.matrix_rank(np.hstack([conj, harmonic_vectors(hc)])) == hc.dim
 
 
 def test_kernel_of_laplacian_inside_kernel_of_d():
+    """Each harmonic space, from the numpy evaluator: Delta_d and d kill
+    its vectors, and it is all of Delta_d's kernel on its type."""
     s = build_space(GENERIC, 1)
-    d = d_operator(s)
-    for alpha, beta in s.types:
+    d, dd = d_operator(s), laplacian_d(s)
+    diagonal = multipliers(dd)
+    for t, (alpha, beta) in enumerate(s.types):
         hb = harmonic_space(s, alpha, beta)
-        vecs = hb.full_vectors()
-        if vecs.size:
-            assert np.abs(apply_operator(d, vecs)).max() < 1e-12
+        vecs = harmonic_vectors(hb)
+        assert np.abs(apply(d, vecs)).max() < 1e-12
+        assert np.abs(apply(dd, vecs)).max() < 1e-12
+        assert hb.dim == vecs.shape[1] == np.sum(np.abs(diagonal[(t, t)]) < 1e-12) == 1
 
 
 def test_ker_d_meets_image_of_dstar_trivially():
@@ -239,15 +304,13 @@ def test_ker_d_meets_image_of_dstar_trivially():
 def test_star_involution_sign_by_degree():
     s = build_space(FlatTorus.square(2, (1.0, 1.5)), 1)
     st = hodge_star(s)
-    from plectic.flat import _zero_freq_index
-
-    f0 = _zero_freq_index(s)
+    f0 = zero_freq(s)
     for t, (alpha, beta) in enumerate(s.types):
         k = sum(alpha) + sum(beta)
         v = np.zeros(s.dim, dtype=complex)
-        v[s.index(f0, t)] = 1.0
-        vv = apply_operator(st, apply_operator(st, v))
-        assert abs(vv[s.index(f0, t)] - (-1) ** k) < 1e-12
+        v[index(s, f0, t)] = 1.0
+        vv = apply(st, apply(st, v))
+        assert abs(vv[index(s, f0, t)] - (-1) ** k) < 1e-12
 
 
 def test_star_of_one_is_volume_form():
@@ -255,68 +318,68 @@ def test_star_of_one_is_volume_form():
     st = hodge_star(s)
     v = np.zeros(s.dim, dtype=complex)
     t0 = s.type_index[((0, 0), (0, 0))]
-    v[s.index(0, t0)] = 1.0
-    img = apply_operator(st, v)
+    v[index(s, 0, t0)] = 1.0
+    img = apply(st, v)
     top = s.type_index[((1, 1), (1, 1))]
     # omega^n/n! = prod_j (i h_j / 2) dz_j dzbar_j, reordered to canonical
     expect = (1j * 2.0 / 2) * (1j * 1.0 / 2) * (-1)  # interleave sign for n=2
-    assert abs(img[s.index(0, top)] - expect) < 1e-14
+    assert abs(img[index(s, 0, top)] - expect) < 1e-14
 
 
 def test_star_maps_harmonic_type_to_complement():
     s = build_space(GENERIC, 1)
     st = hodge_star(s)
     h = harmonic_space(s, (1, 0), (0, 1))
-    img = apply_operator(st, h.full_vectors()[:, 0])
-    target = harmonic_space(s, (0, 1), (1, 0)).full_vectors()[:, 0]
+    img = apply(st, harmonic_vectors(h)[:, 0])
+    target = harmonic_vectors(harmonic_space(s, (0, 1), (1, 0)))[:, 0]
     nz = np.nonzero(img)[0]
     assert set(nz) == set(np.nonzero(target)[0])
 
 
 def test_metric_independence_constant_form():
-    res = metric_independence_check(GENERIC, (1.0, 1.0), (0.5, 2.5),
-                                    _constant_plus_exact(GENERIC, exact=False), 1)
-    assert res["passed"] and res["projection_difference"] < 1e-12
+    """The exact verdict against the numpy evaluator: both metrics'
+    Laplacians vanish at the same (frequency, type) pairs, frequency 0 among
+    them, so they project the constant forms, and every other form, alike."""
+    res = metric_independence_check(GENERIC, (1.0, 1.0), (0.5, 2.5), 1)
+    assert res == {"residual": 0.0, "projection_difference": 0.0, "passed": True}
+    kernels = []
+    for weights in ((1.0, 1.0), (0.5, 2.5)):
+        s = build_space(FlatTorus(GENERIC.factors, weights), 1)
+        diagonal = multipliers(laplacian_d(s))
+        kernels.append(np.stack([np.abs(diagonal[(t, t)]) < 1e-12
+                                 for t in range(s.type_count)], axis=1))
+    assert np.array_equal(*kernels) and kernels[0][zero_freq(s)].all()
 
 
-def test_metric_independence_constant_plus_exact():
-    res = metric_independence_check(GENERIC, (1.0, 1.0), (0.5, 2.5),
-                                    _constant_plus_exact(GENERIC, exact=True), 1)
-    assert res["passed"] and res["residual"] < 1e-9
+def _drop_square(laplacian_d, weights, j):
+    """laplacian_d, except that on the space with these weights type 0's
+    diagonal loses its |z_j|^2 term."""
+    def mutated(space):
+        op = laplacian_d(space)
+        if space.torus.weights != weights:
+            return op
+        n = space.torus.n
+        square = tuple(int(i in (j, n + j)) for i in range(2 * n))
+        blocks = dict(op.blocks)
+        blocks[(0, 0)] = {e: c for e, c in op.blocks[(0, 0)].items() if e != square}
+        return replace(op, blocks=blocks)
+    return mutated
 
 
-def test_distance_to_image_matches_dense_least_squares():
-    s = build_space(FlatTorus(((1, 0.3 + 1.7j),), (1.7,)), 1)
-    d = d_operator(s)
-    w = np.sqrt(s.gram)
-    W = np.diag(np.tile(w, s.freq_count))
-    rng = np.random.default_rng(5)
-    delta = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
-    delta[: s.type_count] = 0  # one frequency with nothing to fit
-    x = np.linalg.lstsq(W @ dense(d), W @ delta, rcond=None)[0]
-    expect = np.linalg.norm(W @ (dense(d) @ x - delta))
-    assert abs(_distance_to_image(d, w, delta) - expect) < 1e-12 * expect
-
-
-def test_metric_independence_rejects_open_form():
-    s = build_space(GENERIC, 1)
-    rng = np.random.default_rng(2)
-    vec = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
-    with pytest.raises(InputError):
-        metric_independence_check(GENERIC, (1.0, 1.0), (0.5, 2.5), vec, 1)
-
-
-def _constant_plus_exact(torus, exact: bool):
-    s = build_space(torus, 1)
-    from plectic.flat import _zero_freq_index
-
-    psi = np.zeros(s.dim, dtype=complex)
-    psi[s.index(_zero_freq_index(s), s.type_index[((1, 0), (0, 1))])] = 1.0
-    if exact:
-        rng = np.random.default_rng(7)
-        zeta = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
-        psi = psi + apply_operator(d_operator(s), zeta)
-    return psi
+def test_metric_independence_fails_on_a_changed_kernel(capsys):
+    """With one |z_j|^2 dropped from the second metric's Laplacian, its
+    kernel on type 0 holds the 3^2 frequencies with z_2 = 0, which the first
+    one's does not: the check fails and the CLI exits 1."""
+    argv = ["flat", "metric-independence", "--n", "2", "--truncation", "1",
+            "--weights-a", "1,1", "--weights-b", "0.5,2.5"]
+    with mock.patch.object(flat, "laplacian_d", _drop_square(flat.laplacian_d, (0.5, 2.5), 0)):
+        res = metric_independence_check(GENERIC, (1.0, 1.0), (0.5, 2.5), 1)
+        code = main(argv)
+        s = build_space(FlatTorus(GENERIC.factors, (0.5, 2.5)), 1)
+        hb = harmonic_space(s, *s.types[0])
+    assert hb.factors == (1,) and hb.dim == harmonic_vectors(hb).shape[1] == 9
+    assert res == {"residual": math.inf, "projection_difference": math.inf, "passed": False}
+    assert code == 1 and json.loads(capsys.readouterr().out)["payload"]["passed"] is False
 
 
 def test_extract_elliptic():
@@ -360,8 +423,8 @@ def test_conjugate_linear_sum_keeps_the_flag():
     star = hodge_star(s)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
-    twice = apply_operator(2 * star, v)
-    assert np.abs(apply_operator(star + star, v) - twice).max() <= 1e-14 * np.abs(twice).max()
+    twice = apply(2 * star, v)
+    assert np.abs(apply(star + star, v) - twice).max() <= 1e-14 * np.abs(twice).max()
     assert (star + star).conjugates_argument and (star - 0.5 * star).conjugates_argument
 
 
@@ -410,19 +473,19 @@ def test_composition_matches_dense_product(generic_algebra):
     for (a, A, amax), (b, B, bmax) in itertools.product(ops, repeat=2):
         Bc = B[:, cols]
         rows = np.any(Bc, axis=1)  # the other rows of Bc add exact zeros to A @ Bc
-        _close(apply_operator(a @ b, unit), A[:, rows] @ Bc[rows], amax * bmax)
+        _close(apply(a @ b, unit), A[:, rows] @ Bc[rows], amax * bmax)
 
 
 def test_sum_matches_dense_sum(generic_algebra):
     s, ops, cols = generic_algebra
     unit = np.eye(s.dim)[:, cols]
     for (a, A, amax), (b, B, bmax) in itertools.combinations_with_replacement(ops, 2):
-        _close(apply_operator(a + b, unit), A[:, cols] + B[:, cols], max(amax, bmax))
+        _close(apply(a + b, unit), A[:, cols] + B[:, cols], max(amax, bmax))
 
 
 def test_adjoint_matches_dense_adjoint(generic_algebra):
     s, ops, _ = generic_algebra
-    g = np.tile(s.gram, s.freq_count)
+    g = np.tile([float(f) for f in s.slot_factors], s.freq_count)
     for a, A, amax in ops:
         _close(dense(adjoint(a)), (A.conj().T * g) / g[:, None], amax)
 
@@ -507,10 +570,10 @@ def test_identities_exact_on_random_rational_weights(factors):
 
 @pytest.mark.parametrize("step", ["verify_laplacian_sum", "harmonic_space"])
 def test_flat_reductions_bound_peak_memory(step):
-    """tracemalloc's peak, which counts numpy's buffers, over one step on a
-    fresh space at (n, N) = (3, 2), dimension 10^6: about 30 MB when the
-    reductions formed whole (freq_count, type_count) arrays, about 4 MB
-    block by block."""
+    """tracemalloc's peak over one step on a fresh space at (n, N) = (3, 2),
+    dimension 10^6.  The steps hold operator coefficients and no arrays
+    over the frequencies, about 0.4 MB; an array of one complex double
+    per basis element alone would take 16 MB."""
     s = build_space(FlatTorus.square(3, (1.0, 2.0, 3.0)), 2)
     tracemalloc.start()
     try:
