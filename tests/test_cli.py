@@ -467,6 +467,20 @@ def test_cli_import_leaves_jsonschema_out():
     assert not _loaded_after_cli_import("jsonschema")
 
 
+def test_package_and_cli_import_leave_numpy_out():
+    out = _fresh_interpreter("import sys, plectic; a = 'numpy' in sys.modules; "
+                             "import plectic.cli; print(a, 'numpy' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
+def test_torus_command_leaves_numpy_out(fixtures, tmp_path):
+    argv = ["torus", "dual", "--input", fixtures["torus.json"],
+            "--output", str(tmp_path / "report.json")]
+    out = _fresh_interpreter(f"import sys; from plectic.cli import main; "
+                             f"print(main({argv!r}), 'numpy' in sys.modules)")
+    assert out.split() == ["0", "False"]
+
+
 def test_golden_commands_leave_numpy_out(fixtures):
     """All golden commands through cli.main in one fresh interpreter, with
     their golden exit codes; no plectic module imports numpy."""
