@@ -12,7 +12,6 @@ from .config import DEFAULT_PRECISION, default_tolerance, get_precision, set_pre
 from .errors import DegenerateInputError, InputError, PlecticError, SearchExhaustedError
 from .lattices import (
     IntMatrix,
-    Lattice,
     hermite_normal_form,
     lattice_membership,
     smith_normal_form,

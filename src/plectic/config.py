@@ -4,8 +4,10 @@ The package works at a single configurable binary precision (default 128
 bits).  All tolerance defaults derive from it as 2**(-precision/2), so a
 caller who raises the precision automatically tightens every default
 check.  The flat-torus spectral module is the one exception: it decides
-its identities exactly on rational coefficients, and evaluates numbers
-over the frequencies in IEEE double precision.
+its identities, Laplacian kernels and metric independence exactly on
+rational coefficients, with no tolerance; it rounds each reported
+residual once to a double from an mpmath sum at 113 bits, and forms the
+periods of an extracted structure at the working precision.
 """
 
 from __future__ import annotations

@@ -16,8 +16,13 @@ by rounding, reached 18 ||A||_1 eps at that precision.  `inverse`,
 `solve` and `det` are built on `lu`; the first two raise
 `DegenerateInputError` on a singular matrix, and `det` returns 0.
 `lattice_lu` adds the test that lattice generators span: a Hadamard
-ratio at least the tolerance.  SVDs remain only where a basis is
-reported (`nullspace`, `lstsq`).
+ratio at least the tolerance.  mpmath's SVD remains behind `nullspace`,
+`lstsq` and `subspace_residual`, which both report bases and decide
+verdicts, at six call sites: `lstsq` in `shimura.strongly_primitive`;
+`subspace_residual` in `shimura._check_cup`, in
+`shimura.nu_hodge_structure` and in `tori.jacobian_is_abelian_certificate`;
+`nullspace` in `shimura._restrict_structure` and in `tori.algebraize_rm`.
+ROADMAP item 4 replaces them with one column-pivoted elimination.
 """
 
 from __future__ import annotations

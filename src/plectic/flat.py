@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -37,6 +37,7 @@ import mpmath as mp
 from . import cxlinalg as cx
 from .config import working_precision
 from .errors import DegenerateInputError, InputError
+from .lattices import fraction_to_mpf
 
 __all__ = [
     "FlatTorus",
@@ -81,14 +82,10 @@ class FlatTorus:
             raise InputError("one weight per factor required")
         if not all(math.isfinite(w) and w > 0 for w in self.weights):
             raise InputError("metric weights must be finite and positive")
-        for w1, w2 in self.factors:
-            area = self._area(complex(w1), complex(w2))
-            if area == 0 or not math.isfinite(area):
+        for pair in self.factors:
+            finite = all(math.isfinite(x) for w in map(complex, pair) for x in (w.real, w.imag))
+            if not finite or _real_generators(pair)[1] == 0:
                 raise InputError("factor lattice is degenerate or not finite")
-
-    @staticmethod
-    def _area(w1: complex, w2: complex) -> float:
-        return w1.real * w2.imag - w1.imag * w2.real
 
     @property
     def n(self) -> int:
@@ -106,11 +103,18 @@ class FlatTorus:
         columns of the inverse of [[Re w1, Im w1], [Re w2, Im w2]], with the
         generators' floats taken as the rationals they are."""
         out = []
-        for w1, w2 in self.factors:
-            (a, b), (c, d) = ((Fraction(w.real), Fraction(w.imag)) for w in map(complex, (w1, w2)))
-            det = a * d - b * c
+        for pair in self.factors:
+            ((a, b), (c, d)), det = _real_generators(pair)
             out.append(((d / det, -c / det), (-b / det, a / det)))
         return out
+
+
+def _real_generators(pair):
+    """The rows [Re w, Im w] of a factor's two finite generators, as the
+    exact rationals of their floats, and their determinant: the lattice is
+    degenerate exactly when it is 0."""
+    (a, b), (c, d) = ((Fraction(w.real), Fraction(w.imag)) for w in map(complex, pair))
+    return ((a, b), (c, d)), a * d - b * c
 
 
 class FourierFormSpace:
@@ -187,7 +191,6 @@ class OperatorMatrix:
 
     space: FourierFormSpace
     blocks: dict
-    name: str = ""
     conjugates_argument: bool = False
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -277,19 +280,19 @@ def xi_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
     type (alpha, beta) with alpha_j = 0 to (alpha + 1_j, beta) and kills
     the rest."""
     _check_j(space, j)
-    return OperatorMatrix(space, _type_shift_operator(space, j - 1, "xi"), f"xi_{j}")
+    return OperatorMatrix(space, _type_shift_operator(space, j - 1, "xi"))
 
 
 def xi_bar_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
     """The dzbar_j-component of the exterior derivative (1-based j)."""
     _check_j(space, j)
-    return OperatorMatrix(space, _type_shift_operator(space, j - 1, "xi_bar"), f"xibar_{j}")
+    return OperatorMatrix(space, _type_shift_operator(space, j - 1, "xi_bar"))
 
 
 def e_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
     """Wedge with dz_j."""
     _check_j(space, j)
-    return OperatorMatrix(space, _type_shift_operator(space, j - 1, "e"), f"e_{j}")
+    return OperatorMatrix(space, _type_shift_operator(space, j - 1, "e"))
 
 
 def _diag_operator(space, k) -> dict:
@@ -300,13 +303,13 @@ def _diag_operator(space, k) -> dict:
 def partial_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
     """Coefficientwise d/dz_j (diagonal in the Fourier basis)."""
     _check_j(space, j)
-    return OperatorMatrix(space, _diag_operator(space, space.torus.n + j - 1), f"partial_{j}")
+    return OperatorMatrix(space, _diag_operator(space, space.torus.n + j - 1))
 
 
 def partial_bar_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
     """Coefficientwise d/dzbar_j (diagonal in the Fourier basis)."""
     _check_j(space, j)
-    return OperatorMatrix(space, _diag_operator(space, j - 1), f"partialbar_{j}")
+    return OperatorMatrix(space, _diag_operator(space, j - 1))
 
 
 def _check_j(space, j):
@@ -314,21 +317,21 @@ def _check_j(space, j):
         raise InputError(f"factor index {j} out of range 1..{space.torus.n}")
 
 
-def _sum(ops, name) -> OperatorMatrix:
+def _sum(ops) -> OperatorMatrix:
     ops = iter(ops)
-    return replace(sum(ops, next(ops)), name=name)
+    return sum(ops, next(ops))
 
 
 def del_operator(space: FourierFormSpace) -> OperatorMatrix:
-    return _sum([xi_operator(space, j + 1) for j in range(space.torus.n)], "del")
+    return _sum([xi_operator(space, j + 1) for j in range(space.torus.n)])
 
 
 def delbar_operator(space: FourierFormSpace) -> OperatorMatrix:
-    return _sum([xi_bar_operator(space, j + 1) for j in range(space.torus.n)], "delbar")
+    return _sum([xi_bar_operator(space, j + 1) for j in range(space.torus.n)])
 
 
 def d_operator(space: FourierFormSpace) -> OperatorMatrix:
-    return _sum([del_operator(space), delbar_operator(space)], "d")
+    return _sum([del_operator(space), delbar_operator(space)])
 
 
 def adjoint(op: OperatorMatrix) -> OperatorMatrix:
@@ -345,12 +348,11 @@ def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     blocks = {(src, dst): {e[n:] + e[:n]: (-1) ** sum(e) * c.conjugate() * G[dst] / G[src]
                            for e, c in p.items()}
               for (dst, src), p in op.blocks.items()}
-    return OperatorMatrix(op.space, blocks, op.name + "*")
+    return OperatorMatrix(op.space, blocks)
 
 
 def laplacian(op: OperatorMatrix) -> OperatorMatrix:
-    a = adjoint(op)
-    return replace(_anticommutator(op, a), name=f"Delta_{op.name}")
+    return _anticommutator(op, adjoint(op))
 
 
 def _components(space):
@@ -383,7 +385,7 @@ def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
     if not all(_anticommutator(comps[i], adjs[j]).is_zero()
                for i, j in itertools.permutations(range(len(comps)), 2)):
         raise DegenerateInputError("Laplacian cross terms failed to anticommute")
-    total = _sum((_anticommutator(c, a) for c, a in zip(comps, adjs)), "Delta_d")
+    total = _sum(_anticommutator(c, a) for c, a in zip(comps, adjs))
     space._cache[key] = total
     return total
 
@@ -404,20 +406,14 @@ def _residual(op: OperatorMatrix) -> float:
         return 0.0
     n = op.space.torus.n
     with mp.workprec(113):
-        radii = [mp.sqrt(_mpf(r2)) for r2 in op.space.radii_squared]
+        radii = [mp.sqrt(fraction_to_mpf(r2)) for r2 in op.space.radii_squared]
         rows = {}
         for (dst, _), p in op.blocks.items():
             rows[dst] = rows.get(dst, 0) + mp.fsum(
-                _mpf(abs(c)) * mp.pi ** sum(e)
+                fraction_to_mpf(abs(c)) * mp.pi ** sum(e)
                 * mp.fprod(radii[k % n] ** power for k, power in enumerate(e))
                 for e, c in p.items())
         return float(max(rows.values()))
-
-
-def _mpf(q) -> mp.mpf:
-    """The rational q (an int, Fraction or float) at the working precision."""
-    q = Fraction(q)
-    return mp.mpf(q.numerator) / q.denominator
 
 
 @dataclass(frozen=True)
@@ -464,7 +460,7 @@ def verify_laplacian_sum(space: FourierFormSpace) -> LaplacianReport:
     coefficient at 2.
     """
     dd = laplacian_d(space)
-    s = _sum(xi_laplacians(space), "sum_j Delta_xi_j")
+    s = _sum(xi_laplacians(space))
     sum_op = dd - 2 * s
     dol_op = dd - 2 * laplacian(del_operator(space))
     block_ok = all(c == 0 for (dst, src), p in dd.blocks.items() if dst != src
@@ -539,7 +535,7 @@ def hodge_star(space: FourierFormSpace) -> OperatorMatrix:
         cslots = [j for j in range(n) if cal[j]] + [n + j for j in range(n) if cbe[j]]
         c_b = _slot_factor(factors, alpha, beta) * vol_coeff * _perm_sign(slots + cslots)
         blocks[(space.type_index[(cal, cbe)], t)] = {space.one: complex(c_b)}
-    return OperatorMatrix(space, blocks, "star", conjugates_argument=True)
+    return OperatorMatrix(space, blocks, conjugates_argument=True)
 
 
 def _perm_sign(seq) -> int:
@@ -579,7 +575,6 @@ def extract_plectic_structure(space: FourierFormSpace, degree: int):
     generators; they are formed in mpmath at working precision, and the
     structure is validated at the default tolerance."""
     from .hodge import Bidegree, PlecticHodgeStructure, validate
-    from .lattices import Lattice
 
     n = space.torus.n
     if not 0 <= degree <= 2 * n:
@@ -602,7 +597,7 @@ def extract_plectic_structure(space: FourierFormSpace, degree: int):
         raise DegenerateInputError(
             f"harmonic rank {total} does not match the exterior-algebra count {expected}"
         )
-    phs = PlecticHodgeStructure(n, Lattice.standard(rank), pieces)
+    phs = PlecticHodgeStructure(n, rank, pieces)
     report = validate(phs)
     if not report.passed:
         raise DegenerateInputError("extracted structure failed validation")

@@ -17,7 +17,7 @@ import mpmath as mp
 from . import cxlinalg as cx
 from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError
-from .lattices import IntMatrix, Lattice
+from .lattices import IntMatrix
 from .tori import ComplexTorus
 
 __all__ = [
@@ -83,14 +83,16 @@ def _as_bidegree(k) -> Bidegree:
 
 @dataclass(frozen=True)
 class PlecticHodgeStructure:
-    """Decomposition of (lattice (x) C) into bidegree pieces, each given
+    """Decomposition of (Z^rank (x) C) into bidegree pieces, each given
     by a complex basis matrix in lattice coordinates."""
 
     n: int
-    lattice: Lattice
+    rank: int
     pieces: dict
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise InputError("lattice rank must be nonnegative")
         norm = {}
         for k, v in self.pieces.items():
             bd = _as_bidegree(k)
@@ -102,10 +104,6 @@ class PlecticHodgeStructure:
                 continue
             norm[bd] = v
         object.__setattr__(self, "pieces", norm)
-
-    @property
-    def rank(self) -> int:
-        return self.lattice.rank
 
     def sorted_pieces(self):
         return sorted(self.pieces.items(), key=lambda kv: kv[0].key())
@@ -124,12 +122,8 @@ class PlecticHodgeStructure:
 class ClassicalHodgeStructure:
     """Classical (p, q)-decomposition, same storage conventions."""
 
-    lattice: Lattice
+    rank: int
     pieces: dict  # (p, q) -> basis matrix
-
-    @property
-    def rank(self) -> int:
-        return self.lattice.rank
 
     def sorted_pieces(self):
         return sorted(self.pieces.items(), key=lambda kv: kv[0])
@@ -203,7 +197,7 @@ def refine_to_classical(h: PlecticHodgeStructure) -> ClassicalHodgeStructure:
     for bd, basis in h.sorted_pieces():
         grouped.setdefault(bd.weights, []).append(basis)
     pieces = {pq: cx.hstack(mats) for pq, mats in grouped.items()}
-    return ClassicalHodgeStructure(h.lattice, pieces)
+    return ClassicalHodgeStructure(h.rank, pieces)
 
 
 def is_effective_weight_one(h: PlecticHodgeStructure) -> bool:
@@ -224,15 +218,14 @@ def hodge_filtration(h: PlecticHodgeStructure, j: int) -> mp.matrix:
 
 
 def tensor(a: PlecticHodgeStructure, b: PlecticHodgeStructure) -> PlecticHodgeStructure:
-    """Tensor product: lattices by Kronecker product, pieces by Kronecker
-    product at concatenated bidegrees."""
-    lattice = Lattice(a.lattice.ambient_rank * b.lattice.ambient_rank,
-                      a.lattice.basis.kron(b.lattice.basis))
+    """Tensor product: Z^(rank a) (x) Z^(rank b) = Z^(rank a * rank b) on
+    the Kronecker basis, pieces by Kronecker product at concatenated
+    bidegrees."""
     pieces = {}
     for bda, va in a.sorted_pieces():
         for bdb, vb in b.sorted_pieces():
             pieces[bda.concat(bdb)] = cx.kron(va, vb)
-    return PlecticHodgeStructure(a.n + b.n, lattice, pieces)
+    return PlecticHodgeStructure(a.n + b.n, a.rank * b.rank, pieces)
 
 
 def plectic_jacobian(h: PlecticHodgeStructure, j: int) -> ComplexTorus:
@@ -345,10 +338,10 @@ def elliptic_h1(omega1, omega2) -> PlecticHodgeStructure:
             Bidegree((1,), (0,)): hol,
             Bidegree((0,), (1,)): cx.conj(hol),
         }
-    return PlecticHodgeStructure(1, Lattice.standard(2), pieces)
+    return PlecticHodgeStructure(1, 2, pieces)
 
 
 def trivial_structure(n: int = 0) -> PlecticHodgeStructure:
     """Rank-one structure concentrated at bidegree (0, 0)."""
     pieces = {Bidegree((0,) * n, (0,) * n): cx.mpm([[1]])}
-    return PlecticHodgeStructure(n, Lattice.standard(1), pieces)
+    return PlecticHodgeStructure(n, 1, pieces)

@@ -2,13 +2,17 @@
 
 Everything here is exact: entries are Python ints or Fractions and no
 routine rounds, apart from :func:`lattice_membership`, which takes an
-explicit tolerance, and :func:`fraction_to_mpf`.
+explicit tolerance, and :func:`fraction_to_mpf`.  A lattice is a list of
+integer basis rows (or an :class:`IntMatrix` holding them).
 
 The Hermite normal form is the one lattice normal form: ranks, kernels,
 saturations, row-lattice bases, integer solves, lattice equality and
 torsion-free quotients all come from :func:`hermite_normal_form`, and
-every basis they return is the canonical (Hermite) one.  The Smith form
-is built from it too, for the elementary divisors.
+every basis they return is the canonical (Hermite) one.  It is also the
+one solve: :func:`solve_integer` reduces against it, and the exact
+rational inverse (:func:`fraction_inverse`) is the adjugate over the
+determinant, column by column from that solve.  The Smith form is built
+from it too, for the elementary divisors.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .errors import DegenerateInputError, InputError
 
 __all__ = [
     "IntMatrix",
-    "Lattice",
     "hermite_normal_form",
     "smith_normal_form",
     "torsion_free_quotient",
@@ -34,8 +37,8 @@ __all__ = [
     "row_lattice_basis",
     "saturation",
     "solve_integer",
-    "fraction_solve",
     "fraction_det",
+    "fraction_inverse",
     "lll_reduce",
     "coefficient_shells",
     "int_combination",
@@ -176,44 +179,6 @@ class IntMatrix:
         return cls(rows, cols, data)
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Full-rank-in-its-span sublattice of Z^ambient_rank, rows = generators."""
-
-    ambient_rank: int
-    basis: IntMatrix
-
-    def __post_init__(self):
-        if self.basis.cols != self.ambient_rank:
-            raise InputError("lattice basis width must equal ambient rank")
-        if self.basis.rows > 0 and self.basis.rank() != self.basis.rows:
-            raise InputError("lattice basis rows must be independent over Q")
-
-    @classmethod
-    def standard(cls, n: int) -> "Lattice":
-        return cls(n, IntMatrix.identity(n))
-
-    @classmethod
-    def from_rows(cls, ambient_rank: int, rows) -> "Lattice":
-        if not rows:
-            return cls(ambient_rank, IntMatrix(0, ambient_rank, ()))
-        return cls(ambient_rank, IntMatrix.from_rows(rows))
-
-    @property
-    def rank(self) -> int:
-        return self.basis.rows
-
-    def to_json(self) -> dict:
-        return {"ambient_rank": self.ambient_rank, "basis": self.basis.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Lattice":
-        try:
-            return cls(int(obj["ambient_rank"]), IntMatrix.from_json(obj["basis"]))
-        except KeyError as exc:
-            raise InputError(f"bad lattice JSON: missing {exc}") from exc
-
-
 def hermite_normal_form(m: IntMatrix):
     """Row Hermite normal form: returns (H, U) with U unimodular and U*m
     equal to H followed by m.rows - H.rows zero rows.
@@ -305,34 +270,6 @@ def _xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def fraction_solve(A, b):
-    """Solve the square rational system A x = b exactly; raises if singular.
-
-    A is a sequence of rows (ints or Fractions), b a sequence; returns a
-    tuple of Fractions.
-    """
-    return tuple(r[0] for r in _gauss_jordan(A, [[y] for y in b]))
-
-
-def _gauss_jordan(A, B):
-    """X with A X = B for the square rational A, by one Gauss-Jordan
-    elimination on the augmented rows [A | B]; raises if A is singular."""
-    n = len(A)
-    m = [[Fraction(x) for x in row] + [Fraction(y) for y in rhs] for row, rhs in zip(A, B)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            raise DegenerateInputError("singular rational system")
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return [tuple(row[n:]) for row in m]
-
-
 def fraction_det(A) -> Fraction:
     """Exact determinant of a square rational matrix: IntMatrix.det of the
     rows scaled by the lcm of their denominators, over those scales."""
@@ -343,9 +280,14 @@ def fraction_det(A) -> Fraction:
 
 
 def fraction_inverse(A: IntMatrix):
-    """Exact inverse of a nonsingular integer matrix, as Fraction rows,
-    from one elimination on [A | I]."""
-    return tuple(_gauss_jordan(A.entries, IntMatrix.identity(A.rows).entries))
+    """Exact inverse of a nonsingular integer matrix, as Fraction rows: the
+    adjugate over det(A), whose column j is the integer solution of
+    A x = det(A) e_j.  Raises DegenerateInputError when A is singular."""
+    det = A.det()
+    if det == 0:
+        raise DegenerateInputError("singular rational system")
+    cols = [solve_integer(A, [det * (i == j) for i in range(A.rows)]) for j in range(A.cols)]
+    return tuple(tuple(Fraction(c[i], det) for c in cols) for i in range(A.rows))
 
 
 def fraction_to_mpf(x) -> mp.mpf:
@@ -509,48 +451,50 @@ def lattices_equal(a_rows, b_rows) -> bool:
     return a == b
 
 
-def torsion_free_quotient(sub: Lattice, ambient: Lattice) -> Lattice:
-    """Basis of (ambient/sub) modulo torsion; representatives are returned
-    in ambient coordinates.
+def torsion_free_quotient(sub_rows, ambient_rows):
+    """Basis rows of (ambient/sub) modulo torsion; representatives are
+    returned in the coordinates that both row lists share.
 
-    With X the coordinates of sub in the ambient basis and K =
+    The ambient rows must be independent over Q and the sub rows must lie
+    in their lattice; InputError is raised otherwise.  With X the
+    coordinates of the sub rows in the ambient basis and K =
     kernel_integer(X), v -> K v maps the ambient lattice onto Z^rank(K)
     with kernel the saturation of sub, so integer right inverses of K
     represent the quotient's basis."""
-    if sub.ambient_rank != ambient.ambient_rank:
-        raise InputError("sub and ambient lattices live in different spaces")
-    at = ambient.basis.transpose()
+    ambient = IntMatrix.from_rows(ambient_rows)
+    if ambient.rank() != ambient.rows:
+        raise InputError("ambient lattice rows must be independent over Q")
+    at = ambient.transpose()
     coords = []
-    for row in sub.basis.entries:
+    for row in sub_rows:
         x = solve_integer(at, row)
         if x is None:
             raise InputError("sub lattice is not contained in the ambient lattice")
         coords.append(x)
     if not coords:
-        return Lattice(ambient.ambient_rank, ambient.basis)
+        return list(ambient.entries)
     ker = kernel_integer(IntMatrix.from_rows(coords))
     if not ker:
-        return Lattice.from_rows(ambient.ambient_rank, [])
+        return []
     K = IntMatrix.from_rows(ker)
-    reps = [at.apply(solve_integer(K, [int(i == j) for j in range(K.rows)]))
+    return [at.apply(solve_integer(K, [int(i == j) for j in range(K.rows)]))
             for i in range(K.rows)]
-    return Lattice.from_rows(ambient.ambient_rank, reps)
 
 
-def lattice_membership(v, L: Lattice, tol=None):
+def lattice_membership(v, basis: IntMatrix, tol=None):
     """Integer coordinates c with ||v - c^T basis|| < tol, or None.
 
-    v is a real vector of length L.ambient_rank; the least-squares system
-    is solved exactly in the integer Gram matrix of the basis, so only the
-    final residual is floating point.
+    v is a real vector of length basis.cols; the least-squares system is
+    solved exactly in the integer Gram matrix of the basis rows, so only
+    the final residual is floating point.
     """
     tol = resolve_tolerance(tol)
-    B = L.basis
+    B = basis
     if B.rows == 0:
         raise DegenerateInputError("membership in a rank-0 lattice")
     if B.rank() != B.rows:
         raise DegenerateInputError("rank-deficient embedding")
-    if len(v) != L.ambient_rank:
+    if len(v) != B.cols:
         raise InputError("vector length must equal the ambient rank")
     gram = (B @ B.transpose()).entries  # exact integer Gram
     with working_precision():

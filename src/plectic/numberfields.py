@@ -29,10 +29,10 @@ from .lattices import (
     IntMatrix,
     coefficient_shells,
     fraction_det,
-    fraction_solve,
     fraction_to_mpf,
     int_combination,
     row_lattice_basis,
+    solve_integer,
 )
 
 __all__ = ["FieldOrder", "FractionalIdealRep"]
@@ -396,18 +396,35 @@ class FractionalIdealRep:
         self._check_closure()
 
     def _check_closure(self):
+        # omega_0 = 1 (FieldOrder._check_table) maps the ideal to itself
+        for k in range(1, self.order.degree):
+            self.action(k)
+
+    def action(self, k: int) -> IntMatrix:
+        """Multiplication by the order's basis element omega_k on this
+        ideal's basis, as an integer matrix: column j holds the coordinates
+        of omega_k times basis row j.  Raises InputError when a product
+        lies outside the ideal."""
         d = self.order.degree
-        for k in range(d):
-            gen = _unit(d, k)
-            for row in self.basis:
-                prod = self.order.mul_coords(row, gen)
-                if not self._contains(prod):
-                    raise InputError("ideal basis is not closed under the order action")
+        cols = [self._coordinates(self.order.mul_coords(_unit(d, k), row)) for row in self.basis]
+        if None in cols:
+            raise InputError("ideal basis is not closed under the order action")
+        return IntMatrix.from_rows(cols).transpose()
 
     def _contains(self, x) -> bool:
-        coords = fraction_solve([[self.basis[j][i] for j in range(self.order.degree)]
-                                 for i in range(self.order.degree)], x)
-        return all(c.denominator == 1 for c in coords)
+        return self._coordinates(x) is not None
+
+    def _coordinates(self, x):
+        """Integer coordinates of the element x on the basis, or None when x
+        is not in the ideal: one solve_integer against the basis scaled by
+        the lcm of its denominators."""
+        scale = _denominator(self.basis)
+        y = [scale * Fraction(c) for c in x]
+        if any(c.denominator != 1 for c in y):
+            return None
+        d = self.order.degree
+        columns = IntMatrix.from_rows([[scale * row[i] for row in self.basis] for i in range(d)])
+        return solve_integer(columns, [int(c) for c in y])
 
     def norm(self) -> Fraction:
         """Index-style norm |det(basis)| relative to the order."""

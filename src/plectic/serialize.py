@@ -12,7 +12,7 @@ import mpmath as mp
 
 from .config import decimal_digits, working_precision
 from .errors import InputError
-from .lattices import IntMatrix, Lattice
+from .lattices import IntMatrix
 from .numberfields import FieldOrder
 
 __all__ = [
@@ -106,7 +106,7 @@ def phs_from_json(obj: dict):
             pieces[bd] = matrix_from_json(p["basis"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad plectic-structure JSON: {exc}") from exc
-    return PlecticHodgeStructure(n, Lattice.standard(rank), pieces)
+    return PlecticHodgeStructure(n, rank, pieces)
 
 
 def classical_to_json(h) -> dict:

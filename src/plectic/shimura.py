@@ -25,7 +25,7 @@ from .hodge import (
     check_morphism,
     validate,
 )
-from .lattices import IntMatrix, Lattice, kernel_integer, solve_integer
+from .lattices import IntMatrix, kernel_integer, solve_integer
 from .numberfields import FieldOrder
 from .tori import (
     ComplexTorus,
@@ -119,7 +119,7 @@ def build_plectic_from_frobenii(d: StronglyPrimitiveDatum, tol=None) -> PlecticH
             alpha = tuple(1 - b for b in beta)
             fr = d.frobenius_product(beta)
             pieces[Bidegree(alpha, beta)] = cx.mpm(fr.entries) * d.holo
-    phs = PlecticHodgeStructure(d.r, Lattice.standard(d.rank), pieces)
+    phs = PlecticHodgeStructure(d.r, d.rank, pieces)
     report = validate(phs, tol)
     if not report.passed:
         if report.span_defect >= tol:
@@ -184,7 +184,7 @@ def strongly_primitive(h: PlecticHodgeStructure, cups, tol=None) -> PlecticHodge
                     )
                 pieces[bd] = coords
         rank = len(kernel)
-    return PlecticHodgeStructure(h.n, Lattice.standard(rank), pieces)
+    return PlecticHodgeStructure(h.n, rank, pieces)
 
 
 def _check_cup(h: PlecticHodgeStructure, cup: CupOperator, tol):
@@ -238,9 +238,7 @@ def nu_hodge_structure(d: StronglyPrimitiveDatum, nu: int, tol=None) -> Classica
                 raise DegenerateInputError(
                     f"involution {mu} is not an automorphism of the {nu}-th structure"
                 )
-    return ClassicalHodgeStructure(
-        Lattice.standard(d.rank), {(1, 0): F1, (0, 1): C1}
-    )
+    return ClassicalHodgeStructure(d.rank, {(1, 0): F1, (0, 1): C1})
 
 
 def character_decompose(d: StronglyPrimitiveDatum, nu: int):
@@ -278,7 +276,6 @@ class QSVJacobianResult:
 
 
 def plectic_jacobian_qsv(d: StronglyPrimitiveDatum, nu: int,
-                         rm_hint: FieldOrder | None = None,
                          height_bound: int = 8, tol=None) -> QSVJacobianResult:
     """Jacobian of the nu-th weight-one structure, plus an algebraicity
     certificate on every character piece where a real-multiplication
@@ -297,16 +294,16 @@ def plectic_jacobian_qsv(d: StronglyPrimitiveDatum, nu: int,
                 certs[chi] = jacobian_is_abelian_certificate(h_chi, rm, tol=tol)
             else:
                 certs[chi] = jacobian_is_abelian_certificate(
-                    h_chi, _detected_rm(h_chi, rm_hint, height_bound), tol=tol
+                    h_chi, _detected_rm(h_chi, height_bound), tol=tol
                 )
         except DegenerateInputError:
             skipped.append(chi)
     return QSVJacobianResult(torus, certs, tuple(skipped))
 
 
-def _detected_rm(h_chi, rm_hint, height_bound):
+def _detected_rm(h_chi, height_bound):
     torus = h_chi.jacobian()
-    rm = detect_rm(torus, height_bound, field_hint=rm_hint)
+    rm = detect_rm(torus, height_bound)
     if rm is None:
         raise DegenerateInputError("no real multiplication detected")
     return rm
@@ -328,7 +325,7 @@ def _restrict_structure(h1: ClassicalHodgeStructure, basis: IntMatrix, tol):
         total = sum(v.cols for v in pieces.values())
         if total != basis.rows:
             raise DegenerateInputError("character piece is not compatible with F^1")
-    return ClassicalHodgeStructure(Lattice.standard(basis.rows), pieces)
+    return ClassicalHodgeStructure(basis.rows, pieces)
 
 
 def _hecke_rm(d: StronglyPrimitiveDatum, basis: IntMatrix, h_chi) -> RMStructure | None:

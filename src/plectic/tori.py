@@ -26,11 +26,8 @@ from .config import default_tolerance, resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError, SearchExhaustedError
 from .lattices import (
     IntMatrix,
-    Lattice,
     coefficient_shells,
     fraction_inverse,
-    fraction_solve,
-    fraction_to_mpf,
     int_combination,
     kernel_integer,
     lll_reduce,
@@ -452,9 +449,7 @@ def _order_from_generator(N: IntMatrix, endo_basis, g: int):
         raise DegenerateInputError("order lattice has unexpected rank")
     # normalize the basis so that the identity comes first
     ident = _vec(IntMatrix.identity(n))
-    quot = torsion_free_quotient(Lattice.from_rows(n * n, [ident]),
-                                 Lattice.from_rows(n * n, order_rows))
-    basis_vecs = [ident] + list(quot.basis.entries)
+    basis_vecs = [ident] + torsion_free_quotient([ident], order_rows)
     mats = [_unvec(v, n, n) for v in basis_vecs]
     # multiplication table over the normalized basis, exact
     Bt = IntMatrix.from_rows(basis_vecs).transpose()
@@ -506,7 +501,7 @@ def construct_rm_torus(field: FieldOrder, z, ideal: FractionalIdealRep | None = 
         action = []
         for k in range(d):
             Mk = field.mult_matrix(_unit(d, k))
-            Ck = _ideal_action(field, ideal, k)
+            Ck = ideal.action(k).entries
             n = 2 * d
             rows = [[0] * n for _ in range(n)]
             for i in range(d):
@@ -516,20 +511,6 @@ def construct_rm_torus(field: FieldOrder, z, ideal: FractionalIdealRep | None = 
             action.append(IntMatrix.from_rows(rows))
         rm = RMStructure(field, tuple(action))
         return ComplexTorus(d, periods, rm=rm)
-
-
-def _ideal_action(field: FieldOrder, ideal: FractionalIdealRep, k: int):
-    """Integer matrix of multiplication by basis element k on the ideal."""
-    d = field.degree
-    cols = []
-    Bt = [[ideal.basis[j][i] for j in range(d)] for i in range(d)]
-    for j in range(d):
-        prod = field.mul_coords(_unit(d, k), ideal.basis[j])
-        sol = fraction_solve(Bt, prod)
-        if any(s.denominator != 1 for s in sol):
-            raise InputError("ideal is not closed under the order action")
-        cols.append([int(s) for s in sol])
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
 def enlarge_to_maximal(t: ComplexTorus, rm: RMStructure):
@@ -560,35 +541,27 @@ def enlarge_to_maximal(t: ComplexTorus, rm: RMStructure):
     shifted = A + IntMatrix.identity(n).scale(a)
     stacked = [list(r) for r in IntMatrix.identity(n).scale(f).entries]
     stacked += [list(r) for r in shifted.transpose().entries]  # columns generate the image
-    H = row_lattice_basis(IntMatrix.from_rows(stacked))  # spans f * Lambda'
-    Hm = IntMatrix.from_rows(H)
-    Hfrac = [[Fraction(Hm.entries[j][i], f) for j in range(n)] for i in range(n)]  # columns=gens
+    Ht = IntMatrix.from_rows(row_lattice_basis(IntMatrix.from_rows(stacked))).transpose()
+    # the columns of Ht span f * Lambda', so those of Ht / f are the new basis
     with working_precision():
-        T = cx.mpm([[fraction_to_mpf(x) for x in r] for r in Hfrac])
-        new_periods = t.periods * T
-    # (H^T / f)^-1 = f (H^T)^-1 expresses the old basis in the new one
-    inclusion_frac = [[f * x for x in r] for r in fraction_inverse(Hm.transpose())]
-    # action of the maximal-order generator on the new basis, exact
-    gen_old = [[Fraction(x, f) for x in r] for r in shifted.entries]
-    new_gen = _rational_matmul(inclusion_frac, _rational_matmul(gen_old, Hfrac))
-    if any(x.denominator != 1 for r in new_gen for x in r):
+        new_periods = t.periods * (cx.mpm(Ht.entries) / f)
+    # the generator shifted / f on the new basis: Ht^-1 (shifted Ht) / f, exact
+    product = (shifted @ Ht).transpose()
+    cols = [solve_integer(Ht, col) for col in product.entries]
+    if any(c is None or any(x % f for x in c) for c in cols):
         raise DegenerateInputError("enlarged lattice is not stable under the maximal order")
-    Agen = IntMatrix.from_rows([[int(x) for x in r] for r in new_gen])
+    Agen = IntMatrix.from_rows([[x // f for x in c] for c in cols]).transpose()
     tmax = (t0 + 2 * a) // f
     nmax = (a * a + a * t0 + n0) // (f * f)
     field_max = FieldOrder.quadratic(tmax, nmax, is_maximal=True)
     rm_max = RMStructure(field_max, (IntMatrix.identity(n), Agen))
-    if any(x.denominator != 1 for r in inclusion_frac for x in r):
+    # (Ht / f)^-1 = f Ht^-1 expresses the old basis in the new one
+    cols = [solve_integer(Ht, [f * (i == j) for i in range(n)]) for j in range(n)]
+    if None in cols:
         raise DegenerateInputError("old lattice does not embed in the enlarged one")
-    inclusion = IntMatrix.from_rows([[int(x) for x in r] for r in inclusion_frac])
+    inclusion = IntMatrix.from_rows(cols).transpose()
     new_t = ComplexTorus(t.g, new_periods, rm=rm_max)
     return new_t, rm_max, inclusion
-
-
-def _rational_matmul(A, B):
-    """A B for rational square matrices given as row lists."""
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 def steinitz_decompose(rm: RMStructure):

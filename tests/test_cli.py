@@ -37,7 +37,7 @@ def write_fixtures(root):
 
     import plectic.hodge as hg
 
-    bad = hg.PlecticHodgeStructure(1, hg.Lattice.standard(2), {
+    bad = hg.PlecticHodgeStructure(1, 2, {
         hg.Bidegree((1,), (0,)): cx.mpm([[1], [tau]]),
         hg.Bidegree((0,), (1,)): cx.mpm([[1], [mp.mpc("0.5", "0.9")]]),
     })
@@ -63,7 +63,7 @@ def write_fixtures(root):
     d2 = StronglyPrimitiveDatum(2, (flip.kron(i2), i2.kron(flip)), W)
     dump("datum.json", ser.datum_to_json(d2))
 
-    target = hg.PlecticHodgeStructure(2, hg.Lattice.standard(2), {
+    target = hg.PlecticHodgeStructure(2, 2, {
         hg.Bidegree((1, 0), (1, 0)): cx.mpm([[1, 0], [0, 1]]),
     })
     dump("sp.json", {
@@ -423,6 +423,30 @@ def test_bad_flat_torus_exits_two(argv, message, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+@pytest.mark.parametrize("argv", [
+    ["verify-identities"],
+    ["verify-laplacian"],
+    ["harmonic", "--alpha", "1", "--beta", "0"],
+    ["extract-phs", "--degree", "1"],
+], ids=["identities", "laplacian", "harmonic", "extract-phs"])
+def test_extreme_generators_are_decided_exactly(tmp_path, scale, argv):
+    """Generators whose float area overflows or underflows a double: the
+    lattice is judged degenerate or not on the exact rationals of its
+    floats, so each call passes."""
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"factors": [[[scale, "0"], ["0", scale]]], "weights": [1]}))
+    code, _ = run(["flat"] + argv + ["--truncation", "1", "--input", str(path)])
+    assert code == 0
+
+
+def test_collinear_flat_generators_exit_two(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"factors": [[["1", "0"], ["2", "0"]]], "weights": [1]}))
+    code = main(["flat", "verify-identities", "--truncation", "1", "--input", str(path)])
+    assert code == 2 and "degenerate" in capsys.readouterr().err
 
 
 def test_rm_construct_on_reducible_min_poly_exits_two(tmp_path, capsys):

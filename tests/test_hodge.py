@@ -21,7 +21,7 @@ from plectic.hodge import (
     trivial_structure,
     validate,
 )
-from plectic.lattices import IntMatrix, Lattice
+from plectic.lattices import IntMatrix
 from plectic.tori import ComplexTorus, dual_torus, power_torus, tori_isomorphic
 
 TAU1 = mp.mpc("0.3", "1.7")
@@ -29,7 +29,7 @@ TAU2 = mp.mpc("-0.2", "0.9")
 
 
 def broken_symmetry():
-    return PlecticHodgeStructure(1, Lattice.standard(2), {
+    return PlecticHodgeStructure(1, 2, {
         Bidegree((1,), (0,)): cx.mpm([[1], [TAU1]]),
         Bidegree((0,), (1,)): cx.mpm([[1], [TAU2]]),
     })
@@ -55,7 +55,7 @@ def test_validate_tensor_closure():
 
 def test_validate_dimension_mismatch_raises():
     with pytest.raises(InputError):
-        validate(PlecticHodgeStructure(1, Lattice.standard(2), {
+        validate(PlecticHodgeStructure(1, 2, {
             Bidegree((1,), (0,)): cx.mpm([[1], [TAU1]]),
         }))
 
@@ -80,7 +80,7 @@ def test_refine_preserves_total_dimension():
 
 def test_effectivity():
     assert is_effective_weight_one(elliptic_h1(1, TAU1))
-    bad = PlecticHodgeStructure(1, Lattice.standard(2), {
+    bad = PlecticHodgeStructure(1, 2, {
         Bidegree((2,), (-1,)): cx.mpm([[1], [TAU1]]),
         Bidegree((-1,), (2,)): cx.mpm([[1], [mp.conj(TAU1)]]),
     })
@@ -168,7 +168,7 @@ def test_jacobian_dimension():
 
 def test_jacobian_degenerate_projection():
     hol = cx.mpm([[1], [TAU1]])
-    h = PlecticHodgeStructure(1, Lattice.standard(2), {
+    h = PlecticHodgeStructure(1, 2, {
         Bidegree((1,), (0,)): hol,
         Bidegree((0,), (1,)): hol,  # complement coincides with the filtration
     })
@@ -179,7 +179,7 @@ def test_jacobian_degenerate_projection():
 def test_jacobian_exactly_dependent_pieces_raise():
     # pivot column of the stack [c, y, c, x] is exactly zero at the third step
     t = tensor(elliptic_h1(1, mp.mpc(0, 1)), elliptic_h1(1, mp.mpc(0, 1)))
-    h = PlecticHodgeStructure(2, t.lattice, {
+    h = PlecticHodgeStructure(2, t.rank, {
         **t.pieces, Bidegree((0, 0), (1, 1)): t.pieces[Bidegree((0, 1), (1, 0))]})
     with pytest.raises(DegenerateInputError):
         plectic_jacobian(h, 2)
@@ -230,7 +230,7 @@ def test_orthogonality_non_perfect_raises():
 
 def test_validate_names_wrong_sized_conjugate_piece():
     cols = cx.mpm([[1, 0], [TAU1, 1], [0, TAU2]])
-    h = PlecticHodgeStructure(1, Lattice.standard(3), {
+    h = PlecticHodgeStructure(1, 3, {
         Bidegree((1,), (0,)): cols,
         Bidegree((0,), (1,)): cx.mpm([[1], [0], [1]]),
     })
@@ -321,7 +321,7 @@ def tensor_of(ts):
 
 
 def with_piece(h, bd, basis):
-    return PlecticHodgeStructure(h.n, h.lattice, {**h.pieces, bd: basis})
+    return PlecticHodgeStructure(h.n, h.rank, {**h.pieces, bd: basis})
 
 
 @settings(max_examples=10, deadline=None)
@@ -349,7 +349,7 @@ def test_validate_condition_gate_matches_projector_cutoff(ratio, part):
 
 def test_validate_duplicated_real_column_fails_on_span_only():
     col = cx.mpm([[1], [2]])
-    h = PlecticHodgeStructure(1, Lattice.standard(2), {
+    h = PlecticHodgeStructure(1, 2, {
         Bidegree((1,), (0,)): col, Bidegree((0,), (1,)): col})
     rep = assert_validate_matches_reference(h)
     assert failing_part(rep.span_defect, rep.conjugation_residual) == "span"

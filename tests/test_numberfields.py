@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +134,39 @@ def test_same_class_decision(t, n, b, pick, gen, den):
     x = (Fraction(gen[0], den), Fraction(gen[1]))
     assert I.scaled(x).same_class(O.unit_ideal()) == principal
     assert I.scaled(x).same_class(I) == invertible
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-6, 6), st.integers(-60, 10), st.integers(-12, 12), st.integers(0, 2**16),
+       st.tuples(st.integers(-9, 9), st.integers(-9, 9)), st.integers(1, 7),
+       st.integers(-4, 4), st.integers(1, 3))
+def test_ideal_action_matches_rational_solve(t, n, b, pick, gen, den, skew, q):
+    """action(k) against sympy's rational solve of B^T X = P_k, with the
+    basis rows as the columns of B^T and the products omega_k * row as
+    those of P_k, on x (a, b + w) in a skewed basis, with the second row
+    scaled by q.  The rows span an ideal exactly when every X is integral;
+    otherwise the constructor raises InputError."""
+    disc = t * t - 4 * n
+    assume(disc > 0 and math.isqrt(disc) ** 2 != disc and gen != (0, 0))
+    O = FieldOrder.quadratic(t, n)
+    norm_b = b * b + t * b + n
+    divisors = [d for d in range(1, abs(norm_b) + 1) if norm_b % d == 0]
+    a = divisors[pick % len(divisors)]
+    x = (Fraction(gen[0], den), Fraction(gen[1]))
+    r0, r1 = FractionalIdealRep(O, _rows((a, 0), (b, 1))).scaled(x).basis
+    rows = (tuple(u + skew * v for u, v in zip(r0, r1)), tuple(q * v for v in r1))
+    units = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    Bt = sympy.Matrix(2, 2, lambda i, j: sympy.Rational(rows[j][i]))
+    want = [Bt.solve(sympy.Matrix(2, 2, lambda i, j: sympy.Rational(O.mul_coords(u, rows[j])[i])))
+            for u in units]
+    if all(v.is_integer for X in want for v in X):
+        ideal = FractionalIdealRep(O, rows)
+        for k, X in enumerate(want):
+            assert ideal.action(k).entries == tuple(tuple(int(v) for v in X.row(i))
+                                                    for i in range(2))
+    else:
+        with pytest.raises(InputError):
+            FractionalIdealRep(O, rows)
 
 
 def test_same_class_runs_no_search(monkeypatch):

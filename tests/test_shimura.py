@@ -14,7 +14,7 @@ from plectic.hodge import (
     tensor,
     validate,
 )
-from plectic.lattices import IntMatrix, Lattice
+from plectic.lattices import IntMatrix
 from plectic.numberfields import FieldOrder
 from plectic.shimura import (
     CupOperator,
@@ -161,8 +161,8 @@ def test_strongly_primitive_drops_extra_piece():
                             + [[0], [0]])
     extra = cx.mpm([[0, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 1]])
     pieces[Bidegree((0, 0), (0, 0))] = extra
-    hbig = PlecticHodgeStructure(2, Lattice.standard(6), pieces)
-    tgt = PlecticHodgeStructure(2, Lattice.standard(2), {
+    hbig = PlecticHodgeStructure(2, 6, pieces)
+    tgt = PlecticHodgeStructure(2, 2, {
         Bidegree((1, 0), (1, 0)): cx.mpm([[1, 0], [0, 1]]),
     })
     cup = CupOperator(1, IntMatrix.from_rows([[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]), tgt)
@@ -174,7 +174,7 @@ def test_strongly_primitive_drops_extra_piece():
 
 def test_strongly_primitive_zero_cups_identity():
     t = tensor(elliptic_h1(1, mp.mpc(0, 1)), elliptic_h1(1, mp.mpc(0, 1)))
-    tgt = PlecticHodgeStructure(2, Lattice.standard(2), {
+    tgt = PlecticHodgeStructure(2, 2, {
         Bidegree((1, 0), (1, 0)): cx.mpm([[1, 0], [0, 1]]),
     })
     out = strongly_primitive(t, [CupOperator(1, IntMatrix.zeros(2, 4), tgt)])
@@ -184,7 +184,7 @@ def test_strongly_primitive_zero_cups_identity():
 
 def test_strongly_primitive_rejects_non_morphism():
     t = tensor(elliptic_h1(1, mp.mpc(0, 1)), elliptic_h1(1, mp.mpc(0, 1)))
-    tgt = PlecticHodgeStructure(2, Lattice.standard(2), {
+    tgt = PlecticHodgeStructure(2, 2, {
         Bidegree((1, 0), (1, 0)): cx.mpm([[1, 0], [0, 1]]),
     })
     bad = CupOperator(1, IntMatrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 0]]), tgt)

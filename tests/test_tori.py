@@ -240,10 +240,82 @@ def test_enlarge_suborder_module():
     assert rm2.field.is_maximal
     assert abs(inc.det()) == 9
     # sandwich: old lattice inside new (integral inclusion), 3 * new inside old
-    from plectic.lattices import fraction_inverse
+    import sympy
 
-    Tinv = fraction_inverse(inc)
-    assert all((3 * x).denominator == 1 for row in Tinv for x in row)
+    assert all((3 * x).is_integer for x in sympy.Matrix(inc.entries).inv())
+
+
+# enlarge_to_maximal on Z[f w] at z = (0.2 + 1.1i, -0.4 + 0.9i), recorded from
+# the rational Gauss-Jordan implementation that the Hermite solves replaced.
+ENLARGED = {  # conductor -> (periods, action of the generator, inclusion)
+    2: (
+        [
+            [
+                ("0.2000000000000000111022302462515654042363", "1.100000000000000088817841970012523233891"),
+                ("-0.3464101615137754779351161321368137514155", "-1.905255888325765176717205886341573827853"),
+                ("1.000000000000000000000000000000000000000", "0.0"),
+                ("-1.732050807568877293527446341505872366943", "0.0"),
+            ],
+            [
+                ("-0.4000000000000000222044604925031308084726", "0.9000000000000000222044604925031308084726"),
+                ("-0.6928203230275509558702322642736275028310", "1.558845726811989602633955435026563686302"),
+                ("1.000000000000000000000000000000000000000", "0.0"),
+                ("1.732050807568877293527446341505872366943", "0.0"),
+            ],
+        ],
+        [[0, 3, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]],
+        [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]],
+    ),
+    4: (
+        [
+            [
+                ("-0.1236067977499789765024730099837099068123", "-0.6798373876248843879174906626868601956379"),
+                ("-0.4472135954999579641071762662189852178608", "-2.459674775249768864652823295386243625166"),
+                ("-0.6180339887498948482045868343656381177203", "0.0"),
+                ("-2.236067977499789696409173668731276235441", "0.0"),
+            ],
+            [
+                ("-0.6472135954999579752094065124705506220971", "1.456230589874905399311699929653369680957"),
+                ("-0.8944271909999159282143525324379704357217", "2.012461179749810776418939366803608553442"),
+                ("1.618033988749894848204586834365638117720", "0.0"),
+                ("2.236067977499789696409173668731276235441", "0.0"),
+            ],
+        ],
+        [[3, 5, 0, 0], [-1, -2, 0, 0], [0, 0, 3, 5], [0, 0, -1, -2]],
+        [[2, 0, 0, 0], [-1, 2, 0, 0], [0, 0, 2, 0], [0, 0, -1, 2]],
+    ),
+    6: (
+        [
+            [
+                ("-0.1236067977499789765024730099837099068123", "-0.6798373876248843879174906626868601956379"),
+                ("-0.4472135954999579641071762662189852178608", "-2.459674775249768864652823295386243625166"),
+                ("-0.6180339887498948482045868343656381177203", "0.0"),
+                ("-2.236067977499789696409173668731276235441", "0.0"),
+            ],
+            [
+                ("-0.6472135954999579752094065124705506220971", "1.456230589874905399311699929653369680957"),
+                ("-0.8944271909999159282143525324379704357217", "2.012461179749810776418939366803608553442"),
+                ("1.618033988749894848204586834365638117720", "0.0"),
+                ("2.236067977499789696409173668731276235441", "0.0"),
+            ],
+        ],
+        [[3, 5, 0, 0], [-1, -2, 0, 0], [0, 0, 3, 5], [0, 0, -1, -2]],
+        [[2, 0, 0, 0], [-1, 3, 0, 0], [0, 0, 2, 0], [0, 0, -1, 3]],
+    ),
+}
+
+
+@pytest.mark.parametrize("f,t,n", [(2, 0, -12), (4, 0, -20), (6, 0, -45)])
+def test_enlarge_matches_recorded_values(f, t, n):
+    from plectic.serialize import matrix_to_json
+
+    periods, action, inclusion = ENLARGED[f]
+    torus = construct_rm_torus(FieldOrder.quadratic(t, n),
+                               [mp.mpc("0.2", "1.1"), mp.mpc("-0.4", "0.9")])
+    t2, rm2, inc = enlarge_to_maximal(torus, torus.rm)
+    assert matrix_to_json(t2.periods) == [[list(z) for z in row] for row in periods]
+    assert rm2.action[1].entries == tuple(map(tuple, action))
+    assert inc.entries == tuple(map(tuple, inclusion))
 
 
 def test_steinitz_free_module():
@@ -309,7 +381,6 @@ def test_certificate_elliptic():
 
 def test_certificate_detects_rm_on_g2_jacobian():
     from plectic.hodge import ClassicalHodgeStructure
-    from plectic.lattices import Lattice
 
     # weight-one structure with H^{1,0} spanned by the transposed periods of
     # a generic Q(sqrt 5) torus; its Jacobian is the dual torus, which keeps
@@ -317,7 +388,7 @@ def test_certificate_detects_rm_on_g2_jacobian():
     O5 = FieldOrder.quadratic_maximal(5)
     t = construct_rm_torus(O5, [mp.mpc("0.31", "1.13"), mp.mpc("-0.27", "0.71")])
     hol = t.periods.T
-    h = ClassicalHodgeStructure(Lattice.standard(4), {(1, 0): hol, (0, 1): cx.conj(hol)})
+    h = ClassicalHodgeStructure(4, {(1, 0): hol, (0, 1): cx.conj(hol)})
     cert = jacobian_is_abelian_certificate(h)
     assert cert.field.min_poly == (1, -1, -1)
     assert cert.field.is_maximal
