@@ -42,8 +42,10 @@ class GlobalConfig:
     def __post_init__(self):
         if self.precision < 53:
             raise InputError("precision must be at least 53 binary digits")
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise InputError("tolerance must be positive")
+        # every check reports a residual of 1 or more for a structure that
+        # fails outright, so a tolerance of 1 or more certifies nothing
+        if self.tolerance is not None and not 0 < self.tolerance < 1:
+            raise InputError("tolerance must be finite and strictly between 0 and 1")
 
     def resolved_tolerance(self) -> mp.mpf:
         if self.tolerance is not None:

@@ -9,10 +9,11 @@ The Hermite normal form is the one lattice normal form: ranks, kernels,
 saturations, row-lattice bases, integer solves, lattice equality and
 torsion-free quotients all come from :func:`hermite_normal_form`, and
 every basis they return is the canonical (Hermite) one.  It is also the
-one solve: :func:`solve_integer` reduces against it, and the exact
-rational inverse (:func:`fraction_inverse`) is the adjugate over the
-determinant, column by column from that solve.  The Smith form is built
-from it too, for the elementary divisors.
+one solve: :func:`solve_integer` solves A X = B for every column of B
+against one Hermite form of A^T, and the exact rational inverse
+(:func:`fraction_inverse`) is the adjugate over the determinant, one such
+solve against det(A) I.  The Smith form is built from it too, for the
+elementary divisors.
 """
 
 from __future__ import annotations
@@ -281,13 +282,13 @@ def fraction_det(A) -> Fraction:
 
 def fraction_inverse(A: IntMatrix):
     """Exact inverse of a nonsingular integer matrix, as Fraction rows: the
-    adjugate over det(A), whose column j is the integer solution of
-    A x = det(A) e_j.  Raises DegenerateInputError when A is singular."""
+    adjugate over det(A), the integer solution X of A X = det(A) I.
+    Raises DegenerateInputError when A is singular."""
     det = A.det()
     if det == 0:
         raise DegenerateInputError("singular rational system")
-    cols = [solve_integer(A, [det * (i == j) for i in range(A.rows)]) for j in range(A.cols)]
-    return tuple(tuple(Fraction(c[i], det) for c in cols) for i in range(A.rows))
+    X = solve_integer(A, IntMatrix.identity(A.rows).scale(det))
+    return tuple(tuple(Fraction(x, det) for x in row) for row in X.entries)
 
 
 def fraction_to_mpf(x) -> mp.mpf:
@@ -321,24 +322,32 @@ def saturation(A: IntMatrix):
     return kernel_integer(IntMatrix.from_rows(ker))
 
 
-def solve_integer(A: IntMatrix, b):
-    """One integer solution x of A x = b, or None if none exists.
+def solve_integer(A: IntMatrix, B: IntMatrix):
+    """One integer solution X of A X = B, or None when some column of B
+    has none.
 
-    With U*A^T = H in Hermite normal form, b is reduced against the
-    echelon rows of H; its coefficients y give x = U^T y."""
-    if len(b) != A.rows:
-        raise InputError("vector length mismatch")
+    With U*A^T = H in Hermite normal form, the columns of B are reduced
+    together against the echelon rows of H; their coefficients Y give
+    X = U^T Y.  One Hermite form serves every right-hand side."""
+    if B.rows != A.rows:
+        raise InputError("right-hand side row count mismatch")
     H, U = hermite_normal_form(A.transpose())
-    rest = [int(v) for v in b]
-    x = [0] * A.cols
-    for h, u in zip(H.entries, U.entries):
+    rest = [list(r) for r in B.entries]  # B - H^T Y so far
+    Y = []
+    for h in H.entries:
         lead = next(j for j, v in enumerate(h) if v)
-        q, r = divmod(rest[lead], h[lead])
-        if r:
+        if any(v % h[lead] for v in rest[lead]):
             return None
-        rest = [s - q * t for s, t in zip(rest, h)]
-        x = [s + q * t for s, t in zip(x, u)]
-    return None if any(rest) else tuple(x)
+        y = [v // h[lead] for v in rest[lead]]
+        for i, c in enumerate(h):
+            if c:
+                rest[i] = [s - c * t for s, t in zip(rest[i], y)]
+        Y.append(y)
+    if any(any(r) for r in rest):
+        return None
+    return IntMatrix(A.cols, B.cols, tuple(
+        tuple(sum(u[i] * y[j] for u, y in zip(U.entries, Y)) for j in range(B.cols))
+        for i in range(A.cols)))
 
 
 def lll_reduce(rows):
@@ -464,21 +473,17 @@ def torsion_free_quotient(sub_rows, ambient_rows):
     ambient = IntMatrix.from_rows(ambient_rows)
     if ambient.rank() != ambient.rows:
         raise InputError("ambient lattice rows must be independent over Q")
-    at = ambient.transpose()
-    coords = []
-    for row in sub_rows:
-        x = solve_integer(at, row)
-        if x is None:
-            raise InputError("sub lattice is not contained in the ambient lattice")
-        coords.append(x)
-    if not coords:
+    if not sub_rows:
         return list(ambient.entries)
-    ker = kernel_integer(IntMatrix.from_rows(coords))
+    at = ambient.transpose()
+    coords = solve_integer(at, IntMatrix.from_rows(sub_rows).transpose())
+    if coords is None:
+        raise InputError("sub lattice is not contained in the ambient lattice")
+    ker = kernel_integer(coords.transpose())
     if not ker:
         return []
     K = IntMatrix.from_rows(ker)
-    return [at.apply(solve_integer(K, [int(i == j) for j in range(K.rows)]))
-            for i in range(K.rows)]
+    return list((at @ solve_integer(K, IntMatrix.identity(K.rows))).transpose().entries)
 
 
 def lattice_membership(v, basis: IntMatrix, tol=None):

@@ -406,25 +406,24 @@ class FractionalIdealRep:
         of omega_k times basis row j.  Raises InputError when a product
         lies outside the ideal."""
         d = self.order.degree
-        cols = [self._coordinates(self.order.mul_coords(_unit(d, k), row)) for row in self.basis]
-        if None in cols:
+        X = self._coordinates([self.order.mul_coords(_unit(d, k), row) for row in self.basis])
+        if X is None:
             raise InputError("ideal basis is not closed under the order action")
-        return IntMatrix.from_rows(cols).transpose()
+        return X
 
-    def _contains(self, x) -> bool:
-        return self._coordinates(x) is not None
-
-    def _coordinates(self, x):
-        """Integer coordinates of the element x on the basis, or None when x
-        is not in the ideal: one solve_integer against the basis scaled by
-        the lcm of its denominators."""
+    def _coordinates(self, elements) -> IntMatrix | None:
+        """Integer coordinates of the elements on the basis, one column per
+        element, or None when some element is not in the ideal: one
+        solve_integer against the basis scaled by the lcm of its
+        denominators."""
         scale = _denominator(self.basis)
-        y = [scale * Fraction(c) for c in x]
-        if any(c.denominator != 1 for c in y):
+        ys = [[scale * Fraction(c) for c in x] for x in elements]
+        if any(c.denominator != 1 for y in ys for c in y):
             return None
         d = self.order.degree
         columns = IntMatrix.from_rows([[scale * row[i] for row in self.basis] for i in range(d)])
-        return solve_integer(columns, [int(c) for c in y])
+        rhs = IntMatrix(len(ys), d, tuple(tuple(int(c) for c in y) for y in ys))
+        return solve_integer(columns, rhs.transpose())
 
     def norm(self) -> Fraction:
         """Index-style norm |det(basis)| relative to the order."""
@@ -471,7 +470,10 @@ class FractionalIdealRep:
         denominators, Nm(L x) = det of the same combination of the
         multiplication matrices of the scaled basis, to be compared with
         Nm(ideal) * L^d.  The Fraction generator is built on a hit only.
+        A search_bound below 1 searches nothing and raises InputError.
         """
+        if search_bound < 1:
+            raise InputError("search_bound must be >= 1")
         d = self.order.degree
         if d == 2 and not self._generated_by_one_element():
             return None

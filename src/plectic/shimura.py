@@ -331,20 +331,16 @@ def _restrict_structure(h1: ClassicalHodgeStructure, basis: IntMatrix, tol):
 def _hecke_rm(d: StronglyPrimitiveDatum, basis: IntMatrix, h_chi) -> RMStructure | None:
     """Order generated by a Hecke restriction with a totally real
     minimal polynomial of the right degree, if one is supplied."""
-    want = basis.rows // 2
+    want, k = basis.rows // 2, basis.rows
     bt = basis.transpose()
-    for t in d.hecke:
-        cols = []
-        ok = True
-        for row in basis.entries:
-            sol = solve_integer(bt, t.apply(row))
-            if sol is None:
-                ok = False
-                break
-            cols.append(sol)
-        if not ok:
-            continue
-        restricted = IntMatrix.from_rows(cols).transpose()
+    # each Hecke operator commutes with the involutions, so it maps this
+    # saturated eigenlattice into itself: one solve restricts them all
+    images = IntMatrix.from_rows([r for t in d.hecke for r in (t @ bt).transpose().entries])
+    X = solve_integer(bt, images.transpose())
+    if X is None:
+        raise DegenerateInputError("a Hecke operator does not preserve a character piece")
+    for j in range(len(d.hecke)):
+        restricted = IntMatrix(k, k, tuple(r[j * k:(j + 1) * k] for r in X.entries))
         p = _rm_poly(restricted, want)
         if p is None:
             continue

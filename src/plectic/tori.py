@@ -404,8 +404,10 @@ def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | 
     already-maximal actions are detected as maximal.  A non-generic torus
     can carry several real-multiplication fields; pass field_hint to
     select a specific one (matched on the fundamental discriminant,
-    degree 2 only).
+    degree 2 only).  A height_bound below 1 raises InputError.
     """
+    if height_bound < 1:
+        raise InputError("height_bound must be >= 1")
     g = t.g
     if g == 1:
         return RMStructure(FieldOrder.rationals(), (IntMatrix.identity(2),))
@@ -453,16 +455,12 @@ def _order_from_generator(N: IntMatrix, endo_basis, g: int):
     mats = [_unvec(v, n, n) for v in basis_vecs]
     # multiplication table over the normalized basis, exact
     Bt = IntMatrix.from_rows(basis_vecs).transpose()
-    table = []
-    for i in range(g):
-        row = []
-        for j in range(g):
-            prod = _vec(mats[i] @ mats[j])
-            sol = solve_integer(Bt, prod)
-            if sol is None:
-                raise DegenerateInputError("detected order is not closed under products")
-            row.append(tuple(int(v) for v in sol))
-        table.append(tuple(row))
+    prods = IntMatrix.from_rows([_vec(a @ b) for a in mats for b in mats]).transpose()
+    X = solve_integer(Bt, prods)
+    if X is None:
+        raise DegenerateInputError("detected order is not closed under products")
+    cols = X.transpose().entries  # column i * g + j: mats[i] @ mats[j] on the basis
+    table = tuple(cols[i * g:(i + 1) * g] for i in range(g))
     coeffs = _rm_poly(mats[1], g) if g >= 2 else (1, -1)
     if coeffs is None:
         raise DegenerateInputError("the order's second basis element does not generate the field")
@@ -546,20 +544,18 @@ def enlarge_to_maximal(t: ComplexTorus, rm: RMStructure):
     with working_precision():
         new_periods = t.periods * (cx.mpm(Ht.entries) / f)
     # the generator shifted / f on the new basis: Ht^-1 (shifted Ht) / f, exact
-    product = (shifted @ Ht).transpose()
-    cols = [solve_integer(Ht, col) for col in product.entries]
-    if any(c is None or any(x % f for x in c) for c in cols):
+    X = solve_integer(Ht, shifted @ Ht)
+    if X is None or any(x % f for r in X.entries for x in r):
         raise DegenerateInputError("enlarged lattice is not stable under the maximal order")
-    Agen = IntMatrix.from_rows([[x // f for x in c] for c in cols]).transpose()
+    Agen = IntMatrix(n, n, tuple(tuple(x // f for x in r) for r in X.entries))
     tmax = (t0 + 2 * a) // f
     nmax = (a * a + a * t0 + n0) // (f * f)
     field_max = FieldOrder.quadratic(tmax, nmax, is_maximal=True)
     rm_max = RMStructure(field_max, (IntMatrix.identity(n), Agen))
     # (Ht / f)^-1 = f Ht^-1 expresses the old basis in the new one
-    cols = [solve_integer(Ht, [f * (i == j) for i in range(n)]) for j in range(n)]
-    if None in cols:
+    inclusion = solve_integer(Ht, IntMatrix.identity(n).scale(f))
+    if inclusion is None:
         raise DegenerateInputError("old lattice does not embed in the enlarged one")
-    inclusion = IntMatrix.from_rows(cols).transpose()
     new_t = ComplexTorus(t.g, new_periods, rm=rm_max)
     return new_t, rm_max, inclusion
 
@@ -581,7 +577,7 @@ def steinitz_decompose(rm: RMStructure):
     M1_rows = [rm.action[k].apply(v) for k in range(d)]
     # the summand is saturated, so pi maps the lattice onto Z^d with kernel it
     pi = IntMatrix.from_rows(kernel_integer(IntMatrix.from_rows(M1_rows)))
-    sec = IntMatrix.from_rows([solve_integer(pi, _unit(d, j)) for j in range(d)]).transpose()
+    sec = solve_integer(pi, IntMatrix.identity(d))
     B = [pi @ rm.action[k] @ sec for k in range(d)]
     # realize the quotient as a fractional ideal via q0 = first basis vector
     q0 = tuple(int(i == 0) for i in range(d))
@@ -612,31 +608,17 @@ def _equivariant_section(rm: RMStructure, pi: IntMatrix, B):
     """Integer section S with pi S = I and S B_k = A_k S for all k."""
     d = rm.field.degree
     n = rm.lattice_rank
-    nunk = n * d
-    rows = []
-    rhs = []
-    for i in range(d):  # pi S = I
-        for j in range(d):
-            row = [0] * nunk
-            for l in range(n):
-                row[l * d + j] += pi.entries[i][l]
-            rows.append(row)
-            rhs.append(int(i == j))
-    for k in range(1, d):  # S B_k - A_k S = 0
-        A = rm.action[k]
-        for i in range(n):
-            for j in range(d):
-                row = [0] * nunk
-                for l in range(d):
-                    row[i * d + l] += B[k].entries[l][j]
-                for l in range(n):
-                    row[l * d + j] -= A.entries[i][l]
-                rows.append(row)
-                rhs.append(0)
-    sol = solve_integer(IntMatrix.from_rows(rows), tuple(rhs))
+    Id = IntMatrix.identity(d)
+    # on the row-major vec(S): vec(pi S) = (pi (x) I_d) vec(S) and
+    # vec(S B_k - A_k S) = (I_n (x) B_k^T - A_k (x) I_d) vec(S)
+    blocks = [pi.kron(Id)] + [IntMatrix.identity(n).kron(B[k].transpose()) - rm.action[k].kron(Id)
+                              for k in range(1, d)]
+    system = IntMatrix.from_rows([r for M in blocks for r in M.entries])
+    rhs = [(x,) for x in _vec(Id)] + [(0,)] * (system.rows - d * d)
+    sol = solve_integer(system, IntMatrix.from_rows(rhs))
     if sol is None:
         raise DegenerateInputError("no equivariant splitting over the order")
-    return IntMatrix(n, d, tuple(tuple(sol[i * d + j] for j in range(d)) for i in range(n)))
+    return _unvec([x for (x,) in sol.entries], n, d)
 
 
 def algebraize_rm(t: ComplexTorus, rm: RMStructure, sign_bound: int = 50, tol=None) -> AlgebraizationResult:
@@ -750,7 +732,10 @@ def tori_isomorphic(t1: ComplexTorus, t2: ComplexTorus, tol=None, coeff_bound: i
 
     The first candidate within tol is returned, by increasing coefficient
     height up to sign; at rank > 6 only the basis vectors and their
-    pairwise sums are tried.  A miss returns the closest candidate."""
+    pairwise sums are tried.  A miss returns the closest candidate.  A
+    coeff_bound below 1 raises InputError."""
+    if coeff_bound < 1:
+        raise InputError("coeff_bound must be >= 1")
     tol = resolve_tolerance(tol)
     if t1.g != t2.g:
         return False, None, None, mp.mpf("inf")

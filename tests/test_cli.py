@@ -425,6 +425,31 @@ def test_bad_flat_torus_exits_two(argv, message, capsys):
     assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fixture,argv", [
+    ("torus_rm.json", ["torus", "rm-detect", "--height-bound", "0"]),
+    ("torus_rm.json", ["torus", "rm-detect", "--height-bound", "-3"]),
+    ("torus.json", ["torus", "endos", "--height-bound", "0"]),
+    ("datum.json", ["qsv", "jacobian", "--nu", "1", "--height-bound", "0"]),
+], ids=["rm-detect-zero", "rm-detect-negative", "endos-zero", "qsv-jacobian-zero"])
+def test_search_bound_below_one_exits_two(fixture, argv, fixtures, capsys):
+    code = main(argv + ["--input", fixtures[fixture]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "height_bound must be >= 1" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", ["2", "1", "1e400", "inf", "0", "nan", "-1e-9"])
+def test_tolerance_outside_unit_interval_exits_two(tolerance, fixtures, capsys):
+    """Failed checks report residuals of 1, so a tolerance of 1 or more
+    would pass phs_bad.json; it is rejected before any check runs."""
+    code = main(["phs", "validate", "--input", fixtures["phs_bad.json"],
+                 f"--tolerance={tolerance}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "tolerance" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
 @pytest.mark.parametrize("argv", [
     ["verify-identities"],

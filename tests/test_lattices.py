@@ -27,6 +27,11 @@ from plectic.lattices import (
 )
 
 
+def column(v) -> IntMatrix:
+    """The integer column vector v as a one-column matrix."""
+    return IntMatrix.from_rows([[x] for x in v])
+
+
 def snf_invariants_oracle(rows):
     """Invariant factors via gcds of k x k minors: d_k = D_k / D_{k-1},
     independent of any elimination strategy."""
@@ -187,8 +192,12 @@ def test_kernel_and_solve():
     assert len(ker) == 2
     for k in ker:
         assert sum(a * b for a, b in zip(A.entries[0], k)) == 0
-    assert solve_integer(IntMatrix.from_rows([[2, 0], [0, 3]]), (4, 9)) == (2, 3)
-    assert solve_integer(IntMatrix.from_rows([[2, 0], [0, 3]]), (3, 9)) is None
+    A = IntMatrix.from_rows([[2, 0], [0, 3]])
+    assert solve_integer(A, column((4, 9))) == column((2, 3))
+    assert solve_integer(A, column((3, 9))) is None
+    assert solve_integer(A, IntMatrix.from_rows([[4, 2], [9, 3]])) == \
+        IntMatrix.from_rows([[2, 1], [3, 1]])
+    assert solve_integer(A, IntMatrix.from_rows([[4, 3], [9, 9]])) is None
 
 
 def test_row_basis_and_saturation():
@@ -440,10 +449,10 @@ def test_solve_and_equality_match_smith_references(rows, cols, seed):
             b = A.apply([rng.randint(-3, 3) for _ in range(cols)])
         else:
             b = [rng.randint(-9, 9) for _ in range(rows)]
-        x = solve_integer(A, b)
+        x = solve_integer(A, column(b))
         assert (x is None) == (solve_integer_snf(A, b) is None)
         if x is not None:
-            assert A.apply(x) == tuple(b)
+            assert A @ x == column(b)
     a_rows = [list(r) for r in A.entries]
     same = [list(r) for r in (random_unimodular(rng, rows) @ A).entries]
     other = [r[:] for r in a_rows]
@@ -454,6 +463,50 @@ def test_solve_and_equality_match_smith_references(rows, cols, seed):
 
 def test_solve_integer_rejects_wrong_length():
     with pytest.raises(InputError):
-        solve_integer(IntMatrix.from_rows([[1, 0], [0, 1]]), (1, 2, 3))
+        solve_integer(IntMatrix.from_rows([[1, 0], [0, 1]]), column((1, 2, 3)))
     with pytest.raises(InputError):
-        solve_integer(IntMatrix.from_rows([[1, 0], [0, 1]]), (1,))
+        solve_integer(IntMatrix.from_rows([[1, 0], [0, 1]]), column((1,)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 4), st.integers(0, 2**30))
+def test_solve_integer_solves_every_column_at_once(rows, cols, k, seed):
+    """A X = B with several right-hand sides, some in the image of A and
+    some not: None exactly when the Smith-form solve fails on some column,
+    and otherwise A X = B; a B with no columns gives a cols x 0 matrix."""
+    rng = random.Random(seed)
+    A = random_matrix(rng, rows, cols)
+    bs = [A.apply([rng.randint(-3, 3) for _ in range(cols)]) if rng.random() < 0.7
+          else [rng.randint(-9, 9) for _ in range(rows)] for _ in range(k)]
+    B = IntMatrix(rows, k, tuple(tuple(b[i] for b in bs) for i in range(rows)))
+    X = solve_integer(A, B)
+    assert (X is None) == any(solve_integer_snf(A, b) is None for b in bs)
+    if X is not None:
+        assert (X.rows, X.cols) == (cols, k)
+        assert A @ X == B if k else X.entries == ((),) * cols
+
+
+def test_multi_column_solves_make_one_hermite_form(monkeypatch):
+    """fraction_inverse, an ideal's order action and a five-column solve
+    each reduce against a single Hermite form."""
+    import plectic.lattices as lattices
+    from plectic.numberfields import FieldOrder, FractionalIdealRep
+
+    ideal = FractionalIdealRep(FieldOrder.quadratic(0, -20),
+                               ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))))
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return hermite_normal_form(m)
+
+    monkeypatch.setattr(lattices, "hermite_normal_form", counted)
+    A = IntMatrix.from_rows([[2, 1, 0, 3], [0, 1, 4, 1], [1, 0, 1, 0], [3, 2, 0, 5]])
+    fraction_inverse(A)
+    assert len(calls) == 1
+    ideal.action(1)
+    assert len(calls) == 2
+    B = A @ IntMatrix.from_rows([[1, 0, 2, -1, 3], [0, 1, 1, 1, 0],
+                                 [2, -1, 0, 0, 1], [0, 0, 1, 2, -2]])
+    assert A @ solve_integer(A, B) == B
+    assert len(calls) == 3

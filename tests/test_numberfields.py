@@ -81,9 +81,12 @@ def test_same_class_finds_generator_beyond_search_bound():
     does not."""
     O46 = FieldOrder.quadratic_maximal(46)
     P = FractionalIdealRep(O46, _rows((2, 0), (0, 1)))
-    assert O46.norm((156, 23)) == 2 and P._contains((156, 23))
+    assert O46.norm((156, 23)) == 2 and P._coordinates([(156, 23)]) is not None
     assert P.same_class(O46.unit_ideal())
     assert P.is_principal(50) is None
+    for bound in (0, -1):
+        with pytest.raises(InputError, match="search_bound"):
+            P.is_principal(bound)
 
 
 def test_same_class_fixed_cases():
@@ -106,7 +109,7 @@ def test_same_class_fixed_cases():
     O20 = FieldOrder.quadratic(0, -20)  # Z[sqrt20], inside Z[sqrt5] with index 2
     I = FractionalIdealRep(O20, _rows((2, 0), (0, 1)))  # (2, sqrt20)
     sqrt5 = (0, Fraction(1, 2))  # not in Z[sqrt20], yet sqrt5 * I lies in I
-    assert all(I._contains(O20.mul_coords(sqrt5, row)) for row in I.basis)
+    assert I._coordinates([O20.mul_coords(sqrt5, row) for row in I.basis]) is not None
     assert not I.same_class(O20.unit_ideal())
     assert not I.same_class(I)  # I conj(I) = 2 I, not principal in Z[sqrt20]
     assert I.is_principal(50) is None

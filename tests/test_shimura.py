@@ -24,6 +24,7 @@ from plectic.shimura import (
     nu_hodge_structure,
     plectic_jacobian_qsv,
     strongly_primitive,
+    _hecke_rm,
 )
 from plectic.tori import (
     ComplexTorus,
@@ -223,6 +224,18 @@ def test_qsv_jacobian_rm_surface_certificates():
         assert cert.field.min_poly == (1, 0, -2)
         assert cert.residual < mp.mpf("1e-9")
         assert all(mp.im(z) > 0 for z in cert.z)
+
+
+def test_hecke_restriction_skips_operators_without_rm():
+    """All Hecke operators are restricted by one solve; the identity
+    restricts to a scalar, which generates no real quadratic field, so
+    the next operator's restriction is the one used."""
+    d, O2 = rm_surface_datum()
+    d2 = StronglyPrimitiveDatum(d.r, d.frobenii, d.holo, (IntMatrix.identity(d.rank),) + d.hecke)
+    for basis in character_decompose(d, 1).values():
+        rm = _hecke_rm(d2, basis, None)
+        assert rm == _hecke_rm(d, basis, None)
+        assert rm.field.min_poly == O2.min_poly
 
 
 def test_hecke_must_commute():

@@ -80,7 +80,7 @@ def test_endomorphisms_contain_identity():
     endos = endomorphisms(t, 3)
     vecs = [tuple(x for r in N.entries for x in r) for N, _ in endos]
     B = IntMatrix.from_rows(vecs).transpose()
-    assert solve_integer(B, (1, 0, 0, 1)) is not None
+    assert solve_integer(B, IntMatrix.from_rows([[1], [0], [0], [1]])) is not None
 
 
 def test_square_torus_endos_match_bruteforce():
@@ -91,11 +91,10 @@ def test_square_torus_endos_match_bruteforce():
     B = IntMatrix.from_rows(
         [tuple(x for r in N.entries for x in r) for N, _ in endos]
     ).transpose()
-    for N in oracle:
-        v = tuple(x for r in N.entries for x in r)
-        assert solve_integer(B, v) is not None
+    oracle_vecs = IntMatrix.from_rows([[x for r in N.entries for x in r] for N in oracle])
+    assert solve_integer(B, oracle_vecs.transpose()) is not None
     # multiplication by i is present
-    assert solve_integer(B, (0, 1, -1, 0)) is not None
+    assert solve_integer(B, IntMatrix.from_rows([[0], [1], [-1], [0]])) is not None
 
 
 def test_generic_two_torus_has_rank_one():
@@ -120,11 +119,10 @@ def test_endomorphisms_closed_under_product():
     B = IntMatrix.from_rows(
         [tuple(x for r in N.entries for x in r) for N, _ in endos]
     ).transpose()
-    for (N1, _), (N2, _) in itertools.product(endos, repeat=2):
-        P = N1 @ N2
-        if max(abs(x) for r in P.entries for x in r) <= 3:
-            v = tuple(x for r in P.entries for x in r)
-            assert solve_integer(B, v) is not None
+    products = [N1 @ N2 for (N1, _), (N2, _) in itertools.product(endos, repeat=2)]
+    vecs = [[x for r in P.entries for x in r] for P in products]
+    small = IntMatrix.from_rows([v for v in vecs if max(map(abs, v)) <= 3])
+    assert solve_integer(B, small.transpose()) is not None
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -171,6 +169,15 @@ def test_detect_rm_elliptic_is_rational():
     rm = detect_rm(elliptic(mp.mpc("0.3", "1.7")))
     assert rm.field.degree == 1
     assert rm.action[0].entries == IntMatrix.identity(2).entries
+
+
+def test_search_bounds_below_one_are_input_errors():
+    E = elliptic(mp.mpc("0.3", "1.7"))
+    for bound in (0, -3):
+        with pytest.raises(InputError, match="height_bound"):
+            detect_rm(E, bound)  # checked before the g = 1 shortcut
+        with pytest.raises(InputError, match="coeff_bound"):
+            tori_isomorphic(E, E, coeff_bound=bound)
 
 
 def test_detect_rm_cm_curve_rejects_imaginary():
