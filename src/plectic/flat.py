@@ -15,12 +15,14 @@ stored as coefficients over such monomials, one polynomial per pair of
 types (see OperatorMatrix).  The factor (pi i)^|e| of a monomial e is
 left out of its coefficient and the metric weights enter as the exact
 rationals of their floats, so the derivatives, their adjoints and
-everything composed from them have exact rational coefficients.  The
-refined identities, the Laplacian decomposition, the Laplacian's kernel
-and its independence of the metric are decided on those coefficients,
-exactly and for every truncation.  The frequencies are never listed: the
-one reported size, that of a nonzero residual, is a closed form in the
-coefficients and the exact corner values of |z_j|^2 (see _residual).
+everything composed from them have exact rational coefficients.  They
+are held as Python ints over one positive int denominator per operator,
+so sums, products and adjoints multiply and add ints only.  The refined
+identities, the Laplacian decomposition, the Laplacian's kernel and its
+independence of the metric are decided on those ints, exactly and for
+every truncation.  The frequencies are never listed: the one reported
+size, that of a nonzero residual, is a closed form in the coefficients
+and the exact corner values of |z_j|^2 (see _residual).
 """
 
 from __future__ import annotations
@@ -146,11 +148,23 @@ class FourierFormSpace:
         return tuple(int(i == k) for i in range(2 * self.torus.n))
 
     @functools.cached_property
-    def slot_factors(self) -> list:
-        """Gram entry over the volume, one per refined type, exactly: the
-        weights enter as the rationals their floats are."""
-        factors = [2 / Fraction(w) for w in self.torus.weights]
-        return [_slot_factor(factors, alpha, beta) for alpha, beta in self.types]
+    def slot_factors(self) -> tuple:
+        """Gram entry over the volume, one per refined type, exactly, as
+        (numerators, denominator): int numerators over one common int
+        denominator, the square of the product of the denominators of the
+        2 / w_j.  The weights enter as the rationals their floats are."""
+        nums, dens = zip(*((2 / Fraction(w)).as_integer_ratio() for w in self.torus.weights))
+        den = math.prod(dens) ** 2
+        return [_slot_factor(nums, alpha, beta) * (den // _slot_factor(dens, alpha, beta))
+                for alpha, beta in self.types], den
+
+    @functools.cached_property
+    def slot_inverses(self) -> tuple:
+        """(L, [L / g_t]) for L the lcm of the slot factors' numerators
+        g_t: G_dst / G_src is g_dst (L / g_src) over L."""
+        g, _ = self.slot_factors
+        scale = math.lcm(*g)
+        return scale, [scale // x for x in g]
 
     @functools.cached_property
     def radii_squared(self) -> list:
@@ -164,8 +178,9 @@ class FourierFormSpace:
 
 
 def _slot_factor(factors, alpha, beta):
-    """The product of factors[j] = 2 / w_j over the set slots of alpha and
-    of beta: the squared length of dz_j and of dzbar_j is 2 / w_j."""
+    """The product of factors[j] over the set slots of alpha and of beta.
+    With factors[j] = 2 / w_j it is the Gram entry over the volume: the
+    squared length of dz_j and of dzbar_j is 2 / w_j."""
     return math.prod(f for f, a, b in zip(factors, alpha, beta) for bit in (a, b) if bit)
 
 
@@ -177,12 +192,13 @@ class OperatorMatrix:
     blocks[(dst, src)], for type indices dst and src, is a polynomial
     {exponents: coefficient} in the frequency coordinates: exponents e has
     length 2n, e[j] is the power of z_j and e[n + j] that of its
-    conjugate, and coefficient c stands for c (pi i)^|e| times that
-    monomial, |e| = sum(e).  The operator sends the basis element of type
-    src at frequency m to the polynomial's value at m times the one of type
-    dst at the same frequency.  Absent pairs are zero.  Coefficients are
-    exact (int or Fraction) except the Hodge star's complex constants.  +,
-    -, scalar *, @ (composition) and adjoint change coefficients only.  A
+    conjugate, and coefficient c stands for (c / den) (pi i)^|e| times
+    that monomial, |e| = sum(e), with den the operator's one positive int
+    denominator.  The operator sends the basis element of type src at
+    frequency m to the polynomial's value at m times the one of type dst
+    at the same frequency.  Absent pairs are zero.  Coefficients are
+    Python ints except the Hodge star's complex constants.  +, -, scalar
+    *, @ (composition) and adjoint change coefficients and den only.  A
     conjugate-linear operator (conjugates_argument, the Hodge star)
     conjugates the coefficients of its argument first and sends frequency
     m to -m; it may be scaled and added to another conjugate-linear
@@ -192,29 +208,38 @@ class OperatorMatrix:
     space: FourierFormSpace
     blocks: dict
     conjugates_argument: bool = False
+    den: int = 1
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        """The sum over the lcm of the two denominators."""
         if self.conjugates_argument != other.conjugates_argument:
             raise InputError("cannot add a linear and a conjugate-linear operator")
-        blocks = {key: dict(p) for key, p in self.blocks.items()}
+        den = math.lcm(self.den, other.den)
+        k = den // self.den
+        blocks = {key: {e: k * c for e, c in p.items()} for key, p in self.blocks.items()}
+        k = den // other.den
         for key, p in other.blocks.items():
             acc = blocks.setdefault(key, {})
             for e, c in p.items():
+                c *= k
                 acc[e] = acc[e] + c if e in acc else c
-        return OperatorMatrix(self.space, blocks, conjugates_argument=self.conjugates_argument)
+        return OperatorMatrix(self.space, blocks, self.conjugates_argument, den)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self + (-1) * other
 
     def __mul__(self, scalar) -> "OperatorMatrix":
-        blocks = {key: {e: scalar * c for e, c in p.items()} for key, p in self.blocks.items()}
-        return OperatorMatrix(self.space, blocks, conjugates_argument=self.conjugates_argument)
+        """scalar times the operator; an int, a Fraction or a float, taken
+        as the exact rational it is."""
+        num, den = scalar.as_integer_ratio()
+        blocks = {key: {e: num * c for e, c in p.items()} for key, p in self.blocks.items()}
+        return OperatorMatrix(self.space, blocks, self.conjugates_argument, self.den * den)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Composition: (self @ other) applies other first."""
-        return OperatorMatrix(self.space, _compose(self, other, {}))
+        return OperatorMatrix(self.space, _compose(self, other, {}), den=self.den * other.den)
 
     def is_zero(self) -> bool:
         """Whether every coefficient is exactly zero."""
@@ -222,7 +247,8 @@ class OperatorMatrix:
 
 
 def _compose(a: OperatorMatrix, b: OperatorMatrix, blocks: dict) -> dict:
-    """blocks with the blocks of the composition a b (b first) added in."""
+    """blocks with the coefficients of the composition a b (b first), over
+    the denominator a.den * b.den, added in."""
     if a.conjugates_argument or b.conjugates_argument:
         raise InputError("composition is defined for linear operators only")
     by_src = {}
@@ -240,7 +266,7 @@ def _compose(a: OperatorMatrix, b: OperatorMatrix, blocks: dict) -> dict:
 
 def _anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """a b + b a, composed into one set of blocks."""
-    return OperatorMatrix(a.space, _compose(b, a, _compose(a, b, {})))
+    return OperatorMatrix(a.space, _compose(b, a, _compose(a, b, {})), den=a.den * b.den)
 
 
 def build_space(torus: FlatTorus, truncation: int) -> FourierFormSpace:
@@ -340,15 +366,20 @@ def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     (src, dst) with polynomial conj(a) G_dst / G_src: each coefficient is
     conjugated, times (-1)^|e| for the conjugate of (pi i)^|e|, and scaled
     by the exact ratio of slot factors (the volume cancels), and z_j and
-    conj(z_j) swap places."""
+    conj(z_j) swap places.  The ratio is g_dst (L / g_src) over L
+    (FourierFormSpace.slot_inverses), so the result's denominator is
+    op.den L."""
     if op.conjugates_argument:
         raise InputError("adjoint is defined for linear operators only")
-    G = op.space.slot_factors
+    g, _ = op.space.slot_factors
+    scale, inverses = op.space.slot_inverses
     n = op.space.torus.n
-    blocks = {(src, dst): {e[n:] + e[:n]: (-1) ** sum(e) * c.conjugate() * G[dst] / G[src]
-                           for e, c in p.items()}
-              for (dst, src), p in op.blocks.items()}
-    return OperatorMatrix(op.space, blocks)
+    blocks = {}
+    for (dst, src), p in op.blocks.items():
+        ratio = g[dst] * inverses[src]
+        blocks[(src, dst)] = {e[n:] + e[:n]: (-1) ** sum(e) * c.conjugate() * ratio
+                              for e, c in p.items()}
+    return OperatorMatrix(op.space, blocks, den=op.den * scale)
 
 
 def laplacian(op: OperatorMatrix) -> OperatorMatrix:
@@ -400,20 +431,28 @@ def _residual(op: OperatorMatrix) -> float:
     whenever each polynomial's terms agree in phase there (single
     monomials, and sums of |z_j|^2 with coefficients of one sign: every
     operator the reports measure); otherwise it is an upper bound.  It is
-    summed in mpmath at 113 bits from the exact |c| and R_j^2 and rounded
-    once to a double, inf beyond its range."""
+    summed in mpmath at 113 bits from the exact R_j^2 and the exact
+    |c| / op.den, each reduced to lowest terms before it is rounded as
+    fraction_to_mpf rounds it, and rounded once to a double, inf beyond
+    its range.  Each monomial's pi^|e| and product of R_j is formed once."""
     if op.is_zero():
         return 0.0
-    n = op.space.torus.n
+    n, den = op.space.torus.n, op.den
     with mp.workprec(113):
         radii = [mp.sqrt(fraction_to_mpf(r2)) for r2 in op.space.radii_squared]
+        sizes = {e: (mp.pi ** sum(e), mp.fprod(radii[k % n] ** power for k, power in enumerate(e)))
+                 for e in set().union(*op.blocks.values())}
         rows = {}
         for (dst, _), p in op.blocks.items():
             rows[dst] = rows.get(dst, 0) + mp.fsum(
-                fraction_to_mpf(abs(c)) * mp.pi ** sum(e)
-                * mp.fprod(radii[k % n] ** power for k, power in enumerate(e))
-                for e, c in p.items())
+                _abs_over(c, den) * sizes[e][0] * sizes[e][1] for e, c in p.items())
         return float(max(rows.values()))
+
+
+def _abs_over(c: int, den: int) -> mp.mpf:
+    """|c| / den at the current precision, in lowest terms first."""
+    g = math.gcd(c, den)
+    return mp.mpf(abs(c) // g) / mp.mpf(den // g)
 
 
 @dataclass(frozen=True)

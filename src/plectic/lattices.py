@@ -81,7 +81,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise InputError("matrix product shape mismatch")
-        ot = list(zip(*other.entries))
+        ot = list(zip(*other.entries)) if other.rows else [()] * other.cols
         data = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.entries
         )
@@ -105,7 +105,8 @@ class IntMatrix:
         )
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
+        data = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix(self.cols, self.rows, data)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         data = []

@@ -59,10 +59,12 @@ def frequencies(space):
 
 def multipliers(op):
     """Each block's polynomial at every frequency in double precision: the
-    numpy evaluator that the exact coefficients are checked against."""
+    numpy evaluator that the exact coefficients, c / op.den, are checked
+    against."""
     _, z = frequencies(op.space)
     variables = np.concatenate([z, z.conj()], axis=1)
-    return {key: sum((complex(c) * (1j * np.pi) ** sum(e) * np.prod(variables ** np.array(e), axis=1)
+    return {key: sum((complex(c) / op.den * (1j * np.pi) ** sum(e)
+                      * np.prod(variables ** np.array(e), axis=1)
                       for e, c in p.items()), np.zeros(len(z), dtype=complex))
             for key, p in op.blocks.items()}
 
@@ -116,8 +118,10 @@ def harmonic_vectors(hb):
 
 
 def coefficients(op):
-    """The nonzero coefficients of an operator, by block."""
-    out = {key: {e: c for e, c in p.items() if c} for key, p in op.blocks.items()}
+    """The nonzero coefficients of an operator, by block, as the exact
+    rationals c / op.den."""
+    out = {key: {e: Fraction(c, op.den) for e, c in p.items() if c}
+           for key, p in op.blocks.items()}
     return {key: p for key, p in out.items() if p}
 
 
@@ -448,11 +452,13 @@ def test_composition_with_conjugate_linear_raises():
 
 @pytest.fixture(scope="module")
 def generic_algebra():
-    """xi_j, xibar_j, e_j, partial_j, partialbar_j (j = 1, 2) and d on
+    """xi_j, xibar_j, e_j, partial_j, partialbar_j (j = 1, 2), d and d* on
     GENERIC at N = 1 with their dense matrices and largest absolute
-    entries, and one column per refined type at a seeded frequency."""
+    entries, and one column per refined type at a seeded frequency.  d*
+    has a denominator other than 1, so sums and products mix them."""
     s = build_space(GENERIC, 1)
-    ops = [d_operator(s)]
+    ops = [d_operator(s), adjoint(d_operator(s))]
+    assert ops[1].den > 1
     for j in (1, 2):
         ops += [xi_operator(s, j), xi_bar_operator(s, j), e_operator(s, j),
                 partial_operator(s, j), partial_bar_operator(s, j)]
@@ -485,7 +491,8 @@ def test_sum_matches_dense_sum(generic_algebra):
 
 def test_adjoint_matches_dense_adjoint(generic_algebra):
     s, ops, _ = generic_algebra
-    g = np.tile([float(f) for f in s.slot_factors], s.freq_count)
+    nums, den = s.slot_factors
+    g = np.tile([x / den for x in nums], s.freq_count)
     for a, A, amax in ops:
         _close(dense(adjoint(a)), (A.conj().T * g) / g[:, None], amax)
 
@@ -545,18 +552,66 @@ def _laplacian_verdict(space):
         return False
 
 
+def _reference_adjoint(space, blocks):
+    """The adjoint of Fraction blocks from its definition: block (dst, src)
+    becomes block (src, dst), each coefficient times (-1)^|e| G_dst / G_src
+    with z_j and conj(z_j) swapped, where G_t is the product of 2 / w_j
+    over the set slots of type t."""
+    gram = [math.prod(2 / Fraction(w) for w, a, b in zip(space.torus.weights, alpha, beta)
+                      for bit in (a, b) if bit)
+            for alpha, beta in space.types]
+    n = space.torus.n
+    return {(src, dst): {e[n:] + e[:n]: (-1) ** sum(e) * c * gram[dst] / gram[src]
+                         for e, c in p.items()}
+            for (dst, src), p in blocks.items()}
+
+
+def _reference_product(a, b, out):
+    """out with the Fraction blocks of a b (b first) added in."""
+    by_mid = {}
+    for (dst, mid), pa in a.items():
+        by_mid.setdefault(mid, []).append((dst, pa))
+    for (mid, src), pb in b.items():
+        for dst, pa in by_mid.get(mid, ()):
+            acc = out.setdefault((dst, src), {})
+            for (ea, ca), (eb, cb) in itertools.product(pa.items(), pb.items()):
+                e = tuple(x + y for x, y in zip(ea, eb))
+                acc[e] = acc.get(e, 0) + ca * cb
+    return out
+
+
+_rational_weight = st.one_of(st.fractions(Fraction(1, 20), 20, max_denominator=60),
+                             st.sampled_from([1e300, 1e-300]))
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(_factor, st.fractions(Fraction(1, 20), 20, max_denominator=60)),
-                min_size=1, max_size=4))
+@given(st.lists(st.tuples(_factor, _rational_weight), min_size=1, max_size=4))
 def test_identities_exact_on_random_rational_weights(factors):
     """Truncation 0, where every multiplier but the constant ones vanishes,
     so only the coefficients can decide: the anticommutators, all cross
     terms, Delta_d = 2 sum_j Delta_xi_j and Delta_d = 2 Delta_del hold
     exactly, laplacian_d is laplacian(d) coefficient by coefficient, and
     dropping xibar's sign (-1)^|alpha| or the adjoint's swap of z_j and
-    conj(z_j) each fails the Laplacian check."""
+    conj(z_j) each fails the Laplacian check.  Weights include 1e300 and
+    1e-300, whose rationals have about a thousand bits.  The coefficients
+    of xi_j, of its adjoint and of laplacian_d are ints, and over their
+    operator's den they equal the Fractions composed from the definition
+    G_dst / G_src."""
     torus = _torus(factors)
     s = build_space(torus, 0)
+    xis = [xi_operator(s, j + 1) for j in range(s.torus.n)]
+    adjs = [adjoint(x) for x in xis]
+    reference = {}
+    for p in map(coefficients, xis + [xi_bar_operator(s, j + 1) for j in range(s.torus.n)]):
+        p_star = _reference_adjoint(s, p)
+        reference = _reference_product(p_star, p, _reference_product(p, p_star, reference))
+    for op in xis + adjs + [laplacian_d(s)]:
+        assert type(op.den) is int and op.den > 0
+        assert all(type(c) is int for p in op.blocks.values() for c in p.values())
+    for op, want in [(laplacian_d(s), reference)] + [
+            (a, _reference_adjoint(s, coefficients(x))) for a, x in zip(adjs, xis)]:
+        assert coefficients(op) == {key: {e: c for e, c in p.items() if c}
+                                    for key, p in want.items() if any(p.values())}
     ident = verify_refined_identities(s)
     assert ident.passed and ident.max_residual == 0.0
     lap = verify_laplacian_sum(s)  # laplacian_d raises unless every cross term is zero

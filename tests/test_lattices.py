@@ -200,6 +200,19 @@ def test_kernel_and_solve():
     assert solve_integer(A, IntMatrix.from_rows([[4, 3], [9, 9]])) is None
 
 
+def test_matrices_without_rows_or_columns():
+    """Transposes and products take their shapes from rows and cols, not
+    from the entries, so matrices with no rows work."""
+    empty = IntMatrix(0, 3, ())
+    assert empty.transpose() == IntMatrix(3, 0, ((), (), ()))
+    assert empty.transpose().transpose() == empty
+    assert IntMatrix(2, 0, ((), ())) @ empty == IntMatrix.zeros(2, 3)
+    assert IntMatrix(2, 0, ((), ())).transpose() == IntMatrix(0, 2, ())
+    square = IntMatrix(0, 0, ())
+    assert square.transpose() == square and square @ square == square
+    assert square @ empty == IntMatrix(0, 3, ())
+
+
 def test_row_basis_and_saturation():
     rows = row_lattice_basis(IntMatrix.from_rows([[2, 0], [0, 2], [1, 1]]))
     m = IntMatrix.from_rows(rows)
