@@ -5,10 +5,10 @@ normalizes an RM torus to the standard model C_Sigma / (O_L z + ideal).
 Exact integer work (orders, module decompositions, minimal polynomials)
 runs over Z and Q, and real-multiplication detection decides its fields
 with the exact tests of :mod:`plectic.numberfields`; period-matrix work
-runs at the configured mpmath precision.  Integer kernels of real linear
-constraints are proposed by the exact integral LLL of
-:func:`plectic.lattices.lll_reduce`, in scale stages, and then verified
-and saturated exactly.
+runs at the configured mpmath precision.  Hom lattices are found one
+source generator at a time, each by a staged exact integral LLL
+(:func:`plectic.lattices.lll_reduce`); a map is kept only when it commutes
+with the complex structures to the precision floor, then saturated.
 """
 
 from __future__ import annotations
@@ -213,80 +213,80 @@ def power_torus(t: ComplexTorus, k: int) -> ComplexTorus:
 
 
 # ----------------------------------------------------------------------
-# integer kernels of real constraints (LLL + exact verification)
+# hom lattices: integer relations column by column (LLL + exact checks)
 # ----------------------------------------------------------------------
 
 
-_KERNEL_STAGE_BITS = 16  # scale step between the LLL stages of integer_kernel_real
+_STAGE_BITS = 16  # scale step between the LLL stages of _integral_relations
 
 
-def integer_kernel_real(L: mp.matrix):
-    """Z-basis of the integer points of ker(L) for a real matrix L.
-
-    Candidates come from LLL on the embedding x -> x || x C, where C is
-    L^T scaled by 2^top and rounded, top = floor(3 ver_bits / 4).  A
-    genuine kernel vector of height h has residual at the precision floor
-    2^-ver_bits * h, while the Diophantine near-misses LLL also produces
-    stall near 2^-top * h; keeping the scale well below the precision
-    separates the two, and the accepted set is saturated exactly
-    afterwards.
-
-    The embedding is reduced in scale stages 2^16, 2^32, ..., 2^top, each
-    by the exact `lll_reduce` and each from the coefficient vectors x the
-    previous stage left.  A lower stage's columns are the top-scale ones
-    shifted right with rounding, so the last stage reduces exactly the
-    single-scale lattice, but from a nearly reduced basis whose integers
-    stay small.
+def _integral_relations(V, K, ver_bits):
+    """Basis of the v in span_Z(V) with K v integral (V independent
+    integer vectors, K a real matrix as a list of rows): the exact
+    `lll_reduce` of x = (a, w) -> x || 2^s (K V a - w), v = a V, in the
+    stages s = 16, 32, ..., top = floor(3 ver_bits / 4), each from the x
+    the previous stage left, with K V rounded at 2^top and shifted down.
+    A relation of height h misses by about 2^-ver_bits h, a Diophantine
+    near-miss by about 2^-top h: v is kept when |K v - w| <= 2^-ver_bits h len(v).
     """
-    m, n = L.rows, L.cols
-    with working_precision():
-        ver_bits = mp.mp.prec - 40
-        top = (3 * ver_bits) // 4
-        floor = mp.mpf(2) ** (-ver_bits)
-        scale = mp.mpf(2) ** top
-        # C[j] is column j of C (constraint j); a stage row is x || x C_s
-        C = [[int(mp.nint(scale * L[j, i])) for i in range(n)] for j in range(m)]
-        X = [[int(k == i) for k in range(n)] for i in range(n)]
-        for bits in [*range(_KERNEL_STAGE_BITS, top, _KERNEL_STAGE_BITS), top]:
-            k = top - bits
-            Cs = [[(c + (1 << k >> 1)) >> k for c in col] for col in C]
-            rows = [x + [sum(map(operator.mul, x, col)) for col in Cs] for x in X]
-            reduced = lll_reduce(rows)
-            X = [list(row[:n]) for row in reduced]
-        constraints = [[L[j, i] for i in range(n)] for j in range(m)]
-        found = []
-        for x in X:
-            if not any(x):
-                continue
-            bound = floor * max(1, *map(abs, x)) * n
-            if all(abs(mp.fdot(row, x)) <= bound for row in constraints):
-                found.append(tuple(x))
-    if not found:
-        return []
-    # the Hermite basis of the saturation can be badly skewed; reduce
-    return lll_reduce(saturation(IntMatrix.from_rows(found)))
+    r, m = len(V), len(K)
+    top = (3 * ver_bits) // 4
+    # C[j] is constraint j, (K V a)_j - w_j, at the top scale
+    C = [[int(mp.nint(mp.ldexp(mp.fdot(row, v), top))) for v in V]
+         + [-(i == j) << top for i in range(m)] for j, row in enumerate(K)]
+    X = IntMatrix.identity(r + m).entries
+    for bits in [*range(_STAGE_BITS, top, _STAGE_BITS), top]:
+        k = top - bits
+        Cs = [[(c + (1 << k >> 1)) >> k for c in col] for col in C]
+        rows = [[*x, *(sum(map(operator.mul, x, col)) for col in Cs)] for x in X]
+        X = [row[:r + m] for row in lll_reduce(rows)]
+    out = []
+    for x in X:
+        v = [sum(map(operator.mul, x[:r], col)) for col in zip(*V)]
+        bound = mp.ldexp(max(map(abs, v), default=0) * len(v), -ver_bits)
+        if any(v) and all(abs(mp.fdot(row, v) - w) <= bound for row, w in zip(K, x[r:])):
+            out.append(v)
+    return out
 
 
 def hom_lattice(src: ComplexTorus, dst: ComplexTorus):
-    """Z-basis of Hom(src, dst) as integer matrices on lattice coordinates."""
+    """Z-basis of Hom(src, dst): the integer U with U J_src = J_dst U.
+
+    The pivots of `cxlinalg.lu` pick g_src C-independent generators F of
+    the source; any other is Pi_src e_k = sum_l c_lk Pi_src e_{F_l}, so
+    U e_k = sum_l (Re c_lk + Im c_lk J_dst) U e_{F_l} = K_k v, with v the
+    2 g_dst g_src entries of U[:, F].  Starting from Z^that, each dependent
+    k keeps the v with K_k v integral (`_integral_relations`).  A survivor
+    is assembled into U and kept only if every entry of U J_src - J_dst U
+    is within 2^-ver_bits max(1, h) n (h its height, n its size); the kept
+    set is saturated exactly.
+    """
     with working_precision():
-        J1 = src.complex_structure()
-        J2 = dst.complex_structure()
-        r, c = 2 * dst.g, 2 * src.g
-        # constraint U J1 - J2 U = 0, columns indexed by entries of U
-        L = mp.matrix(r * c, r * c)
-        for i in range(r):
-            for j in range(c):
-                col = i * c + j
-                for jj in range(c):  # (U J1)[i, jj] gets U[i, j] * J1[j, jj]
-                    L[i * c + jj, col] += J1[j, jj]
-                for ii in range(r):  # (J2 U)[ii, j] gets J2[ii, i] * U[i, j]
-                    L[ii * c + j, col] -= J2[ii, i]
-        vecs = integer_kernel_real(L)
-    out = []
-    for v in vecs:
-        out.append(IntMatrix(r, c, tuple(tuple(v[i * c + j] for j in range(c)) for i in range(r))))
-    return out
+        ver_bits = mp.mp.prec - 40
+        J_dst = dst.complex_structure()
+        J_src = J_dst if src is dst else src.complex_structure()
+        Pi, g, r, c = src.periods, src.g, 2 * dst.g, 2 * src.g
+        free = cx.lu(cx.hstack([Pi.T, cx.ctranspose(Pi)])).perm[:g]
+        dep = [k for k in range(c) if k not in free]
+        coef = cx.solve(cx.mpm([[Pi[i, j] for j in free] for i in range(g)]),
+                        cx.mpm([[Pi[i, k] for k in dep] for i in range(g)]))
+        Ks = [[[mp.re(coef[l, t]) * (i == j) + mp.im(coef[l, t]) * J_dst[i, j]
+                for l in range(g) for j in range(r)] for i in range(r)] for t in range(len(dep))]
+        V = IntMatrix.identity(r * g).entries
+        for K in Ks:
+            V = _integral_relations(V, K, ver_bits)
+        found = []
+        for v in V:
+            cols = {j: v[l * r:(l + 1) * r] for l, j in enumerate(free)}
+            cols.update((k, [int(mp.nint(mp.fdot(row, v))) for row in K]) for k, K in zip(dep, Ks))
+            U = cx.mpm([[cols[j][i] for j in range(c)] for i in range(r)])
+            bound = mp.ldexp(max(1, *map(abs, U)) * r * c, -ver_bits)
+            if all(abs(x) <= bound for x in U * J_src - J_dst * U):
+                found.append(tuple(int(x) for x in U))
+    if not found:
+        return []
+    # the Hermite basis of the saturation can be badly skewed; reduce
+    return [_unvec(v, r, c) for v in lll_reduce(saturation(IntMatrix.from_rows(found)))]
 
 
 def endomorphisms(t: ComplexTorus, height_bound: int, tol=None):

@@ -226,7 +226,8 @@ def test_serialization_round_trip():
     assert back.entries == m.entries
 
 
-# Scaled embedding that integer_kernel_real builds for Hom(E, E) with
+# Scaled embedding of the all-entries Hom constraint U J = J U (as in
+# tests/test_tori.py::single_stage_kernel) for Hom(E, E) with
 # E = C / (Z + Z(0.3 + 1.7i)) at the default 128-bit precision: an identity
 # block beside the constraint matrix scaled by 2^75 (entries up to 2^76).
 # Past 2^53 a float-rounded size reduction cannot converge on it.

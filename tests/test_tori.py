@@ -418,7 +418,9 @@ def test_certificate_rank_mismatch():
 
 
 def single_stage_kernel(L):
-    """integer_kernel_real with one LLL of the embedding at scale 2^top."""
+    """Integer kernel of the real matrix L from one LLL of the embedding
+    x -> x || x C at scale 2^top, C = L^T rounded, with each kernel vector
+    checked against L at the precision floor and the set saturated."""
     m, n = L.rows, L.cols
     with working_precision():
         ver_bits = mp.mp.prec - 40
@@ -440,35 +442,82 @@ def single_stage_kernel(L):
     return lll_reduce(saturation(IntMatrix.from_rows(found)))
 
 
-def _seeded_rm_torus(D, seed):
+def reference_hom_lattice(src, dst):
+    """Hom(src, dst) as the integer kernel of U J_src - J_dst U = 0 in all
+    (2 g_dst)(2 g_src) entries of U at once, by `single_stage_kernel`."""
+    with working_precision():
+        J1 = src.complex_structure()
+        J2 = dst.complex_structure()
+        r, c = 2 * dst.g, 2 * src.g
+        # constraint U J1 - J2 U = 0, columns indexed by entries of U
+        L = mp.matrix(r * c, r * c)
+        for i in range(r):
+            for j in range(c):
+                col = i * c + j
+                for jj in range(c):  # (U J1)[i, jj] gets U[i, j] * J1[j, jj]
+                    L[i * c + jj, col] += J1[j, jj]
+                for ii in range(r):  # (J2 U)[ii, j] gets J2[ii, i] * U[i, j]
+                    L[ii * c + j, col] -= J2[ii, i]
+        vecs = single_stage_kernel(L)
+    return [IntMatrix(r, c, tuple(tuple(v[i * c + j] for j in range(c)) for i in range(r)))
+            for v in vecs]
+
+
+def _seeded_rm_torus(D, seed, ideal=None):
     rng = random.Random(seed)
     z = [mp.mpc(round(rng.uniform(-1, 1), 4), round(rng.uniform(0.5, 1.5), 4))
          for _ in range(2)]
-    return construct_rm_torus(FieldOrder.quadratic_maximal(D), z)
+    return construct_rm_torus(FieldOrder.quadratic_maximal(D), z, ideal)
 
 
-def _assert_staging_changes_nothing(t, monkeypatch):
-    staged = hom_lattice(t, t)
-    with monkeypatch.context() as patch:
-        patch.setattr(tori, "integer_kernel_real", single_stage_kernel)
-        reference = hom_lattice(t, t)
-    assert [N.entries for N in staged] == [N.entries for N in reference]
-    return staged
+def _assert_matches_reference(src, dst=None):
+    dst = src if dst is None else dst
+    found = hom_lattice(src, dst)
+    assert [N.entries for N in found] == [N.entries for N in reference_hom_lattice(src, dst)]
+    return found
 
 
-def test_integer_kernel_matches_single_stage_reference(monkeypatch):
+def test_hom_lattice_matches_single_stage_reference():
     with working_precision():
         cm_b = mp.mpc(0, mp.sqrt(2))
-    cases = [_seeded_rm_torus(D, seed) for D, seed in ((2, 1), (5, 2), (13, 3))]
-    cases += [product_torus(elliptic(mp.mpc(0, 1)), elliptic(cm_b)),
-              elliptic(mp.mpc("0.3", "1.7")), elliptic(mp.mpc(0, 1))]
-    ranks = [len(_assert_staging_changes_nothing(t, monkeypatch)) for t in cases]
-    assert ranks == [2, 2, 2, 4, 1, 2]
+        # at working precision tau = (3 + 17i)/10 and (-2 + 9i)/10 both lie in
+        # Q(i), so E and E2 are isogenous CM curves; built at 53 bits, E is not
+        E, E2 = elliptic(mp.mpc("0.3", "1.7")), elliptic(mp.mpc("-0.2", "0.9"))
+    O10 = FieldOrder.quadratic_maximal(10)
+    P2 = FractionalIdealRep(O10, ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))))
+    rm5 = _seeded_rm_torus(5, 2)
+    EE2 = product_torus(E, E2)
+    # (src, dst or None for src) and the rank of Hom(src, dst)
+    cases = [
+        ((_seeded_rm_torus(2, 1), None), 2), ((rm5, None), 2), ((_seeded_rm_torus(13, 3), None), 2),
+        ((_seeded_rm_torus(3, 5), None), 2), ((_seeded_rm_torus(10, 6), None), 2),
+        ((_seeded_rm_torus(10, 7, P2), None), 2),
+        ((product_torus(elliptic(mp.mpc(0, 1)), elliptic(cm_b)), None), 4),
+        ((elliptic(mp.mpc("0.3", "1.7")), None), 1), ((elliptic(mp.mpc(0, 1)), None), 2),
+        ((rm5, dual_torus(rm5)), 2), ((E, EE2), 4), ((EE2, E), 4), ((rm5, EE2), 0),
+        ((product_torus(EE2, E), None), 18),
+    ]
+    ranks = [len(_assert_matches_reference(src, dst)) for (src, dst), _ in cases]
+    assert ranks == [rank for _, rank in cases]
     set_precision(256)
     try:
-        assert len(_assert_staging_changes_nothing(_seeded_rm_torus(5, 4), monkeypatch)) == 2
+        assert len(_assert_matches_reference(_seeded_rm_torus(5, 4))) == 2
     finally:
         set_precision(128)
+
+
+def test_generic_three_torus_has_only_scalars():
+    rng = random.Random(11)
+    with working_precision():
+        P = mp.matrix(3, 6)
+        for i in range(3):
+            P[i, i] = 1
+            P[i, 3 + i] = mp.mpc(rng.uniform(-1, 1), rng.uniform(1, 2))
+            for j in range(3):
+                if j != i:
+                    P[i, 3 + j] = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mp.mpf("0.25")
+    t = ComplexTorus(3, P)
+    assert [N.entries for N in hom_lattice(t, t)] == [IntMatrix.identity(6).entries]
 
 
 def min_poly_detect_rm(t: ComplexTorus, height_bound: int, field_hint=None):
