@@ -75,11 +75,6 @@ class QuotientDatum:
             if beta[nu - 1] == 0
         ]
 
-    def point_is_generic(self, factor: int, point) -> bool:
-        # translation groups act freely; providers for other factor types
-        # can override this hook to enforce trivial stabilizers
-        return True
-
 
 @dataclass(frozen=True)
 class PlecticCycle:

@@ -16,13 +16,18 @@ by rounding, reached 18 ||A||_1 eps at that precision.  `inverse`,
 `solve` and `det` are built on `lu`; the first two raise
 `DegenerateInputError` on a singular matrix, and `det` returns 0.
 `lattice_lu` adds the test that lattice generators span: a Hadamard
-ratio at least the tolerance.  mpmath's SVD remains behind `nullspace`,
-`lstsq` and `subspace_residual`, which both report bases and decide
-verdicts, at six call sites: `lstsq` in `shimura.strongly_primitive`;
-`subspace_residual` in `shimura._check_cup`, in
-`shimura.nu_hodge_structure` and in `tori.jacobian_is_abelian_certificate`;
-`nullspace` in `shimura._restrict_structure` and in `tori.algebraize_rm`.
-ROADMAP item 4 replaces them with one column-pivoted elimination.
+ratio at least the tolerance.
+
+mpmath's SVD remains behind `nullspace` and `subspace_residual`, each
+with one library caller: `nullspace` in `shimura._restrict_structure`
+(the Hodge pieces of a character piece) and `subspace_residual` in
+`tori.jacobian_is_abelian_certificate` (does the order action preserve
+those pieces).  Both wait on the traced benchmark (ROADMAP item 1): a
+canonical basis from `_restrict_structure` takes the certificate's
+residuals from about 1e-17 to about 1e-40, and forming the certificate's
+product at working precision does the same, so either change makes the
+planted hodge-jacobians job pass (CHANGES.md FOUND lines).  Every other
+subspace question is read in piece coordinates or from an LU solve.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError
 
 __all__ = [
-    "mpm", "conj", "ctranspose", "hstack", "frob", "kron", "nullspace", "lstsq",
-    "subspace_residual", "real_imag_stack", "LU", "lu", "lattice_lu", "inverse", "solve", "det",
+    "mpm", "conj", "ctranspose", "hstack", "frob", "kron", "nullspace", "subspace_residual",
+    "real_imag_stack", "LU", "lu", "lattice_lu", "inverse", "solve", "det",
 ]
 
 _LU_GUARD_BITS = 10
@@ -121,27 +126,22 @@ def nullspace(A: mp.matrix, rtol=None) -> mp.matrix:
     return ctranspose(V)[:, r:] if r < A.cols else mp.matrix(A.cols, 0)
 
 
-def lstsq(A: mp.matrix, B: mp.matrix, rtol=None) -> mp.matrix:
-    """Least-squares solve via the SVD pseudo-inverse (B may have many columns)."""
-    U, s, V = _svd(A)
-    rtol = resolve_tolerance(rtol)
-    top = s[0] if s else mp.mpf(0)
-    with working_precision():
-        Sd = mp.matrix(len(s), len(s))
-        for i, x in enumerate(s):
-            Sd[i, i] = 1 / x if (top > 0 and x > rtol * top) else mp.mpf(0)
-        return ctranspose(V) * Sd * ctranspose(U) * B
-
-
 def subspace_residual(A: mp.matrix, B: mp.matrix, rtol=None) -> mp.mpf:
-    """How far col(A) sticks out of col(B), relative to ||A||."""
+    """How far col(A) sticks out of col(B), relative to ||A||: A less its
+    least-squares fit B B^+ A, with B^+ the SVD pseudo-inverse."""
     with working_precision():
         na = frob(A)
         if na == 0:
             return mp.mpf(0)
         if B.cols == 0:
             return mp.mpf(1)
-        R = A - B * lstsq(B, A, rtol)
+        U, s, V = _svd(B)
+        rtol = resolve_tolerance(rtol)
+        top = s[0] if s else mp.mpf(0)
+        Sd = mp.matrix(len(s), len(s))
+        for i, x in enumerate(s):
+            Sd[i, i] = 1 / x if (top > 0 and x > rtol * top) else mp.mpf(0)
+        R = A - B * (ctranspose(V) * Sd * ctranspose(U) * A)
         return frob(R) / na
 
 

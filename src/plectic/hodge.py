@@ -149,9 +149,10 @@ def validate(h: PlecticHodgeStructure, tol=None) -> ValidationReport:
     """Check direct-sum completeness and conjugation symmetry in piece
     coordinates: B stacks the piece bases and X = B^-1 (one LU).
 
-    span_defect is ||I - B X||_F when ||B||_F ||X||_F tol < 1, and 1
+    span_defect is ||I - B X||_F when ||B||_F ||X||_F tol < rank, and 1
     otherwise or when LU finds B singular: rounding noise when the pieces
-    span, >= 1 when they do not.  conjugation_residual is the worst, over
+    span, >= 1 when they do not; ||B||_F ||X||_F >= rank, with equality
+    for orthonormal pieces.  conjugation_residual is the worst, over
     pieces p with conjugate piece q, of ||conj(B_p) - B_q (X conj(B_p))_q||_F
     / ||conj(B_p)||_F, the share of conj(H^{a,b}) outside H^{b,a}; it is 1
     for a missing or wrong-sized conjugate piece, and when the pieces do not
@@ -167,7 +168,7 @@ def validate(h: PlecticHodgeStructure, tol=None) -> ValidationReport:
     messages = []
     with working_precision():
         B, X, block = _piece_coordinates(pieces, "pieces")
-        if X is not None and cx.frob(B) * cx.frob(X) * tol < 1:
+        if X is not None and cx.frob(B) * cx.frob(X) * tol < h.rank:
             span_defect = cx.frob(mp.eye(h.rank) - B * X)
         else:
             X, span_defect = None, mp.mpf(1)

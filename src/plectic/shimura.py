@@ -22,6 +22,8 @@ from .hodge import (
     Bidegree,
     ClassicalHodgeStructure,
     PlecticHodgeStructure,
+    _outside,
+    _piece_coordinates,
     check_morphism,
     validate,
 )
@@ -176,7 +178,7 @@ def strongly_primitive(h: PlecticHodgeStructure, cups, tol=None) -> PlecticHodge
                 )
                 if should_die:
                     continue
-                coords = cx.lstsq(K, basis, tol)
+                coords = cx.solve(K.T * K, K.T * basis)  # K has full column rank
                 resid = cx.frob(K * coords - basis) / max(mp.mpf(1), cx.frob(basis))
                 if resid > tol:
                     raise DegenerateInputError(
@@ -193,6 +195,9 @@ def _check_cup(h: PlecticHodgeStructure, cup: CupOperator, tol):
         raise InputError("cup index out of range")
     if cup.matrix.cols != h.rank or cup.matrix.rows != cup.target.rank:
         raise InputError("cup matrix shape mismatch")
+    B, X, block = _piece_coordinates(cup.target.sorted_pieces(), "cup target pieces")
+    if X is None:
+        raise DegenerateInputError("cup target pieces are linearly dependent")
     L = cx.mpm(cup.matrix.entries)
     for bd, basis in h.sorted_pieces():
         image = L * basis
@@ -208,10 +213,9 @@ def _check_cup(h: PlecticHodgeStructure, cup: CupOperator, tol):
             bd.alpha[: nu - 1] + (bd.alpha[nu - 1] + 1,) + bd.alpha[nu:],
             bd.beta[: nu - 1] + (bd.beta[nu - 1] + 1,) + bd.beta[nu:],
         )
-        target = cup.target.pieces.get(shifted)
         if img_norm <= tol:
             continue
-        if target is None or cx.subspace_residual(image, target, tol) > tol:
+        if shifted not in block or _outside(image, B, X, block[shifted]) > tol:
             raise DegenerateInputError("cup operator is not a plectic morphism")
 
 
@@ -230,11 +234,14 @@ def nu_hodge_structure(d: StronglyPrimitiveDatum, nu: int, tol=None) -> Classica
             (f1_parts if beta[nu - 1] == 0 else conj_parts).append(block)
         F1 = cx.hstack(f1_parts)
         C1 = cx.hstack(conj_parts)
+        B, X, block = _piece_coordinates([("F1", F1), ("C1", C1)], "involution translates")
+        if X is None:
+            raise DegenerateInputError("involution translates do not span in direct sum")
         for mu in range(1, d.r + 1):
             if mu == nu:
                 continue
             fr = cx.mpm(d.frobenii[mu - 1].entries)
-            if cx.subspace_residual(fr * F1, F1, tol) > tol:
+            if _outside(fr * F1, B, X, block["F1"]) > tol:
                 raise DegenerateInputError(
                     f"involution {mu} is not an automorphism of the {nu}-th structure"
                 )

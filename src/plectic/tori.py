@@ -625,7 +625,10 @@ def algebraize_rm(t: ComplexTorus, rm: RMStructure, sign_bound: int = 50, tol=No
     """Normalize an RM torus to the standard model: eigen-split V over
     the real embeddings, read off the two Steinitz coordinates, and
     correct signs by a small field element so every modulus lands in the
-    upper half plane."""
+    upper half plane.  Row l of the eigen-split is the largest row of the
+    spectral projector prod_{m != l} (M - sigma_m I), M the generator's
+    analytic action: a left eigenvector of M for sigma_l by Cayley-Hamilton,
+    whose scale cancels in iso through mu_l."""
     tol = resolve_tolerance(tol)
     field = rm.field
     d = field.degree
@@ -635,26 +638,20 @@ def algebraize_rm(t: ComplexTorus, rm: RMStructure, sign_bound: int = 50, tol=No
         raise InputError("algebraization runs after enlarge_to_maximal")
     with working_precision():
         emb = field.embeddings()
-        if d == 1:
-            E = mp.eye(1)
-        else:
+        if d > 1:
             Mgen, resid = t.multiplier(rm.action[1])
             if resid > tol * 100:
                 raise DegenerateInputError("order action is not holomorphic on this torus")
-            cols = []
-            for l in range(d):
-                sig = emb[l][1]
-                ns = cx.nullspace(Mgen - sig * mp.eye(d))
-                if ns.cols != 1:
-                    raise DegenerateInputError(
-                        "action matrices are not simultaneously diagonalizable"
-                    )
-                cols.append(ns)
-            E = cx.hstack(cols)
+        split = []  # row l: a left eigenvector of Mgen for emb[l]
+        for l in range(d):
+            P = mp.eye(d)
+            for m in range(d):
+                if m != l:
+                    P = P * (Mgen - emb[m][1] * mp.eye(d))
+            split.append(max(P.tolist(), key=lambda row: mp.fsum(abs(x) ** 2 for x in row)))
+        W = cx.mpm(split)
         U, ideal0 = steinitz_decompose(rm)
-        Einv = cx.inverse(E)
-        Pi_eig = Einv * t.periods
-        C = Pi_eig * cx.mpm(U.entries)
+        C = W * t.periods * cx.mpm(U.entries)
         lam = [C[l, 0] for l in range(d)]
         mu = []
         for l in range(d):
@@ -670,7 +667,7 @@ def algebraize_rm(t: ComplexTorus, rm: RMStructure, sign_bound: int = 50, tol=No
         x = _sign_correction(field, emb, tau, sign_bound)
         z = tuple(field.element_embedding(x, emb[l]) * tau[l] for l in range(d))
         ideal = ideal0.scaled(x)
-        iso = mp.diag([field.element_embedding(x, emb[l]) / mu[l] for l in range(d)]) * Einv
+        iso = mp.diag([field.element_embedding(x, emb[l]) / mu[l] for l in range(d)]) * W
         model = construct_rm_torus(field, z, ideal)
         resid = cx.frob(iso * t.periods * cx.mpm(U.entries) - model.periods)
         resid = resid / max(mp.mpf(1), cx.frob(model.periods))

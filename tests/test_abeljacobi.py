@@ -232,8 +232,3 @@ def test_gauss_legendre_provider():
         assert abs(quad - exact) < tol
         end = mp.mpc(1, "0.5")  # float64 nodes would be off by about 2e-16 here
         assert abs(GaussLegendreForm(mp.exp)(end, 0) - (mp.exp(end) - 1)) < tol
-
-
-def test_genericity_hook():
-    d = QuotientDatum((SQ,))
-    assert d.point_is_generic(0, mp.mpc(0.3, 0.4))

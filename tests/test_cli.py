@@ -7,6 +7,9 @@ import jsonschema
 import mpmath as mp
 import pytest
 
+import test_acceptance
+import test_shimura
+
 import plectic.serialize as ser
 from plectic import cxlinalg as cx
 from plectic.cli import main
@@ -15,6 +18,7 @@ from plectic.hodge import elliptic_h1, tensor
 from plectic.lattices import IntMatrix
 from plectic.numberfields import FieldOrder
 from plectic.schemas import known_commands, report_schema
+from plectic.shimura import strongly_primitive
 
 
 def write_fixtures(root):
@@ -367,6 +371,84 @@ def test_singular_solve_exits_two(fixture, argv, mutate, message, fixtures, tmp_
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fixture,mutate,want", [
+    ("phs.json", None, 0),
+    ("phs_bad.json", None, 1),
+    ("phs.json", _repeat_first_piece, 1),
+], ids=["golden", "bad-conjugate", "repeated-piece"])
+def test_loose_tolerance_keeps_validate_verdicts(fixture, mutate, want, fixtures, tmp_path):
+    """The span guard divides ||B||_F ||X||_F by the rank, so a valid structure
+    passes at tolerance 0.5 and a repeated piece still fails with span_defect 1."""
+    doc = json.loads(pathlib.Path(fixtures[fixture]).read_text())
+    if mutate:
+        mutate(doc)
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    code, out = run(["phs", "validate", "--input", str(path), "--tolerance", "0.5"])
+    assert code == want
+    if mutate:
+        assert json.loads(out)["payload"]["span_defect"].startswith("1")
+
+
+DEPENDENT_DATUM = {"r": 1, "rank": 2, "frobenii": [[[1, 0], [0, -1]]],
+                   "holo": [[["1", "0"]], [["0", "0"]]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["qsv", "build"], ["qsv", "nu-structure", "--nu", "1"], ["qsv", "jacobian", "--nu", "1"],
+], ids=["build", "nu-structure", "jacobian"])
+def test_dependent_translates_exit_two(argv, tmp_path, capsys):
+    """Holomorphic line (1, 0) under the flip: F^1 equals its conjugate."""
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(DEPENDENT_DATUM))
+    code, _ = run(argv + ["--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "involution translates do not span in direct sum" in err
+
+
+def _target_pieces(*bases):
+    def mutate(doc):
+        doc["cups"][0]["target"]["pieces"] = [
+            {"alpha": a, "beta": a, "basis": [[[x, "0"]] for x in b]}
+            for a, b in zip(([1, 0], [0, 1]), bases)]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_target_pieces(["1", "0"]), "cup target pieces do not fill the space"),
+    (_target_pieces(["1", "0"], ["2", "0"]), "cup target pieces are linearly dependent"),
+], ids=["not-filling", "dependent"])
+def test_degenerate_cup_target_exits_two(mutate, message, fixtures, tmp_path, capsys):
+    doc = json.loads(pathlib.Path(fixtures["sp.json"]).read_text())
+    mutate(doc)
+    path = tmp_path / "sp.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["qsv", "strongly-primitive", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+def test_piece_checks_and_eigen_split_make_no_svd(fixtures, monkeypatch):
+    """mpmath's SVD is left to `shimura._restrict_structure` and the RM
+    certificate's piece check.  With it switched off, the nu-structure,
+    strongly primitive and algebraization reports still match their golden
+    files, the nonzero cup drops its piece, and criterion 5 round trips."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath SVD called")
+
+    monkeypatch.setattr(mp.mp, "svd", refuse)
+    commands = dict(COMMANDS)
+    for command in ("qsv.nu-structure", "qsv.strongly-primitive", "torus.rm-algebraize"):
+        code, out = run(commands[command](fixtures))
+        assert code == 0 and out == (GOLDEN / f"{command}.json").read_text()
+    hbig, cup = test_shimura.extra_piece_cup()
+    assert strongly_primitive(hbig, [cup]).rank == 4
+    test_acceptance.test_criterion_5_algebraization_round_trip()
 
 
 @pytest.mark.parametrize("precision,want", [("128", 2), ("256", 0)])

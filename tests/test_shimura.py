@@ -154,7 +154,9 @@ def test_character_pieces_are_eigenspaces():
             assert fr2.apply(row) == tuple(chi[0] * x for x in row)
 
 
-def test_strongly_primitive_drops_extra_piece():
+def extra_piece_cup():
+    """A rank-6 structure, E x E plus a (0, 0) piece on two extra
+    coordinates, and the nonzero cup that kills exactly that piece."""
     t = tensor(elliptic_h1(1, mp.mpc(0, 1)), elliptic_h1(1, mp.mpc(0, 1)))
     pieces = {}
     for bd, B in t.sorted_pieces():
@@ -167,6 +169,11 @@ def test_strongly_primitive_drops_extra_piece():
         Bidegree((1, 0), (1, 0)): cx.mpm([[1, 0], [0, 1]]),
     })
     cup = CupOperator(1, IntMatrix.from_rows([[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]), tgt)
+    return hbig, cup
+
+
+def test_strongly_primitive_drops_extra_piece():
+    hbig, cup = extra_piece_cup()
     out = strongly_primitive(hbig, [cup])
     assert out.rank == 4
     assert is_effective_weight_one(out)
@@ -191,6 +198,30 @@ def test_strongly_primitive_rejects_non_morphism():
     bad = CupOperator(1, IntMatrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 0]]), tgt)
     with pytest.raises(DegenerateInputError):
         strongly_primitive(t, [bad])
+
+
+@pytest.mark.parametrize("pieces,message", [
+    ({Bidegree((1, 0), (1, 0)): [[1], [0]]}, "cup target pieces do not fill the space"),
+    ({Bidegree((1, 0), (1, 0)): [[1], [0]], Bidegree((0, 1), (0, 1)): [[2], [0]]},
+     "cup target pieces are linearly dependent"),
+], ids=["not-filling", "dependent"])
+def test_cup_target_pieces_must_be_a_basis(pieces, message):
+    """The target's pieces are factored once, before any image is read, so
+    even a zero cup needs them to be a basis of the target."""
+    t = tensor(elliptic_h1(1, mp.mpc(0, 1)), elliptic_h1(1, mp.mpc(0, 1)))
+    tgt = PlecticHodgeStructure(2, 2, {bd: cx.mpm(b) for bd, b in pieces.items()})
+    with pytest.raises(DegenerateInputError, match=message):
+        strongly_primitive(t, [CupOperator(1, IntMatrix.zeros(2, 4), tgt)])
+
+
+def test_dependent_translates_are_rejected():
+    """Holomorphic line (1, 0) under the flip: F^1 equals its conjugate, and
+    both the structure and the nu-th structure reject the datum."""
+    d = StronglyPrimitiveDatum(1, (FLIP,), cx.mpm([[1], [0]]))
+    for build in (build_plectic_from_frobenii, lambda d: nu_hodge_structure(d, 1)):
+        with pytest.raises(DegenerateInputError,
+                           match="involution translates do not span in direct sum"):
+            build(d)
 
 
 def test_qsv_jacobian_elliptic():
