@@ -3,12 +3,12 @@
 Every dense square solve in the package goes through one LU kernel.
 `lu(A)` is the Crout factorization PA = LU with partial pivoting (Golub &
 Van Loan, *Matrix Computations*, 4th ed., section 3.2), held on plain row
-lists: each entry of L and U is one `mp.fdot` of a row of L against a
-column of U.  The pivot is the entry of largest |re| + |im| in its column,
-which costs no square root.  The factorization runs at the caller's
-precision plus 10 guard bits, as mpmath's own `inverse` and `lu_solve` do,
-and its results keep those bits.  A pivot with |re| + |im| at most
-||A||_1 * eps (the norm in the same measure, eps at the caller's
+lists: each entry of L and U is one exact dot product of a row of L
+against a column of U.  The pivot is the entry of largest |re| + |im| in
+its column, which costs no square root.  The factorization runs at the
+caller's precision plus 10 guard bits, as mpmath's own `inverse` and
+`lu_solve` do, and its results keep those bits.  A pivot with |re| + |im|
+at most ||A||_1 * eps (the norm in the same measure, eps at the caller's
 precision, mpmath's rule for `det`) means A is singular, and `lu` returns
 None.  Taking eps at the raised precision instead would judge by the
 guard bits: the last pivot of an exactly singular integer product, left
@@ -17,6 +17,20 @@ by rounding, reached 18 ||A||_1 eps at that precision.  `inverse`,
 `DegenerateInputError` on a singular matrix, and `det` returns 0.
 `lattice_lu` adds the test that lattice generators span: a Hadamard
 ratio at least the tolerance.
+
+The dot products of `lu`, `LU.solve` and `matmul` share one exact kernel
+(Kulisch, *Computer Arithmetic and Validity*, 2nd ed.): a vector of mpf
+and mpc is held as Gaussian-integer mantissas over one shared exponent,
+sum a_k b_k is one Python sum of exact integer products, and the sum is
+rounded once by `from_man_exp`.  `mp.fdot` also sums the exact products
+and rounds once, and `mpf_sum` drops a term only across an exponent gap
+of more than twice the precision, so the two agree bit for bit, mpf or
+mpc alike, whenever the product exponents span at most 2 * prec bits.
+Otherwise, or for an inf or nan entry, the kernel calls `mp.fdot`.  The
+saving comes from converting each row and column once: `lu` grows its L
+rows and U columns in this form, an `LU` converts its rows once for all
+the columns `solve` is given, and `matmul` converts each row of A and
+column of B once.  `frob` makes mpmath's roundings on raw libmp values.
 
 mpmath's SVD remains behind `nullspace` and `subspace_residual`, each
 with one library caller: `nullspace` in `shimura._restrict_structure`
@@ -33,18 +47,110 @@ subspace question is read in piece coordinates or from an LU solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, fzero, mpc_abs, mpf_abs, mpf_add, mpf_pow_int, mpf_sqrt
 
 from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError
 
 __all__ = [
-    "mpm", "conj", "ctranspose", "hstack", "frob", "kron", "nullspace", "subspace_residual",
-    "real_imag_stack", "LU", "lu", "lattice_lu", "inverse", "solve", "det",
+    "mpm", "conj", "ctranspose", "hstack", "frob", "kron", "matmul", "nullspace",
+    "subspace_residual", "real_imag_stack", "LU", "lu", "lattice_lu", "inverse", "solve", "det",
 ]
 
 _LU_GUARD_BITS = 10
+_MPC = mp.mpc
+
+
+class _Vec:
+    """A growing vector of mpf and mpc, `vals`, also held exactly as
+    vals[k] = (re[k] + i im[k]) 2^e with integer re and im; `im` is None
+    until an mpc arrives.  Its nonzero parts have exponents in [e, hi];
+    `last_mpc` is the index of the last mpc (-1 for none), and `finite`
+    turns False at an inf or nan, whose re and im are left 0."""
+
+    __slots__ = ("vals", "re", "im", "e", "hi", "last_mpc", "finite")
+
+    def __init__(self, vals=()):
+        self.vals, self.re, self.im = [], [], None
+        self.e = self.hi = None
+        self.last_mpc, self.finite = -1, True
+        for x in vals:
+            self.append(x)
+
+    def append(self, x):
+        k = len(self.vals)
+        self.vals.append(x)
+        if type(x) is _MPC:
+            (rs, rm, rx, _), (is_, im, ix, _) = x._mpc_
+            if self.im is None:
+                self.im = [0] * k
+            self.last_mpc = k
+        else:
+            (rs, rm, rx, _), is_, im, ix = x._mpf_, 0, 0, 0
+        if (rx and not rm) or (ix and not im):  # inf or nan
+            self.finite = False
+            rm = im = 0
+        if rm or im:
+            if not im:
+                lo = hi = rx
+            elif not rm:
+                lo = hi = ix
+            else:
+                lo, hi = min(rx, ix), max(rx, ix)
+            if self.e is None:
+                self.e, self.hi = lo, hi
+            else:
+                if lo < self.e:
+                    d = self.e - lo
+                    self.re = [v << d for v in self.re]
+                    if self.im is not None:
+                        self.im = [v << d for v in self.im]
+                    self.e = lo
+                self.hi = max(self.hi, hi)
+            if rm:
+                rm = (-rm if rs else rm) << (rx - self.e)
+            if im:
+                im = (-im if is_ else im) << (ix - self.e)
+        self.re.append(rm)
+        if self.im is not None:
+            self.im.append(im)
+
+
+def _dot(a: _Vec, b: _Vec, k: int = 0):
+    """sum_t a.vals[k + t] * b.vals[t] over the len(b.vals) = len(a.vals) - k
+    terms at the current precision: `mp.fdot(a.vals[k:], b.vals)` bit for
+    bit, an mpc exactly when one of those entries is an mpc.
+
+    `mpf_sum`, under `mp.fdot`, adds the exact products as integers and
+    rounds once.  It drops a term, or its running sum, only where a term's
+    exponent and the top bit of another term or of a nonzero partial sum
+    lie more than 2 * prec bits apart.  Every such exponent lies in
+    [a.e + b.e, a.hi + b.hi] and every such top bit above a.e + b.e, so when
+    that range spans at most 2 * prec bits nothing is dropped, and the exact
+    sum rounded once is `mp.fdot`'s result.  Otherwise, and for an inf or
+    nan entry, this calls `mp.fdot`."""
+    prec, rnd = mp.mp._prec_rounding  # as mp.fdot reads them
+    ac, bc = a.last_mpc >= k, b.last_mpc >= 0
+    if a.finite and b.finite:
+        if a.e is None or b.e is None:
+            return _MPC(0) if ac or bc else mp.mpf(0)
+        if (a.hi - a.e) + (b.hi - b.e) <= 2 * prec:
+            ar, e = a.re[k:] if k else a.re, a.e + b.e
+            re = sum(map(mul, ar, b.re))
+            if not (ac or bc):
+                return mp.mp.make_mpf(from_man_exp(re, e, prec, rnd))
+            im = sum(map(mul, ar, b.im)) if bc else 0
+            if ac:
+                ai = a.im[k:] if k else a.im
+                im += sum(map(mul, ai, b.re))
+                if bc:
+                    re -= sum(map(mul, ai, b.im))
+            return mp.mp.make_mpc((from_man_exp(re, e, prec, rnd), from_man_exp(im, e, prec, rnd)))
+    return mp.fdot(a.vals[k:], b.vals)
 
 
 def mpm(rows) -> mp.matrix:
@@ -85,12 +191,17 @@ def hstack(mats) -> mp.matrix:
 
 
 def frob(A: mp.matrix) -> mp.mpf:
+    """sqrt(sum |a_ij|^2) at working precision, with mpmath's roundings
+    (each |a_ij|, its square, each partial sum, the root) made on raw
+    libmp values."""
     with working_precision():
-        acc = mp.mpf(0)
-        for i in range(A.rows):
-            for j in range(A.cols):
-                acc += abs(A[i, j]) ** 2
-        return mp.sqrt(acc)
+        prec, rnd = mp.mp._prec_rounding  # as mpf arithmetic reads them
+        acc = fzero
+        for row in A.tolist():
+            for x in row:
+                a = mpc_abs(x._mpc_, prec, rnd) if type(x) is _MPC else mpf_abs(x._mpf_, prec, rnd)
+                acc = mpf_add(acc, mpf_pow_int(a, 2, prec, rnd), prec, rnd)
+        return mp.mp.make_mpf(mpf_sqrt(acc, prec, rnd))
 
 
 def kron(A: mp.matrix, B: mp.matrix) -> mp.matrix:
@@ -102,6 +213,21 @@ def kron(A: mp.matrix, B: mp.matrix) -> mp.matrix:
                 for k in range(B.rows):
                     for l in range(B.cols):
                         out[i * B.rows + k, j * B.cols + l] = a * B[k, l]
+    return out
+
+
+def matmul(A: mp.matrix, B: mp.matrix) -> mp.matrix:
+    """A * B at the current precision, entry for entry as mpmath's product
+    (one `mp.fdot` per entry), with each row of A and column of B converted
+    once for the exact dot kernel."""
+    if A.cols != B.rows:
+        raise ValueError("dimensions not compatible for multiplication")
+    cols = [_Vec(c) for c in zip(*B.tolist())]
+    out = mp.matrix(A.rows, B.cols)
+    for i, r in enumerate(A.tolist()):
+        r = _Vec(r)
+        for j, c in enumerate(cols):
+            out[i, j] = _dot(r, c)
     return out
 
 
@@ -141,7 +267,7 @@ def subspace_residual(A: mp.matrix, B: mp.matrix, rtol=None) -> mp.mpf:
         Sd = mp.matrix(len(s), len(s))
         for i, x in enumerate(s):
             Sd[i, i] = 1 / x if (top > 0 and x > rtol * top) else mp.mpf(0)
-        R = A - B * (ctranspose(V) * Sd * ctranspose(U) * A)
+        R = A - matmul(B, matmul(matmul(matmul(ctranspose(V), Sd), ctranspose(U)), A))
         return frob(R) / na
 
 
@@ -171,23 +297,31 @@ class LU:
     sign: int  # det(P)
     prec: int
 
+    @cached_property
+    def _rows(self):
+        """`lower` and `upper` as kernel vectors, converted once for every solve."""
+        return [_Vec(r) for r in self.lower], [_Vec(r) for r in self.upper]
+
     def solve(self, B) -> mp.matrix:
         """X with A X = B, for B with any number of columns."""
         n = len(self.perm)
         if B.rows != n:
             raise InputError("right-hand side has the wrong number of rows")
+        lower, upper = self._rows
         X = mp.matrix(n, B.cols)
         with mp.workprec(self.prec):
             for j, b in enumerate(zip(*B.tolist())):
                 y = [b[p] for p in self.perm]
                 # leading zeros of PB stay zero in L^-1 PB (unit vectors of an inverse)
                 i0 = next((i for i, v in enumerate(y) if v), n)
+                head = _Vec(y[i0:i0 + 1])  # y[i0:i]
                 for i in range(i0 + 1, n):
-                    y[i] -= mp.fdot(self.lower[i][i0:], y[i0:i])
-                xr = []  # x[n-1], x[n-2], ...
+                    y[i] -= _dot(lower[i], head, i0)
+                    head.append(y[i])
+                xr = _Vec()  # x[n-1], x[n-2], ...
                 for i in range(n - 1, -1, -1):
-                    xr.append((y[i] - mp.fdot(self.upper[i], xr)) / self.diag[i])
-                for i, v in enumerate(reversed(xr)):
+                    xr.append((y[i] - _dot(upper[i], xr)) / self.diag[i])
+                for i, v in enumerate(reversed(xr.vals)):
                     X[i, j] = v
         return X
 
@@ -210,12 +344,12 @@ def lu(A) -> LU | None:
         norm1 = max((mp.fsum(_mag(r[j]) for r in rows) for j in range(n)), default=0)
         tol = norm1 * eps
         perm = list(range(n))
-        lower = [[] for _ in range(n)]  # lower[i][m] = L[i, m] for the m done so far
-        ucols = [[] for _ in range(n)]  # ucols[j][m] = U[m, j] for the m done so far
+        lower = [_Vec() for _ in range(n)]  # lower[i] holds L[i, m] for the m done so far
+        ucols = [_Vec() for _ in range(n)]  # ucols[j] holds U[m, j] for the m done so far
         sign = 1
         for k in range(n):
             uk = ucols[k]
-            col = [rows[i][k] - mp.fdot(lower[i], uk) for i in range(k, n)]
+            col = [rows[i][k] - _dot(lower[i], uk) for i in range(k, n)]
             p = max(range(n - k), key=lambda t: _mag(col[t]))
             piv = col[p]
             if _mag(piv) <= tol:
@@ -230,12 +364,12 @@ def lu(A) -> LU | None:
             uk.append(piv)
             lk, rk = lower[k], rows[k]
             for j in range(k + 1, n):
-                ucols[j].append(rk[j] - mp.fdot(lk, ucols[j]))
+                ucols[j].append(rk[j] - _dot(lk, ucols[j]))
             for t in range(1, n - k):
                 lower[k + t].append(col[t] / piv)
-    diag = [ucols[i][i] for i in range(n)]
-    upper = [[ucols[j][i] for j in range(n - 1, i, -1)] for i in range(n)]
-    return LU(perm, lower, diag, upper, sign, prec)
+    diag = [ucols[i].vals[i] for i in range(n)]
+    upper = [[ucols[j].vals[i] for j in range(n - 1, i, -1)] for i in range(n)]
+    return LU(perm, [v.vals for v in lower], diag, upper, sign, prec)
 
 
 def lattice_lu(A, tol) -> LU | None:

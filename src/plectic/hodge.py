@@ -169,7 +169,7 @@ def validate(h: PlecticHodgeStructure, tol=None) -> ValidationReport:
     with working_precision():
         B, X, block = _piece_coordinates(pieces, "pieces")
         if X is not None and cx.frob(B) * cx.frob(X) * tol < h.rank:
-            span_defect = cx.frob(mp.eye(h.rank) - B * X)
+            span_defect = cx.frob(mp.eye(h.rank) - cx.matmul(B, X))
         else:
             X, span_defect = None, mp.mpf(1)
         conj_res = mp.mpf(0)
@@ -257,16 +257,23 @@ def _piece_coordinates(pieces, what: str):
 def _outside(A: mp.matrix, B: mp.matrix, X: mp.matrix, rows: slice) -> mp.mpf:
     """||A - B_rows (X A)_rows||_F / ||A||_F: the share of col(A) outside the
     piece whose coordinates are `rows`, for X = B^-1."""
-    return cx.frob(A - B[:, rows] * (X[rows, :] * A)) / cx.frob(A)
+    return cx.frob(A - cx.matmul(B[:, rows], cx.matmul(X[rows, :], A))) / cx.frob(A)
 
 
 def _quotient_torus(F: mp.matrix, comp: mp.matrix) -> ComplexTorus:
     _, X, block = _piece_coordinates([("F", F), ("comp", comp)], "filtration and complement")
+    return _coordinate_torus(X, block["comp"])
+
+
+def _coordinate_torus(X, rows: slice) -> ComplexTorus:
+    """H \\ (H (x) C) / F for X = [F | comp]^-1 from `_piece_coordinates`
+    (None when singular): the periods are the comp coordinates, X[rows, :]."""
     if X is None:
         raise DegenerateInputError("filtration complement is degenerate")
     with working_precision():
+        periods = X[rows, :]
         try:
-            return ComplexTorus(comp.cols, X[block["comp"], :])
+            return ComplexTorus(periods.rows, periods)
         except DegenerateInputError as exc:
             raise DegenerateInputError(
                 "lattice does not project to a full lattice in the quotient"
@@ -288,7 +295,7 @@ def check_morphism(f: IntMatrix, src: PlecticHodgeStructure,
     with working_precision():
         fc = cx.mpm(f.entries)
         for bd, basis in src.sorted_pieces():
-            image = fc * basis
+            image = cx.matmul(fc, basis)
             if cx.frob(image) < tol:
                 continue
             if bd not in block or _outside(image, B, X, block[bd]) > tol:
@@ -319,10 +326,10 @@ def orthogonality_check(h: PlecticHodgeStructure, pairing: IntMatrix, tol=None,
             others = [v for kd, v in companion.sorted_pieces() if kd != comp_bd]
             if not others:
                 continue
-            W = P * cx.hstack(others)
+            W = cx.matmul(P, cx.hstack(others))
             if basis.cols != h.rank - W.cols:
                 return False
-            if cx.frob(basis.T * W) > tol * cx.frob(basis) * cx.frob(W):
+            if cx.frob(cx.matmul(basis.T, W)) > tol * cx.frob(basis) * cx.frob(W):
                 return False
     return True
 

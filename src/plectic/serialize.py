@@ -32,11 +32,15 @@ def real_to_json(x) -> str:
 
 
 def real_from_json(s):
+    """A finite decimal at working precision; inf and nan are input errors."""
     with working_precision():
         try:
-            return mp.mpf(s)
+            x = mp.mpf(s)
         except (ValueError, TypeError) as exc:
             raise InputError(f"bad decimal string {s!r}") from exc
+    if not mp.isfinite(x):
+        raise InputError(f"decimal {s!r} is not finite")
+    return x
 
 
 def complex_to_json(z) -> list:

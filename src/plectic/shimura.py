@@ -22,6 +22,7 @@ from .hodge import (
     Bidegree,
     ClassicalHodgeStructure,
     PlecticHodgeStructure,
+    _coordinate_torus,
     _outside,
     _piece_coordinates,
     check_morphism,
@@ -120,7 +121,7 @@ def build_plectic_from_frobenii(d: StronglyPrimitiveDatum, tol=None) -> PlecticH
         for beta in itertools.product((0, 1), repeat=d.r):
             alpha = tuple(1 - b for b in beta)
             fr = d.frobenius_product(beta)
-            pieces[Bidegree(alpha, beta)] = cx.mpm(fr.entries) * d.holo
+            pieces[Bidegree(alpha, beta)] = cx.matmul(cx.mpm(fr.entries), d.holo)
     phs = PlecticHodgeStructure(d.r, d.rank, pieces)
     report = validate(phs, tol)
     if not report.passed:
@@ -178,8 +179,9 @@ def strongly_primitive(h: PlecticHodgeStructure, cups, tol=None) -> PlecticHodge
                 )
                 if should_die:
                     continue
-                coords = cx.solve(K.T * K, K.T * basis)  # K has full column rank
-                resid = cx.frob(K * coords - basis) / max(mp.mpf(1), cx.frob(basis))
+                # K has full column rank
+                coords = cx.solve(cx.matmul(K.T, K), cx.matmul(K.T, basis))
+                resid = cx.frob(cx.matmul(K, coords) - basis) / max(mp.mpf(1), cx.frob(basis))
                 if resid > tol:
                     raise DegenerateInputError(
                         "surviving piece does not lie in the integral kernel"
@@ -200,7 +202,7 @@ def _check_cup(h: PlecticHodgeStructure, cup: CupOperator, tol):
         raise DegenerateInputError("cup target pieces are linearly dependent")
     L = cx.mpm(cup.matrix.entries)
     for bd, basis in h.sorted_pieces():
-        image = L * basis
+        image = cx.matmul(L, basis)
         img_norm = cx.frob(image)
         in_kernel = bd.alpha[nu - 1] == 1 or bd.beta[nu - 1] == 1
         if in_kernel:
@@ -224,13 +226,19 @@ def nu_hodge_structure(d: StronglyPrimitiveDatum, nu: int, tol=None) -> Classica
     beta_nu = 0; the other involutions must act as automorphisms of it
     (checked; the nu-th involution is excluded since it swaps the two
     pieces)."""
+    return _nu_structure(d, nu, tol)[0]
+
+
+def _nu_structure(d: StronglyPrimitiveDatum, nu: int, tol):
+    """`nu_hodge_structure`, with the X = [F^1 | C^1]^-1 it is checked in
+    and the rows of X that hold the C^1 coordinates."""
     tol = resolve_tolerance(tol)
     if not 1 <= nu <= d.r:
         raise InputError("nu out of range")
     with working_precision():
         f1_parts, conj_parts = [], []
         for beta in itertools.product((0, 1), repeat=d.r):
-            block = cx.mpm(d.frobenius_product(beta).entries) * d.holo
+            block = cx.matmul(cx.mpm(d.frobenius_product(beta).entries), d.holo)
             (f1_parts if beta[nu - 1] == 0 else conj_parts).append(block)
         F1 = cx.hstack(f1_parts)
         C1 = cx.hstack(conj_parts)
@@ -241,11 +249,11 @@ def nu_hodge_structure(d: StronglyPrimitiveDatum, nu: int, tol=None) -> Classica
             if mu == nu:
                 continue
             fr = cx.mpm(d.frobenii[mu - 1].entries)
-            if _outside(fr * F1, B, X, block["F1"]) > tol:
+            if _outside(cx.matmul(fr, F1), B, X, block["F1"]) > tol:
                 raise DegenerateInputError(
                     f"involution {mu} is not an automorphism of the {nu}-th structure"
                 )
-    return ClassicalHodgeStructure(d.rank, {(1, 0): F1, (0, 1): C1})
+    return ClassicalHodgeStructure(d.rank, {(1, 0): F1, (0, 1): C1}), X, block["C1"]
 
 
 def character_decompose(d: StronglyPrimitiveDatum, nu: int):
@@ -288,8 +296,8 @@ def plectic_jacobian_qsv(d: StronglyPrimitiveDatum, nu: int,
     certificate on every character piece where a real-multiplication
     action is supplied (via Hecke restriction) or detected."""
     tol = resolve_tolerance(tol)
-    h1 = nu_hodge_structure(d, nu, tol)
-    torus = h1.jacobian()
+    h1, X, rows = _nu_structure(d, nu, tol)
+    torus = _coordinate_torus(X, rows)  # h1.jacobian(), from the same factorization
     chars = character_decompose(d, nu)
     certs = {}
     skipped = []

@@ -95,14 +95,14 @@ class ComplexTorus:
             for k in range(g):
                 J0[k, g + k] = mp.mpf(-1)
                 J0[g + k, k] = mp.mpf(1)
-            return cx.solve(P, J0 * P)
+            return cx.solve(P, cx.matmul(J0, P))
 
     def multiplier(self, N: IntMatrix):
         """Complex matrix M with M * periods = periods * N, and the
         relative residual of that equation."""
         with working_precision():
             Pi = self.periods
-            return _multiplier_fit(Pi)(Pi * cx.mpm(N.entries))
+            return _multiplier_fit(Pi)(cx.matmul(Pi, cx.mpm(N.entries)))
 
 
 def _multiplier_fit(Pi):
@@ -110,11 +110,11 @@ def _multiplier_fit(Pi):
     least-squares solution of M Pi = B, and the relative residual of
     that equation; (Pi Pi^H)^-1 is formed once, here."""
     Ph = cx.ctranspose(Pi)
-    Ginv = cx.inverse(Pi * Ph)
+    Ginv = cx.inverse(cx.matmul(Pi, Ph))
 
     def fit(B):
-        M = B * Ph * Ginv
-        return M, cx.frob(M * Pi - B) / max(mp.mpf(1), cx.frob(B))
+        M = cx.matmul(cx.matmul(B, Ph), Ginv)
+        return M, cx.frob(cx.matmul(M, Pi) - B) / max(mp.mpf(1), cx.frob(B))
 
     return fit
 
@@ -281,7 +281,7 @@ def hom_lattice(src: ComplexTorus, dst: ComplexTorus):
             cols.update((k, [int(mp.nint(mp.fdot(row, v))) for row in K]) for k, K in zip(dep, Ks))
             U = cx.mpm([[cols[j][i] for j in range(c)] for i in range(r)])
             bound = mp.ldexp(max(1, *map(abs, U)) * r * c, -ver_bits)
-            if all(abs(x) <= bound for x in U * J_src - J_dst * U):
+            if all(abs(x) <= bound for x in cx.matmul(U, J_src) - cx.matmul(J_dst, U)):
                 found.append(tuple(int(x) for x in U))
     if not found:
         return []
@@ -542,7 +542,7 @@ def enlarge_to_maximal(t: ComplexTorus, rm: RMStructure):
     Ht = IntMatrix.from_rows(row_lattice_basis(IntMatrix.from_rows(stacked))).transpose()
     # the columns of Ht span f * Lambda', so those of Ht / f are the new basis
     with working_precision():
-        new_periods = t.periods * (cx.mpm(Ht.entries) / f)
+        new_periods = cx.matmul(t.periods, cx.mpm(Ht.entries) / f)
     # the generator shifted / f on the new basis: Ht^-1 (shifted Ht) / f, exact
     X = solve_integer(Ht, shifted @ Ht)
     if X is None or any(x % f for r in X.entries for x in r):
@@ -647,11 +647,11 @@ def algebraize_rm(t: ComplexTorus, rm: RMStructure, sign_bound: int = 50, tol=No
             P = mp.eye(d)
             for m in range(d):
                 if m != l:
-                    P = P * (Mgen - emb[m][1] * mp.eye(d))
+                    P = cx.matmul(P, Mgen - emb[m][1] * mp.eye(d))
             split.append(max(P.tolist(), key=lambda row: mp.fsum(abs(x) ** 2 for x in row)))
         W = cx.mpm(split)
         U, ideal0 = steinitz_decompose(rm)
-        C = W * t.periods * cx.mpm(U.entries)
+        C = cx.matmul(cx.matmul(W, t.periods), cx.mpm(U.entries))
         lam = [C[l, 0] for l in range(d)]
         mu = []
         for l in range(d):
@@ -667,9 +667,9 @@ def algebraize_rm(t: ComplexTorus, rm: RMStructure, sign_bound: int = 50, tol=No
         x = _sign_correction(field, emb, tau, sign_bound)
         z = tuple(field.element_embedding(x, emb[l]) * tau[l] for l in range(d))
         ideal = ideal0.scaled(x)
-        iso = mp.diag([field.element_embedding(x, emb[l]) / mu[l] for l in range(d)]) * W
+        iso = cx.matmul(mp.diag([field.element_embedding(x, emb[l]) / mu[l] for l in range(d)]), W)
         model = construct_rm_torus(field, z, ideal)
-        resid = cx.frob(iso * t.periods * cx.mpm(U.entries) - model.periods)
+        resid = cx.frob(cx.matmul(cx.matmul(iso, t.periods), cx.mpm(U.entries)) - model.periods)
         resid = resid / max(mp.mpf(1), cx.frob(model.periods))
     return AlgebraizationResult(z, ideal, iso, resid, model)
 
@@ -715,7 +715,7 @@ def jacobian_is_abelian_certificate(h, rm: RMStructure | None = None,
         raise InputError("field degree must be half the lattice rank")
     for a in rm.action:
         for (p, q), basis in h.pieces.items():
-            resid = cx.subspace_residual(cx.mpm(a.entries) * basis, basis)
+            resid = cx.subspace_residual(cx.matmul(cx.mpm(a.entries), basis), basis)
             if resid > tol * 1000:
                 raise InputError("supplied action does not preserve the Hodge pieces")
     t2, rm2, _ = enlarge_to_maximal(torus, rm)
@@ -750,7 +750,7 @@ def tori_isomorphic(t1: ComplexTorus, t2: ComplexTorus, tol=None, coeff_bound: i
         for U in combos:
             if abs(U.det()) != 1:
                 continue
-            M, resid = fit(t2.periods * cx.mpm(U.entries))
+            M, resid = fit(cx.matmul(t2.periods, cx.mpm(U.entries)))
             if resid < tol:
                 return True, M, U, resid
             if resid < best[3]:

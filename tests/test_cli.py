@@ -335,6 +335,33 @@ def test_degenerate_input_exits_two(fixture, argv, mutate, fixtures, tmp_path, c
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _first_real_part(fixture):
+    """The list holding the real part of the first complex entry of a fixture."""
+    return {"phs.json": lambda doc: doc["pieces"][0]["basis"][1][0],
+            "phs2.json": lambda doc: doc["pieces"][0]["basis"][1][0],
+            "torus.json": lambda doc: doc["periods"][0][1],
+            "datum.json": lambda doc: doc["holo"][1][0]}[fixture]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fixture,argv", [
+    ("phs.json", ["phs", "validate"]),
+    ("phs2.json", ["phs", "jacobian", "--index", "1"]),
+    ("torus.json", ["torus", "dual"]),
+    ("datum.json", ["qsv", "build"]),
+], ids=["phs-validate", "phs-jacobian", "torus-dual", "qsv-build"])
+def test_non_finite_decimal_exits_two(fixture, argv, value, fixtures, tmp_path, capsys):
+    """A non-finite real part is an input error: one error line, no report."""
+    doc = json.loads(pathlib.Path(fixtures[fixture]).read_text())
+    _first_real_part(fixture)(doc)[0] = value
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    code, out = run(argv + ["--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: decimal '{value}' is not finite\n"
+
+
 def _repeat_first_piece(doc):
     doc["pieces"][1]["basis"] = doc["pieces"][0]["basis"]
 
@@ -449,6 +476,24 @@ def test_piece_checks_and_eigen_split_make_no_svd(fixtures, monkeypatch):
     hbig, cup = test_shimura.extra_piece_cup()
     assert strongly_primitive(hbig, [cup]).rank == 4
     test_acceptance.test_criterion_5_algebraization_round_trip()
+
+
+def test_matrix_products_go_through_the_dot_kernel(fixtures, monkeypatch):
+    """With mpmath's matrix-by-matrix product switched off, the Hodge
+    checks and Jacobians still match their golden reports: every such
+    product is `cxlinalg.matmul`."""
+    product = mp.matrix.__mul__
+
+    def scalar_only(self, other):
+        if isinstance(other, mp.matrix):
+            raise AssertionError("mpmath matrix product called")
+        return product(self, other)
+
+    monkeypatch.setattr(mp.matrix, "__mul__", scalar_only)
+    commands = dict(COMMANDS)
+    for command in ("phs.validate", "phs.jacobian", "qsv.build", "qsv.nu-structure"):
+        code, out = run(commands[command](fixtures))
+        assert code == 0 and out == (GOLDEN / f"{command}.json").read_text()
 
 
 @pytest.mark.parametrize("precision,want", [("128", 2), ("256", 0)])
