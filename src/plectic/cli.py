@@ -2,6 +2,14 @@
 
 Exit codes: 0 on pass/success, 1 on a failed check, 2 on input errors.
 Identical inputs and configuration produce byte-identical reports.
+
+Each subcommand is declared once, by the `command` decorator on its
+handler: `@command("phs", "filtration", INDEX)` makes `plectic phs
+filtration` take the common flags plus `--index`.  To add a subcommand,
+write a handler `cmd_<group>_<name>(args, config)` that returns
+`(payload, passed)`, decorate it, and publish its payload schema in
+`schemas.py`.  A handler that reads its input document does so inside
+`errors.reading`, as the `serialize` readers do.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from . import hodge as hg
 from . import serialize as ser
 from . import shimura as sh
 from . import tori as tr
-from .errors import InputError, PlecticError
+from .errors import InputError, PlecticError, json_int, reading
 from .numberfields import FieldOrder, FractionalIdealRep
 from .schemas import SCHEMA_VERSION
 from .serialize import real_to_json
@@ -31,31 +39,19 @@ ENV_PRECISION = "PLECTIC_PRECISION"
 
 @dataclass
 class GlobalConfig:
-    """Numeric configuration echoed into every report."""
+    """Numeric configuration echoed into every report; `main` resolves
+    the tolerance, so it is never None here."""
 
-    precision: int = cfg.DEFAULT_PRECISION
-    tolerance: mp.mpf | None = None
-    truncation: int = 1
-    seed: int = 0
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.precision < 53:
-            raise InputError("precision must be at least 53 binary digits")
-        # every check reports a residual of 1 or more for a structure that
-        # fails outright, so a tolerance of 1 or more certifies nothing
-        if self.tolerance is not None and not 0 < self.tolerance < 1:
-            raise InputError("tolerance must be finite and strictly between 0 and 1")
-
-    def resolved_tolerance(self) -> mp.mpf:
-        if self.tolerance is not None:
-            return self.tolerance
-        return cfg.default_tolerance()
+    precision: int
+    tolerance: mp.mpf
+    truncation: int
+    seed: int
+    output: str | None
 
     def echo(self) -> dict:
         return {
             "precision": self.precision,
-            "tolerance": real_to_json(self.resolved_tolerance()),
+            "tolerance": real_to_json(self.tolerance),
             "truncation": self.truncation,
             "seed": self.seed,
         }
@@ -107,13 +103,36 @@ def _flat_space(args, config):
 
 
 # ----------------------------------------------------------------------
-# handlers: return (payload, passed)
+# subcommands: each handler returns (payload, passed)
 # ----------------------------------------------------------------------
 
+HANDLERS = {}  # (group, name) -> handler
+_FLAGS = {}  # (group, name) -> the flags beyond the common ones
 
+
+def command(group: str, name: str, *flags):
+    """Declare `plectic GROUP NAME`: the decorated handler, with the common
+    flags and `flags`, each a (flag, add_argument keywords) pair."""
+    def register(handler):
+        HANDLERS[group, name] = handler
+        _FLAGS[group, name] = flags
+        return handler
+    return register
+
+
+def flag(name: str, kind=int, **kwargs):
+    return name, dict(type=kind, **kwargs)
+
+
+INDEX = flag("--index", required=True)
+NU = flag("--nu", required=True)
+FLAT_TORUS = (flag("--n"), flag("--weights", str))  # a square torus when there is no --input
+
+
+@command("phs", "validate")
 def cmd_phs_validate(args, config):
     h = ser.phs_from_json(_load_input(args))
-    rep = hg.validate(h, config.resolved_tolerance())
+    rep = hg.validate(h, config.tolerance)
     payload = {
         "passed": rep.passed,
         "span_defect": real_to_json(rep.span_defect),
@@ -127,12 +146,14 @@ def cmd_phs_validate(args, config):
     return payload, rep.passed
 
 
+@command("phs", "refine")
 def cmd_phs_refine(args, config):
     h = ser.phs_from_json(_load_input(args))
     cl = hg.refine_to_classical(h)
     return {"rank": cl.rank, "pieces": ser.classical_to_json(cl)["pieces"]}, True
 
 
+@command("phs", "filtration", INDEX)
 def cmd_phs_filtration(args, config):
     h = ser.phs_from_json(_load_input(args))
     F = hg.hodge_filtration(h, args.index)
@@ -143,29 +164,30 @@ def cmd_phs_filtration(args, config):
     }, True
 
 
+@command("phs", "tensor")
 def cmd_phs_tensor(args, config):
     obj = _load_input(args)
-    try:
-        a = ser.phs_from_json(obj["a"])
-        b = ser.phs_from_json(obj["b"])
-    except KeyError as exc:
-        raise InputError(f"tensor input needs keys a and b: missing {exc}") from exc
-    t = hg.tensor(a, b)
-    rep = hg.validate(t, config.resolved_tolerance())
+    with reading("tensor input"):
+        a, b = obj["a"], obj["b"]
+    t = hg.tensor(ser.phs_from_json(a), ser.phs_from_json(b))
+    rep = hg.validate(t, config.tolerance)
     return {"structure": ser.phs_to_json(t), "valid": rep.passed}, rep.passed
 
 
+@command("phs", "jacobian", INDEX)
 def cmd_phs_jacobian(args, config):
     h = ser.phs_from_json(_load_input(args))
     torus = hg.plectic_jacobian(h, args.index)
     return {"index": args.index, "torus": ser.torus_to_json(torus)}, True
 
 
+@command("torus", "dual")
 def cmd_torus_dual(args, config):
     t = ser.torus_from_json(_load_input(args))
     return {"torus": ser.torus_to_json(tr.dual_torus(t))}, True
 
 
+@command("torus", "endos", flag("--height-bound", default=5))
 def cmd_torus_endos(args, config):
     t = ser.torus_from_json(_load_input(args))
     endos = tr.endomorphisms(t, args.height_bound)
@@ -177,6 +199,7 @@ def cmd_torus_endos(args, config):
     }, True
 
 
+@command("torus", "rm-detect", flag("--height-bound", default=5))
 def cmd_torus_rm_detect(args, config):
     t = ser.torus_from_json(_load_input(args))
     rm = tr.detect_rm(t, args.height_bound)
@@ -189,20 +212,19 @@ def cmd_torus_rm_detect(args, config):
     }, True
 
 
+@command("torus", "rm-construct")
 def cmd_torus_rm_construct(args, config):
     obj = _load_input(args)
-    try:
-        field = FieldOrder.from_json(obj["field"])
+    with reading("rm-construct input"):
+        field = obj["field"]
         z = [ser.complex_from_json(c) for c in obj["z"]]
-    except KeyError as exc:
-        raise InputError(f"rm-construct input: missing {exc}") from exc
-    except TypeError as exc:
-        raise InputError(f"rm-construct input: {exc}") from exc
+    field = FieldOrder.from_json(field)
     ideal = FractionalIdealRep.from_json(field, obj["ideal"]) if "ideal" in obj else None
     torus = tr.construct_rm_torus(field, z, ideal)
     return {"torus": ser.torus_to_json(torus)}, True
 
 
+@command("torus", "rm-algebraize", flag("--height-bound", default=10))
 def cmd_torus_rm_algebraize(args, config):
     obj = _load_input(args)
     if "torus" in obj:
@@ -216,7 +238,7 @@ def cmd_torus_rm_algebraize(args, config):
         if rm is None:
             raise InputError("no rm supplied and none detected")
     t2, rm2, _ = tr.enlarge_to_maximal(t, rm)
-    res = tr.algebraize_rm(t2, rm2, tol=config.resolved_tolerance())
+    res = tr.algebraize_rm(t2, rm2, tol=config.tolerance)
     payload = {
         "z": [ser.complex_to_json(c) for c in res.z],
         "ideal": res.ideal.to_json(),
@@ -224,9 +246,10 @@ def cmd_torus_rm_algebraize(args, config):
         "iso": ser.matrix_to_json(res.iso),
         "residual": real_to_json(res.residual),
     }
-    return payload, bool(res.residual < config.resolved_tolerance() * 1000)
+    return payload, bool(res.residual < config.tolerance * 1000)
 
 
+@command("flat", "verify-identities", *FLAT_TORUS)
 def cmd_flat_verify_identities(args, config):
     from . import flat as fl
 
@@ -241,6 +264,7 @@ def cmd_flat_verify_identities(args, config):
     return payload, rep.passed
 
 
+@command("flat", "verify-laplacian", *FLAT_TORUS)
 def cmd_flat_verify_laplacian(args, config):
     from . import flat as fl
 
@@ -258,6 +282,8 @@ def cmd_flat_verify_laplacian(args, config):
     return payload, rep.passed
 
 
+@command("flat", "harmonic", *FLAT_TORUS, flag("--alpha", str, required=True),
+         flag("--beta", str, required=True))
 def cmd_flat_harmonic(args, config):
     from . import flat as fl
 
@@ -274,6 +300,7 @@ def cmd_flat_harmonic(args, config):
     }, True
 
 
+@command("flat", "extract-phs", *FLAT_TORUS, flag("--degree", required=True))
 def cmd_flat_extract_phs(args, config):
     from . import flat as fl
 
@@ -282,6 +309,8 @@ def cmd_flat_extract_phs(args, config):
     return {"degree": args.degree, "structure": ser.phs_to_json(phs)}, True
 
 
+@command("flat", "metric-independence", flag("--n", required=True),
+         flag("--weights-a", str), flag("--weights-b", str))
 def cmd_flat_metric_independence(args, config):
     from . import flat as fl
 
@@ -296,10 +325,11 @@ def cmd_flat_metric_independence(args, config):
     return payload, res["passed"]
 
 
+@command("qsv", "build")
 def cmd_qsv_build(args, config):
     d = ser.datum_from_json(_load_input(args))
-    phs = sh.build_plectic_from_frobenii(d, config.resolved_tolerance())
-    rep = hg.validate(phs, config.resolved_tolerance())
+    phs = sh.build_plectic_from_frobenii(d, config.tolerance)
+    rep = hg.validate(phs, config.tolerance)
     payload = {
         "structure": ser.phs_to_json(phs),
         "validation": {
@@ -311,34 +341,27 @@ def cmd_qsv_build(args, config):
     return payload, rep.passed
 
 
-def _cup_from_json(c) -> sh.CupOperator:
-    if not isinstance(c, dict):
-        raise InputError(f"strongly-primitive input: a cup must be an object, not {c!r}")
-    nu = c["nu"]
-    if isinstance(nu, bool) or not isinstance(nu, int):
-        raise InputError(f"strongly-primitive input: cup nu must be an integer, not {nu!r}")
-    return sh.CupOperator(nu, ser.int_rows_from_json(c["matrix"]),
-                          ser.phs_from_json(c["target"]))
-
-
+@command("qsv", "strongly-primitive")
 def cmd_qsv_strongly_primitive(args, config):
     obj = _load_input(args)
-    cups = obj.get("cups", [])
-    if not isinstance(cups, list):
-        raise InputError(f"strongly-primitive input: cups must be a list, not {cups!r}")
-    try:
-        h = ser.phs_from_json(obj["structure"])
-        cups = [_cup_from_json(c) for c in cups]
-    except KeyError as exc:
-        raise InputError(f"strongly-primitive input: missing {exc}") from exc
-    out = sh.strongly_primitive(h, cups, config.resolved_tolerance())
+    with reading("strongly-primitive input"):
+        structure, cups = obj["structure"], obj.get("cups", [])
+        if not isinstance(cups, list):
+            raise TypeError(f"cups must be a list, not {cups!r}")
+        cups = [(json_int(c["nu"]), ser.int_rows_from_json(c["matrix"]), c["target"])
+                for c in cups]
+    h = ser.phs_from_json(structure)
+    cups = [sh.CupOperator(nu, matrix, ser.phs_from_json(target))
+            for nu, matrix, target in cups]
+    out = sh.strongly_primitive(h, cups, config.tolerance)
     return {"structure": ser.phs_to_json(out),
             "effective_weight_one": hg.is_effective_weight_one(out)}, True
 
 
+@command("qsv", "nu-structure", NU)
 def cmd_qsv_nu_structure(args, config):
     d = ser.datum_from_json(_load_input(args))
-    cl = sh.nu_hodge_structure(d, args.nu, config.resolved_tolerance())
+    cl = sh.nu_hodge_structure(d, args.nu, config.tolerance)
     return {
         "nu": args.nu,
         "rank": cl.rank,
@@ -347,6 +370,7 @@ def cmd_qsv_nu_structure(args, config):
     }, True
 
 
+@command("qsv", "characters", NU)
 def cmd_qsv_characters(args, config):
     d = ser.datum_from_json(_load_input(args))
     chars = sh.character_decompose(d, args.nu)
@@ -360,10 +384,11 @@ def cmd_qsv_characters(args, config):
     return payload, True
 
 
+@command("qsv", "jacobian", NU, flag("--height-bound", default=8))
 def cmd_qsv_jacobian(args, config):
     d = ser.datum_from_json(_load_input(args))
     res = sh.plectic_jacobian_qsv(d, args.nu, height_bound=args.height_bound,
-                                  tol=config.resolved_tolerance())
+                                  tol=config.tolerance)
     payload = {
         "nu": args.nu,
         "torus": ser.torus_to_json(res.torus),
@@ -378,14 +403,14 @@ def cmd_qsv_jacobian(args, config):
 
 def _aj_inputs(args):
     obj = _load_input(args)
-    try:
-        d = ser.quotient_datum_from_json(obj["datum"])
-    except KeyError as exc:
-        raise InputError(f"input needs a datum: missing {exc}") from exc
+    with reading("aj input"):
+        datum = obj["datum"]
+    d = ser.quotient_datum_from_json(datum)
     c = ser.cycle_from_json(obj["cycle"]) if "cycle" in obj else None
     return d, c
 
 
+@command("aj", "compute", NU)
 def cmd_aj_compute(args, config):
     d, c = _aj_inputs(args)
     if c is None:
@@ -400,6 +425,7 @@ def cmd_aj_compute(args, config):
     return payload, True
 
 
+@command("aj", "periods", NU)
 def cmd_aj_periods(args, config):
     d, _ = _aj_inputs(args)
     lat = aj.period_lattice(d, args.nu)
@@ -411,12 +437,12 @@ def cmd_aj_periods(args, config):
     return payload, True
 
 
+@command("aj", "theorem-b", NU, flag("--trials", default=10))
 def cmd_aj_theorem_b(args, config):
     d, c = _aj_inputs(args)
     if c is None:
         raise InputError("aj theorem-b needs a cycle")
-    rep = aj.theorem_b_harness(d, c, args.nu, args.trials, config.seed,
-                               config.resolved_tolerance())
+    rep = aj.theorem_b_harness(d, c, args.nu, args.trials, config.seed, config.tolerance)
     modes = []
     for m in (rep.diagonal, rep.factorwise):
         modes.append({
@@ -436,33 +462,6 @@ def cmd_aj_theorem_b(args, config):
     return payload, passed
 
 
-HANDLERS = {
-    ("phs", "validate"): cmd_phs_validate,
-    ("phs", "refine"): cmd_phs_refine,
-    ("phs", "filtration"): cmd_phs_filtration,
-    ("phs", "tensor"): cmd_phs_tensor,
-    ("phs", "jacobian"): cmd_phs_jacobian,
-    ("torus", "dual"): cmd_torus_dual,
-    ("torus", "endos"): cmd_torus_endos,
-    ("torus", "rm-detect"): cmd_torus_rm_detect,
-    ("torus", "rm-construct"): cmd_torus_rm_construct,
-    ("torus", "rm-algebraize"): cmd_torus_rm_algebraize,
-    ("flat", "verify-identities"): cmd_flat_verify_identities,
-    ("flat", "verify-laplacian"): cmd_flat_verify_laplacian,
-    ("flat", "harmonic"): cmd_flat_harmonic,
-    ("flat", "extract-phs"): cmd_flat_extract_phs,
-    ("flat", "metric-independence"): cmd_flat_metric_independence,
-    ("qsv", "build"): cmd_qsv_build,
-    ("qsv", "strongly-primitive"): cmd_qsv_strongly_primitive,
-    ("qsv", "nu-structure"): cmd_qsv_nu_structure,
-    ("qsv", "characters"): cmd_qsv_characters,
-    ("qsv", "jacobian"): cmd_qsv_jacobian,
-    ("aj", "compute"): cmd_aj_compute,
-    ("aj", "periods"): cmd_aj_periods,
-    ("aj", "theorem-b"): cmd_aj_theorem_b,
-}
-
-
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--precision", type=int, default=None,
                    help="working precision in binary digits (default 128, "
@@ -478,81 +477,23 @@ def _common_flags(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per declared subcommand, in declaration order."""
     parser = argparse.ArgumentParser(
         prog="plectic",
         description="Plectic Hodge structures, RM tori, refined Hodge "
                     "identities, and plectic Abel-Jacobi maps.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    def sub(group, name, **extra_args):
-        p = group.add_parser(name)
+    commands = {}
+    for (group, name), flags in _FLAGS.items():
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(dest="command",
+                                                                      required=True)
+        p = commands[group].add_parser(name)
         _common_flags(p)
-        for flag, kw in extra_args.items():
-            p.add_argument(flag, **kw)
-        return p
-
-    phs = parser_group(groups, "phs")
-    sub(phs, "validate")
-    sub(phs, "refine")
-    p = phs.add_parser("filtration"); _common_flags(p)
-    p.add_argument("--index", type=int, required=True)
-    sub(phs, "tensor")
-    p = phs.add_parser("jacobian"); _common_flags(p)
-    p.add_argument("--index", type=int, required=True)
-
-    torus = parser_group(groups, "torus")
-    sub(torus, "dual")
-    for name in ("endos", "rm-detect"):
-        p = torus.add_parser(name); _common_flags(p)
-        p.add_argument("--height-bound", type=int, default=5)
-    sub(torus, "rm-construct")
-    p = torus.add_parser("rm-algebraize"); _common_flags(p)
-    p.add_argument("--height-bound", type=int, default=10)
-
-    flat = parser_group(groups, "flat")
-    for name in ("verify-identities", "verify-laplacian"):
-        p = flat.add_parser(name); _common_flags(p)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--weights", type=str, default=None)
-    p = flat.add_parser("harmonic"); _common_flags(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--weights", type=str, default=None)
-    p.add_argument("--alpha", type=str, required=True)
-    p.add_argument("--beta", type=str, required=True)
-    p = flat.add_parser("extract-phs"); _common_flags(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--weights", type=str, default=None)
-    p.add_argument("--degree", type=int, required=True)
-    p = flat.add_parser("metric-independence"); _common_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weights-a", type=str, default=None)
-    p.add_argument("--weights-b", type=str, default=None)
-
-    qsv = parser_group(groups, "qsv")
-    sub(qsv, "build")
-    sub(qsv, "strongly-primitive")
-    for name in ("nu-structure", "characters"):
-        p = qsv.add_parser(name); _common_flags(p)
-        p.add_argument("--nu", type=int, required=True)
-    p = qsv.add_parser("jacobian"); _common_flags(p)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--height-bound", type=int, default=8)
-
-    ajg = parser_group(groups, "aj")
-    for name in ("compute", "periods"):
-        p = ajg.add_parser(name); _common_flags(p)
-        p.add_argument("--nu", type=int, required=True)
-    p = ajg.add_parser("theorem-b"); _common_flags(p)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10)
-
+        for option, kwargs in flags:
+            p.add_argument(option, **kwargs)
     return parser
-
-
-def parser_group(groups, name):
-    g = groups.add_parser(name)
-    return g.add_subparsers(dest="command", required=True)
 
 
 def _emit(report: dict, output: str | None):
@@ -576,14 +517,15 @@ def main(argv=None) -> int:
         precision = args.precision
         if precision is None:
             precision = int(os.environ.get(ENV_PRECISION, cfg.DEFAULT_PRECISION))
-        config = GlobalConfig(
-            precision=precision,
-            tolerance=mp.mpf(args.tolerance) if args.tolerance else None,
-            truncation=args.truncation,
-            seed=args.seed,
-            output=args.output,
-        )
-        cfg.set_precision(config.precision)
+        tolerance = mp.mpf(args.tolerance) if args.tolerance else None
+        cfg.set_precision(precision)  # a ValueError below 53 bits
+        if tolerance is None:
+            tolerance = cfg.default_tolerance()
+        # every check reports a residual of 1 or more for a structure that
+        # fails outright, so a tolerance of 1 or more certifies nothing
+        elif not 0 < tolerance < 1:
+            raise InputError("tolerance must be finite and strictly between 0 and 1")
+        config = GlobalConfig(precision, tolerance, args.truncation, args.seed, args.output)
         handler = HANDLERS[(args.group, args.command)]
         payload, passed = handler(args, config)
     except (PlecticError, ValueError) as exc:

@@ -32,16 +32,16 @@ rows and U columns in this form, an `LU` converts its rows once for all
 the columns `solve` is given, and `matmul` converts each row of A and
 column of B once.  `frob` makes mpmath's roundings on raw libmp values.
 
-mpmath's SVD remains behind `nullspace` and `subspace_residual`, each
-with one library caller: `nullspace` in `shimura._restrict_structure`
-(the Hodge pieces of a character piece) and `subspace_residual` in
-`tori.jacobian_is_abelian_certificate` (does the order action preserve
-those pieces).  Both wait on the traced benchmark (ROADMAP item 1): a
-canonical basis from `_restrict_structure` takes the certificate's
-residuals from about 1e-17 to about 1e-40, and forming the certificate's
-product at working precision does the same, so either change makes the
-planted hodge-jacobians job pass (CHANGES.md FOUND lines).  Every other
-subspace question is read in piece coordinates or from an LU solve.
+A subspace question about pieces that together form a basis is read in
+piece coordinates: `piece_coordinates` stacks the piece bases into B and
+inverts B by one LU, and `outside` is the share of a matrix's columns
+that lies outside one piece, read from those coordinates.  mpmath's SVD
+remains only behind `nullspace`, whose one library caller is
+`shimura._restrict_structure` (the Hodge pieces of a character piece).
+It waits on the traced benchmark (ROADMAP item 1): a canonical basis from
+`_restrict_structure` takes the RM certificate's residuals from about
+1e-17 to about 1e-40, which makes the planted hodge-jacobians job pass
+(CHANGES.md FOUND lines).
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ from .errors import DegenerateInputError, InputError
 
 __all__ = [
     "mpm", "conj", "ctranspose", "hstack", "frob", "kron", "matmul", "nullspace",
-    "subspace_residual", "real_imag_stack", "LU", "lu", "lattice_lu", "inverse", "solve", "det",
+    "piece_coordinates", "outside", "real_imag_stack", "LU", "lu", "lattice_lu", "inverse",
+    "solve", "det",
 ]
 
 _LU_GUARD_BITS = 10
@@ -252,23 +253,30 @@ def nullspace(A: mp.matrix, rtol=None) -> mp.matrix:
     return ctranspose(V)[:, r:] if r < A.cols else mp.matrix(A.cols, 0)
 
 
-def subspace_residual(A: mp.matrix, B: mp.matrix, rtol=None) -> mp.mpf:
-    """How far col(A) sticks out of col(B), relative to ||A||: A less its
-    least-squares fit B B^+ A, with B^+ the SVD pseudo-inverse."""
+def piece_coordinates(pieces, what: str):
+    """For (key, basis) pairs: the square stack B of the bases, its inverse
+    X by one LU at working precision (None when LU finds B singular), and
+    key -> the rows of X, as a slice, that give that piece's coordinates.
+    Raises DegenerateInputError, naming `what`, when B is not square."""
+    B = hstack([basis for _, basis in pieces])
+    if B.cols != B.rows:
+        raise DegenerateInputError(f"{what} do not fill the space")
+    block, start = {}, 0
+    for key, basis in pieces:
+        block[key] = slice(start, start + basis.cols)
+        start += basis.cols
     with working_precision():
-        na = frob(A)
-        if na == 0:
-            return mp.mpf(0)
-        if B.cols == 0:
-            return mp.mpf(1)
-        U, s, V = _svd(B)
-        rtol = resolve_tolerance(rtol)
-        top = s[0] if s else mp.mpf(0)
-        Sd = mp.matrix(len(s), len(s))
-        for i, x in enumerate(s):
-            Sd[i, i] = 1 / x if (top > 0 and x > rtol * top) else mp.mpf(0)
-        R = A - matmul(B, matmul(matmul(matmul(ctranspose(V), Sd), ctranspose(U)), A))
-        return frob(R) / na
+        factors = lu(B)
+        X = None if factors is None else factors.solve(mp.eye(B.rows))
+    return B, X, block
+
+
+def outside(A: mp.matrix, B: mp.matrix, X: mp.matrix, rows: slice) -> mp.mpf:
+    """||A - B_rows (X A)_rows||_F / ||A||_F: the share of col(A) outside the
+    piece whose coordinates are `rows`, for X = B^-1 from `piece_coordinates`.
+    This oblique residual is never below the orthogonal one, ||A - P A||_F /
+    ||A||_F with P the orthogonal projector onto the piece."""
+    return frob(A - matmul(B[:, rows], matmul(X[rows, :], A))) / frob(A)
 
 
 def real_imag_stack(A: mp.matrix) -> mp.matrix:

@@ -167,7 +167,7 @@ def validate(h: PlecticHodgeStructure, tol=None) -> ValidationReport:
     pieces = h.sorted_pieces()
     messages = []
     with working_precision():
-        B, X, block = _piece_coordinates(pieces, "pieces")
+        B, X, block = cx.piece_coordinates(pieces, "pieces")
         if X is not None and cx.frob(B) * cx.frob(X) * tol < h.rank:
             span_defect = cx.frob(mp.eye(h.rank) - cx.matmul(B, X))
         else:
@@ -185,7 +185,7 @@ def validate(h: PlecticHodgeStructure, tol=None) -> ValidationReport:
             elif X is None:
                 res = mp.mpf(1)
             else:
-                res = _outside(cx.conj(basis), B, X, block[bd.conjugate()])
+                res = cx.outside(cx.conj(basis), B, X, block[bd.conjugate()])
             conj_res = max(conj_res, res)
         passed = bool(span_defect < tol and conj_res < tol)
     dims = {bd.key(): v.cols for bd, v in pieces}
@@ -237,36 +237,13 @@ def plectic_jacobian(h: PlecticHodgeStructure, j: int) -> ComplexTorus:
     return _quotient_torus(F, comp)
 
 
-def _piece_coordinates(pieces, what: str):
-    """For (key, basis) pairs: the square stack B of the bases, its inverse
-    X by one LU at working precision (None when LU finds B singular), and
-    key -> the rows of X, as a slice, that give that piece's coordinates."""
-    B = cx.hstack([basis for _, basis in pieces])
-    if B.cols != B.rows:
-        raise DegenerateInputError(f"{what} do not fill the space")
-    block, start = {}, 0
-    for key, basis in pieces:
-        block[key] = slice(start, start + basis.cols)
-        start += basis.cols
-    with working_precision():
-        factors = cx.lu(B)
-        X = None if factors is None else factors.solve(mp.eye(B.rows))
-    return B, X, block
-
-
-def _outside(A: mp.matrix, B: mp.matrix, X: mp.matrix, rows: slice) -> mp.mpf:
-    """||A - B_rows (X A)_rows||_F / ||A||_F: the share of col(A) outside the
-    piece whose coordinates are `rows`, for X = B^-1."""
-    return cx.frob(A - cx.matmul(B[:, rows], cx.matmul(X[rows, :], A))) / cx.frob(A)
-
-
 def _quotient_torus(F: mp.matrix, comp: mp.matrix) -> ComplexTorus:
-    _, X, block = _piece_coordinates([("F", F), ("comp", comp)], "filtration and complement")
+    _, X, block = cx.piece_coordinates([("F", F), ("comp", comp)], "filtration and complement")
     return _coordinate_torus(X, block["comp"])
 
 
 def _coordinate_torus(X, rows: slice) -> ComplexTorus:
-    """H \\ (H (x) C) / F for X = [F | comp]^-1 from `_piece_coordinates`
+    """H \\ (H (x) C) / F for X = [F | comp]^-1 from `cx.piece_coordinates`
     (None when singular): the periods are the comp coordinates, X[rows, :]."""
     if X is None:
         raise DegenerateInputError("filtration complement is degenerate")
@@ -289,7 +266,7 @@ def check_morphism(f: IntMatrix, src: PlecticHodgeStructure,
     tol = resolve_tolerance(tol)
     if f.rows != dst.rank or f.cols != src.rank:
         raise InputError("morphism matrix shape mismatch")
-    B, X, block = _piece_coordinates(dst.sorted_pieces(), "target pieces")
+    B, X, block = cx.piece_coordinates(dst.sorted_pieces(), "target pieces")
     if X is None:
         raise DegenerateInputError("target pieces are linearly dependent")
     with working_precision():
@@ -298,7 +275,7 @@ def check_morphism(f: IntMatrix, src: PlecticHodgeStructure,
             image = cx.matmul(fc, basis)
             if cx.frob(image) < tol:
                 continue
-            if bd not in block or _outside(image, B, X, block[bd]) > tol:
+            if bd not in block or cx.outside(image, B, X, block[bd]) > tol:
                 return False
     return True
 

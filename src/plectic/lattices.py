@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .config import resolve_tolerance, working_precision
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, json_int, reading
 
 __all__ = [
     "IntMatrix",
@@ -170,11 +170,9 @@ class IntMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntMatrix":
-        try:
-            rows, cols = int(obj["rows"]), int(obj["cols"])
-            flat = [int(s) for s in obj["entries"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad integer-matrix JSON: {exc}") from exc
+        with reading("bad integer-matrix JSON"):
+            rows, cols = json_int(obj["rows"]), json_int(obj["cols"])
+            flat = [json_int(s, strings=True) for s in obj["entries"]]
         if len(flat) != rows * cols:
             raise InputError("integer-matrix JSON entry count mismatch")
         data = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))

@@ -24,7 +24,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .config import working_precision
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, json_int, reading
 from .lattices import (
     IntMatrix,
     coefficient_shells,
@@ -306,18 +306,13 @@ class FieldOrder:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldOrder":
-        try:
-            return cls(
-                int(obj["degree"]),
-                tuple(int(c) for c in obj["min_poly"]),
-                tuple(tuple(tuple(int(x) for x in k) for k in row)
-                      for row in obj["integral_basis_mult_table"]),
-                is_maximal=bool(obj.get("is_maximal", False)),
-            )
-        except KeyError as exc:
-            raise InputError(f"bad field JSON: missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad field JSON: {exc}") from exc
+        with reading("bad field JSON"):
+            degree = json_int(obj["degree"])
+            min_poly = tuple(json_int(c) for c in obj["min_poly"])
+            table = tuple(tuple(tuple(json_int(x) for x in k) for k in row)
+                          for row in obj["integral_basis_mult_table"])
+            is_maximal = bool(obj.get("is_maximal", False))
+        return cls(degree, min_poly, table, is_maximal=is_maximal)
 
 
 def _unit(d, i):
@@ -521,8 +516,6 @@ class FractionalIdealRep:
 
     @classmethod
     def from_json(cls, order: FieldOrder, obj: dict) -> "FractionalIdealRep":
-        try:
+        with reading("bad ideal JSON"):
             rows = tuple(tuple(Fraction(s) for s in row) for row in obj["basis"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad ideal JSON: {exc}") from exc
         return cls(order, rows)

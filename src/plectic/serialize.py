@@ -4,6 +4,13 @@ Real and imaginary parts serialize as decimal strings at the configured
 working precision, so values survive tool boundaries beyond the 64-bit
 float range; integers stay exact through decimal strings in the
 integer-matrix format.
+
+Each `*_from_json` reads its document inside one `errors.reading` guard,
+which reports a missing key or a value of the wrong type or shape as one
+`InputError`, and then builds its objects outside the guard.  Integer
+fields take JSON integers (`errors.json_int`), and the integer-matrix
+entries also decimal integer strings; 1.5 and true are input errors,
+never truncated.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import mpmath as mp
 
 from .config import decimal_digits, working_precision
-from .errors import InputError
+from .errors import InputError, json_int, reading
 from .lattices import IntMatrix
 from .numberfields import FieldOrder
 
@@ -33,11 +40,14 @@ def real_to_json(x) -> str:
 
 def real_from_json(s):
     """A finite decimal at working precision; inf and nan are input errors."""
-    with working_precision():
-        try:
-            x = mp.mpf(s)
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"bad decimal string {s!r}") from exc
+    with reading("bad decimal"), working_precision():
+        return _decimal(s)
+
+
+def _decimal(s):
+    """`real_from_json` without the guard or the precision context, for
+    readers that hold both."""
+    x = mp.mpf(s)
     if not mp.isfinite(x):
         raise InputError(f"decimal {s!r} is not finite")
     return x
@@ -49,10 +59,14 @@ def complex_to_json(z) -> list:
 
 
 def complex_from_json(pair):
+    with working_precision():
+        return _complex(pair)
+
+
+def _complex(pair):
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise InputError("complex values serialize as [re, im]")
-    with working_precision():
-        return mp.mpc(real_from_json(pair[0]), real_from_json(pair[1]))
+    return mp.mpc(_decimal(pair[0]), _decimal(pair[1]))
 
 
 def matrix_to_json(m: mp.matrix) -> list:
@@ -65,9 +79,10 @@ def matrix_from_json(rows) -> mp.matrix:
     if any(len(r) != len(rows[0]) for r in rows):
         raise InputError("complex matrix rows differ in length")
     out = mp.matrix(len(rows), len(rows[0]))
-    for i, r in enumerate(rows):
-        for j, v in enumerate(r):
-            out[i, j] = complex_from_json(v)
+    with working_precision():
+        for i, r in enumerate(rows):
+            for j, v in enumerate(r):
+                out[i, j] = _complex(v)
     return out
 
 
@@ -76,10 +91,13 @@ def int_rows_to_json(m: IntMatrix) -> list:
 
 
 def int_rows_from_json(rows) -> IntMatrix:
-    try:
-        return IntMatrix.from_rows(rows)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad integer matrix: {exc}") from exc
+    """Rows of JSON integers (Frobenius and Hecke matrices, cup matrices),
+    read inside the caller's guard."""
+    return IntMatrix.from_rows([_ints(r) for r in rows])
+
+
+def _ints(values) -> tuple:
+    return tuple(json_int(x) for x in values)
 
 
 def phs_to_json(h) -> dict:
@@ -98,18 +116,12 @@ def phs_to_json(h) -> dict:
 
 
 def phs_from_json(obj: dict):
-    from .hodge import Bidegree, PlecticHodgeStructure
+    from .hodge import PlecticHodgeStructure
 
-    try:
-        n = int(obj["n"])
-        rank = int(obj["rank"])
-        pieces = {}
-        for p in obj["pieces"]:
-            bd = Bidegree(tuple(int(a) for a in p["alpha"]),
-                          tuple(int(b) for b in p["beta"]))
-            pieces[bd] = matrix_from_json(p["basis"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad plectic-structure JSON: {exc}") from exc
+    with reading("bad plectic-structure JSON"):
+        n, rank = json_int(obj["n"]), json_int(obj["rank"])
+        pieces = {(_ints(p["alpha"]), _ints(p["beta"])): matrix_from_json(p["basis"])
+                  for p in obj["pieces"]}
     return PlecticHodgeStructure(n, rank, pieces)
 
 
@@ -133,11 +145,9 @@ def torus_to_json(t) -> dict:
 def torus_from_json(obj: dict):
     from .tori import ComplexTorus
 
-    try:
-        g = int(obj["g"])
+    with reading("bad torus JSON"):
+        g = json_int(obj["g"])
         periods = matrix_from_json(obj["periods"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad torus JSON: {exc}") from exc
     rm = rm_from_json(obj["rm"]) if "rm" in obj else None
     return ComplexTorus(g, periods, rm=rm)
 
@@ -152,14 +162,10 @@ def rm_to_json(rm) -> dict:
 def rm_from_json(obj: dict):
     from .tori import RMStructure
 
-    try:
-        field = FieldOrder.from_json(obj["field"])
-        action = tuple(IntMatrix.from_json(a) for a in obj["action"])
-    except KeyError as exc:
-        raise InputError(f"bad rm JSON: missing {exc}") from exc
-    except TypeError as exc:
-        raise InputError(f"bad rm JSON: {exc}") from exc
-    return RMStructure(field, action)
+    with reading("bad rm JSON"):
+        field, action = obj["field"], list(obj["action"])
+    return RMStructure(FieldOrder.from_json(field),
+                       tuple(IntMatrix.from_json(a) for a in action))
 
 
 def certificate_to_json(cert) -> dict:
@@ -187,13 +193,11 @@ def datum_to_json(d) -> dict:
 def datum_from_json(obj: dict):
     from .shimura import StronglyPrimitiveDatum
 
-    try:
-        r = int(obj["r"])
+    with reading("bad datum JSON"):
+        r = json_int(obj["r"])
         frobenii = tuple(int_rows_from_json(f) for f in obj["frobenii"])
         holo = matrix_from_json(obj["holo"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad datum JSON: {exc}") from exc
-    hecke = tuple(int_rows_from_json(t) for t in obj.get("hecke", []))
+        hecke = tuple(int_rows_from_json(t) for t in obj.get("hecke", []))
     return StronglyPrimitiveDatum(r, frobenii, holo, hecke)
 
 
@@ -212,15 +216,13 @@ def cycle_to_json(c) -> dict:
 def cycle_from_json(obj: dict):
     from .abeljacobi import PlecticCycle
 
-    try:
+    with reading("bad cycle JSON"):
         terms = []
         for t in obj["terms"]:
             lifts = tuple(
                 (complex_from_json(p[0]), complex_from_json(p[1])) for p in t["lifts"]
             )
-            terms.append((int(t["coeff"]), lifts))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"bad cycle JSON: {exc}") from exc
+            terms.append((json_int(t["coeff"]), lifts))
     return PlecticCycle(tuple(terms))
 
 
@@ -234,14 +236,12 @@ def flat_torus_to_json(t) -> dict:
 def flat_torus_from_json(obj: dict):
     from .flat import FlatTorus
 
-    try:
+    with reading("bad flat-torus JSON"):
         factors = tuple(
             (complex(complex_from_json(w1)), complex(complex_from_json(w2)))
             for w1, w2 in obj["factors"]
         )
         weights = tuple(float(w) for w in obj["weights"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad flat-torus JSON: {exc}") from exc
     return FlatTorus(factors, weights)
 
 
@@ -252,10 +252,8 @@ def quotient_datum_to_json(d) -> dict:
 def quotient_datum_from_json(obj: dict):
     from .abeljacobi import QuotientDatum
 
-    try:
+    with reading("bad quotient datum JSON"):
         factors = tuple(
             (complex_from_json(a), complex_from_json(b)) for a, b in obj["factors"]
         )
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad quotient datum JSON: {exc}") from exc
     return QuotientDatum(factors)

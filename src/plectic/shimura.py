@@ -23,8 +23,6 @@ from .hodge import (
     ClassicalHodgeStructure,
     PlecticHodgeStructure,
     _coordinate_torus,
-    _outside,
-    _piece_coordinates,
     check_morphism,
     validate,
 )
@@ -197,7 +195,7 @@ def _check_cup(h: PlecticHodgeStructure, cup: CupOperator, tol):
         raise InputError("cup index out of range")
     if cup.matrix.cols != h.rank or cup.matrix.rows != cup.target.rank:
         raise InputError("cup matrix shape mismatch")
-    B, X, block = _piece_coordinates(cup.target.sorted_pieces(), "cup target pieces")
+    B, X, block = cx.piece_coordinates(cup.target.sorted_pieces(), "cup target pieces")
     if X is None:
         raise DegenerateInputError("cup target pieces are linearly dependent")
     L = cx.mpm(cup.matrix.entries)
@@ -217,7 +215,7 @@ def _check_cup(h: PlecticHodgeStructure, cup: CupOperator, tol):
         )
         if img_norm <= tol:
             continue
-        if shifted not in block or _outside(image, B, X, block[shifted]) > tol:
+        if shifted not in block or cx.outside(image, B, X, block[shifted]) > tol:
             raise DegenerateInputError("cup operator is not a plectic morphism")
 
 
@@ -242,14 +240,14 @@ def _nu_structure(d: StronglyPrimitiveDatum, nu: int, tol):
             (f1_parts if beta[nu - 1] == 0 else conj_parts).append(block)
         F1 = cx.hstack(f1_parts)
         C1 = cx.hstack(conj_parts)
-        B, X, block = _piece_coordinates([("F1", F1), ("C1", C1)], "involution translates")
+        B, X, block = cx.piece_coordinates([("F1", F1), ("C1", C1)], "involution translates")
         if X is None:
             raise DegenerateInputError("involution translates do not span in direct sum")
         for mu in range(1, d.r + 1):
             if mu == nu:
                 continue
             fr = cx.mpm(d.frobenii[mu - 1].entries)
-            if _outside(cx.matmul(fr, F1), B, X, block["F1"]) > tol:
+            if cx.outside(cx.matmul(fr, F1), B, X, block["F1"]) > tol:
                 raise DegenerateInputError(
                     f"involution {mu} is not an automorphism of the {nu}-th structure"
                 )

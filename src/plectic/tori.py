@@ -713,9 +713,15 @@ def jacobian_is_abelian_certificate(h, rm: RMStructure | None = None,
             raise DegenerateInputError("no real multiplication detected on the Jacobian")
     if 2 * rm.field.degree != h.rank:
         raise InputError("field degree must be half the lattice rank")
+    # the B that h.jacobian() has inverted, so X is not None
+    pieces = [(pq, h.pieces[pq]) for pq in ((1, 0), (0, 1))]
+    B, X, block = cx.piece_coordinates(pieces, "Hodge pieces")
     for a in rm.action:
-        for (p, q), basis in h.pieces.items():
-            resid = cx.subspace_residual(cx.matmul(cx.mpm(a.entries), basis), basis)
+        for key, basis in pieces:
+            # the image is formed at mpmath's ambient precision (ROADMAP item 2)
+            image = cx.matmul(cx.mpm(a.entries), basis)
+            with working_precision():
+                resid = cx.outside(image, B, X, block[key])
             if resid > tol * 1000:
                 raise InputError("supplied action does not preserve the Hodge pieces")
     t2, rm2, _ = enlarge_to_maximal(torus, rm)

@@ -35,6 +35,28 @@ def projector(A: mp.matrix, rtol=None) -> mp.matrix:
         return Q * cx.ctranspose(Q)
 
 
+def subspace_residual(A: mp.matrix, B: mp.matrix, rtol=None) -> mp.mpf:
+    """How far col(A) sticks out of col(B), relative to ||A||: A less its
+    least-squares fit B B^+ A, with B^+ the SVD pseudo-inverse keeping the
+    singular values above rtol times the largest."""
+    with working_precision():
+        na = cx.frob(A)
+        if na == 0:
+            return mp.mpf(0)
+        if B.cols == 0:
+            return mp.mpf(1)
+        U, S, V = mp.mp.svd(B.copy())
+        s = [S[i] for i in range(S.rows)]
+        rtol = resolve_tolerance(rtol)
+        top = s[0] if s else mp.mpf(0)
+        Sd = mp.matrix(len(s), len(s))
+        for i, x in enumerate(s):
+            Sd[i, i] = 1 / x if (top > 0 and x > rtol * top) else mp.mpf(0)
+        R = A - cx.matmul(B, cx.matmul(cx.matmul(cx.matmul(cx.ctranspose(V), Sd),
+                                                cx.ctranspose(U)), A))
+        return cx.frob(R) / na
+
+
 def subspace_distance(A: mp.matrix, B: mp.matrix, rtol=None) -> mp.mpf:
     """Frobenius distance between the orthogonal projectors of two spans."""
     with working_precision():

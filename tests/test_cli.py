@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import pathlib
@@ -9,10 +10,11 @@ import pytest
 
 import test_acceptance
 import test_shimura
+import test_tori
 
 import plectic.serialize as ser
 from plectic import cxlinalg as cx
-from plectic.cli import main
+from plectic.cli import HANDLERS, main
 from plectic.config import set_precision
 from plectic.hodge import elliptic_h1, tensor
 from plectic.lattices import IntMatrix
@@ -179,6 +181,7 @@ def test_report_matches_golden(command, argv_fn, fixtures):
 
 def test_all_published_schemas_are_exercised():
     assert {c for c, _ in COMMANDS} == set(known_commands())
+    assert {f"{group}.{name}" for group, name in HANDLERS} == set(known_commands())
 
 
 def test_reports_are_byte_identical(fixtures):
@@ -302,6 +305,111 @@ def test_malformed_cups_exit_two(mutate, fixtures, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: strongly-primitive input:") and err.count("\n") == 1
+
+
+def _replaced(doc, path, value):
+    """A copy of a fixture document with the value at `path` replaced."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("fixture,argv,path,value", [
+    ("rm_construct.json", ["torus", "rm-construct"], ("field", "min_poly", 2), -1.5),
+    ("rm_construct.json", ["torus", "rm-construct"], ("field", "degree"), 2.0),
+    ("aj.json", ["aj", "compute", "--nu", "1"], ("cycle", "terms", 0, "coeff"), 1.7),
+    ("aj.json", ["aj", "compute", "--nu", "1"], ("cycle", "terms", 0, "coeff"), 2.7),
+    ("datum.json", ["qsv", "build"], ("frobenii", 0, 0, 0), 1.5),
+    ("datum.json", ["qsv", "build"], ("frobenii", 0, 0, 0), 1.9),
+    ("datum.json", ["qsv", "build"], ("frobenii", 0, 0, 0), "1"),
+    ("datum.json", ["qsv", "build"], ("frobenii", 0, 0, 0), True),
+    ("datum.json", ["qsv", "build"], ("r",), 2.5),
+    ("torus.json", ["torus", "dual"], ("g",), 1.9),
+    ("sp.json", ["qsv", "strongly-primitive"], ("cups", 0, "matrix", 0, 0), 0.4),
+    ("phs.json", ["phs", "validate"], ("pieces", 0, "alpha", 0), True),
+    ("torus_rm.json", ["torus", "rm-detect"], ("rm", "action", 1, "entries", 0), "0.5"),
+    ("torus_rm.json", ["torus", "rm-detect"], ("rm", "action", 1, "rows"), 4.0),
+], ids=["min-poly", "degree", "coeff-1.7", "coeff-2.7", "frobenius-1.5", "frobenius-1.9",
+        "frobenius-string", "frobenius-true", "r", "g", "cup-matrix", "alpha-true",
+        "action-entry", "action-rows"])
+def test_non_integer_in_integer_field_exits_two(fixture, argv, path, value, fixtures,
+                                                tmp_path, capsys):
+    """An integer field takes a JSON integer (and, in the integer-matrix
+    format, a decimal integer string); anything else is an input error,
+    never truncated to an integer."""
+    doc = json.loads(pathlib.Path(fixtures[fixture]).read_text())
+    target = tmp_path / fixture
+    target.write_text(json.dumps(_replaced(doc, path, value)))
+    code, out = run(argv + ["--input", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+MUTANTS = [None, 1, 1.5, "x", [], {}, True, [[1]], ["1"]]
+
+
+def _mutation_sites(doc):
+    """The path to each value of each object and to each of the first two
+    items of each list, recursively through those values and items."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc[:2])
+    else:
+        return
+    for key, value in items:
+        yield (key,)
+        for path in _mutation_sites(value):
+            yield (key,) + path
+
+
+READERS = [(c, fn) for c, fn in COMMANDS if not c.startswith("flat.")]
+
+
+@pytest.mark.parametrize("command,argv_fn", READERS, ids=[c for c, _ in READERS])
+def test_mutated_input_never_escapes_main(command, argv_fn, fixtures, tmp_path):
+    """The fixture of every subcommand that reads a file, with each
+    mutation site replaced in turn by each of MUTANTS: main returns 0, 1
+    or 2, prints exactly one error line on 2, and raises nothing."""
+    argv = argv_fn(fixtures)
+    at = argv.index("--input") + 1
+    doc = json.loads(pathlib.Path(argv[at]).read_text())
+    target = tmp_path / "mutant.json"
+    argv[at] = str(target)
+    for path in _mutation_sites(doc):
+        for value in MUTANTS:
+            target.write_text(json.dumps(_replaced(doc, path, value)))
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(err):
+                    code, _ = run(argv)
+            except Exception as exc:
+                pytest.fail(f"{path} = {value!r} raised {exc!r}")
+            err = err.getvalue()
+            assert code in (0, 1, 2), (path, value, code)
+            if code == 2:
+                assert err.startswith("error:") and err.count("\n") == 1, (path, value, err)
+
+
+@pytest.mark.parametrize("fixture,argv,mutate", [
+    ("torus.json", ["torus", "dual"], lambda doc: doc["periods"][0][1].__setitem__(0, "1/0")),
+    ("rm_construct.json", ["torus", "rm-construct"],
+     lambda doc: doc.update(ideal={"basis": [["1/0", "0"], ["0", "1"]]})),
+], ids=["period", "ideal-basis"])
+def test_zero_denominator_exits_two(fixture, argv, mutate, fixtures, tmp_path, capsys):
+    """A decimal or fraction "1/0" is an input error, not a ZeroDivisionError."""
+    doc = json.loads(pathlib.Path(fixtures[fixture]).read_text())
+    mutate(doc)
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    code = main(argv + ["--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def _zero_period(doc):
@@ -461,10 +569,11 @@ def test_degenerate_cup_target_exits_two(mutate, message, fixtures, tmp_path, ca
 
 
 def test_piece_checks_and_eigen_split_make_no_svd(fixtures, monkeypatch):
-    """mpmath's SVD is left to `shimura._restrict_structure` and the RM
-    certificate's piece check.  With it switched off, the nu-structure,
-    strongly primitive and algebraization reports still match their golden
-    files, the nonzero cup drops its piece, and criterion 5 round trips."""
+    """mpmath's SVD is left to `shimura._restrict_structure` alone.  With it
+    switched off, the nu-structure, strongly primitive and algebraization
+    reports still match their golden files, the nonzero cup drops its piece,
+    criterion 5 round trips, and the RM certificate checks its Hodge pieces
+    and certifies."""
     def refuse(*args, **kwargs):
         raise AssertionError("mpmath SVD called")
 
@@ -476,6 +585,8 @@ def test_piece_checks_and_eigen_split_make_no_svd(fixtures, monkeypatch):
     hbig, cup = test_shimura.extra_piece_cup()
     assert strongly_primitive(hbig, [cup]).rank == 4
     test_acceptance.test_criterion_5_algebraization_round_trip()
+    test_tori.test_certificate_elliptic()
+    test_tori.test_certificate_detects_rm_on_g2_jacobian()
 
 
 def test_matrix_products_go_through_the_dot_kernel(fixtures, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import projector, subspace_distance
+from conftest import projector, subspace_distance, subspace_residual
 from plectic import cxlinalg as cx
 from plectic.config import resolve_tolerance, working_precision
 from plectic.errors import DegenerateInputError, InputError
@@ -273,7 +273,7 @@ def reference_check_morphism(f, src, dst, tol=None):
             target = dst.pieces.get(bd)
             if target is None:
                 return False
-            if cx.subspace_residual(image, target, tol) > tol:
+            if subspace_residual(image, target, tol) > tol:
                 return False
     return True
 
