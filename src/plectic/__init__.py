@@ -19,12 +19,12 @@ from .lattices import (
 )
 from .hodge import (
     Bidegree,
-    ClassicalHodgeStructure,
     PlecticHodgeStructure,
     check_morphism,
     elliptic_h1,
     hodge_filtration,
     is_effective_weight_one,
+    jacobian_is_abelian_certificate,
     orthogonality_check,
     plectic_jacobian,
     refine_to_classical,
@@ -36,7 +36,6 @@ from .numberfields import FieldOrder, FractionalIdealRep
 from .tori import (
     AlgebraizationResult,
     ComplexTorus,
-    RMCertificate,
     RMStructure,
     algebraize_rm,
     construct_rm_torus,
@@ -44,7 +43,6 @@ from .tori import (
     dual_torus,
     endomorphisms,
     enlarge_to_maximal,
-    jacobian_is_abelian_certificate,
     steinitz_decompose,
     tori_isomorphic,
 )

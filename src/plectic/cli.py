@@ -190,7 +190,7 @@ def cmd_torus_dual(args, config):
 @command("torus", "endos", flag("--height-bound", default=5))
 def cmd_torus_endos(args, config):
     t = ser.torus_from_json(_load_input(args))
-    endos = tr.endomorphisms(t, args.height_bound)
+    endos = tr.endomorphisms(t, args.height_bound, tol=config.tolerance)
     return {
         "height_bound": args.height_bound,
         "rank": len(endos),
@@ -237,12 +237,11 @@ def cmd_torus_rm_algebraize(args, config):
         rm = tr.detect_rm(t, args.height_bound)
         if rm is None:
             raise InputError("no rm supplied and none detected")
-    t2, rm2, _ = tr.enlarge_to_maximal(t, rm)
-    res = tr.algebraize_rm(t2, rm2, tol=config.tolerance)
+    res = tr.algebraize_rm(t, rm, tol=config.tolerance)
     payload = {
         "z": [ser.complex_to_json(c) for c in res.z],
         "ideal": res.ideal.to_json(),
-        "field": rm2.field.to_json(),
+        "field": res.field.to_json(),
         "iso": ser.matrix_to_json(res.iso),
         "residual": real_to_json(res.residual),
     }
@@ -328,8 +327,7 @@ def cmd_flat_metric_independence(args, config):
 @command("qsv", "build")
 def cmd_qsv_build(args, config):
     d = ser.datum_from_json(_load_input(args))
-    phs = sh.build_plectic_from_frobenii(d, config.tolerance)
-    rep = hg.validate(phs, config.tolerance)
+    phs, rep = sh.build_plectic_from_frobenii(d, config.tolerance)
     payload = {
         "structure": ser.phs_to_json(phs),
         "validation": {
@@ -365,7 +363,7 @@ def cmd_qsv_nu_structure(args, config):
     return {
         "nu": args.nu,
         "rank": cl.rank,
-        "filtration_dimension": cl.pieces[(1, 0)].cols,
+        "filtration_dimension": cl.pieces[hg.H10].cols,
         "pieces": ser.classical_to_json(cl)["pieces"],
     }, True
 

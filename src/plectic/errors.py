@@ -46,3 +46,11 @@ def json_int(x, strings: bool = False) -> int:
     if strings and type(x) is str:
         return int(x)
     raise TypeError(f"expected an integer, not {x!r}")
+
+
+def json_bool(x) -> bool:
+    """A JSON true or false; anything else, "false" and 0 included, raises
+    TypeError for `reading` to report."""
+    if type(x) is bool:
+        return x
+    raise TypeError(f"expected true or false, not {x!r}")

@@ -1,8 +1,11 @@
 """Plectic Hodge structures: bidegree decompositions of H (x) C with
 conjugation symmetry, their refinement to classical Hodge structures,
-filtrations, tensor products, morphism and orthogonality checks, and the
-Jacobian construction.
+filtrations, tensor products, morphism and orthogonality checks, the
+Jacobian construction, and the algebraicity certificate of a Jacobian with
+real multiplication.
 
+A classical Hodge structure is a plectic one of degree n = 1, with the
+(p, q) piece at `Bidegree((p,), (q,))`; there is no separate type.
 Pieces are stored as explicit complex basis matrices in lattice
 coordinates; bases compose under Kronecker products and feed directly
 into period-matrix assembly.
@@ -18,12 +21,11 @@ from . import cxlinalg as cx
 from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError
 from .lattices import IntMatrix
-from .tori import ComplexTorus
+from .tori import AlgebraizationResult, ComplexTorus, RMStructure, algebraize_rm, detect_rm
 
 __all__ = [
     "Bidegree",
     "PlecticHodgeStructure",
-    "ClassicalHodgeStructure",
     "ValidationReport",
     "validate",
     "refine_to_classical",
@@ -31,6 +33,7 @@ __all__ = [
     "hodge_filtration",
     "tensor",
     "plectic_jacobian",
+    "jacobian_is_abelian_certificate",
     "check_morphism",
     "orthogonality_check",
     "elliptic_h1",
@@ -119,24 +122,6 @@ class PlecticHodgeStructure:
 
 
 @dataclass(frozen=True)
-class ClassicalHodgeStructure:
-    """Classical (p, q)-decomposition, same storage conventions."""
-
-    rank: int
-    pieces: dict  # (p, q) -> basis matrix
-
-    def sorted_pieces(self):
-        return sorted(self.pieces.items(), key=lambda kv: kv[0])
-
-    def jacobian(self) -> ComplexTorus:
-        """Complex torus H \\ (H (x) C) / F^1 of a weight-one structure."""
-        keys = set(self.pieces.keys())
-        if keys != {(1, 0), (0, 1)}:
-            raise InputError("jacobian needs an effective weight-one structure")
-        return _quotient_torus(self.pieces[(1, 0)], self.pieces[(0, 1)])
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     passed: bool
     span_defect: mp.mpf
@@ -192,13 +177,14 @@ def validate(h: PlecticHodgeStructure, tol=None) -> ValidationReport:
     return ValidationReport(passed, span_defect, conj_res, dims, tuple(messages))
 
 
-def refine_to_classical(h: PlecticHodgeStructure) -> ClassicalHodgeStructure:
-    """Sum the pieces with |alpha| = p and |beta| = q."""
+def refine_to_classical(h: PlecticHodgeStructure) -> PlecticHodgeStructure:
+    """The classical structure, of degree 1: its (p, q) piece sums the
+    pieces with |alpha| = p and |beta| = q."""
     grouped = {}
     for bd, basis in h.sorted_pieces():
         grouped.setdefault(bd.weights, []).append(basis)
-    pieces = {pq: cx.hstack(mats) for pq, mats in grouped.items()}
-    return ClassicalHodgeStructure(h.rank, pieces)
+    pieces = {Bidegree((p,), (q,)): cx.hstack(mats) for (p, q), mats in grouped.items()}
+    return PlecticHodgeStructure(1, h.rank, pieces)
 
 
 def is_effective_weight_one(h: PlecticHodgeStructure) -> bool:
@@ -234,10 +220,6 @@ def plectic_jacobian(h: PlecticHodgeStructure, j: int) -> ComplexTorus:
     filtration as the complement of F^{1_j}."""
     F = hodge_filtration(h, j)
     comp = cx.hstack([v for bd, v in h.sorted_pieces() if bd.alpha[j - 1] == 0])
-    return _quotient_torus(F, comp)
-
-
-def _quotient_torus(F: mp.matrix, comp: mp.matrix) -> ComplexTorus:
     _, X, block = cx.piece_coordinates([("F", F), ("comp", comp)], "filtration and complement")
     return _coordinate_torus(X, block["comp"])
 
@@ -255,6 +237,50 @@ def _coordinate_torus(X, rows: slice) -> ComplexTorus:
             raise DegenerateInputError(
                 "lattice does not project to a full lattice in the quotient"
             ) from exc
+
+
+H10, H01 = Bidegree((1,), (0,)), Bidegree((0,), (1,))
+
+
+def jacobian_is_abelian_certificate(h: PlecticHodgeStructure, rm: RMStructure | None = None,
+                                    height_bound: int = 10, tol=None) -> AlgebraizationResult:
+    """Algebraicity certificate for the Jacobian of an effective weight-one
+    structure of degree 1 carrying real multiplication: the (z, ideal)
+    normal form of the Jacobian torus, by `algebraize_rm`.
+
+    B = [H^{1,0} | H^{0,1}] is inverted once.  The H^{0,1} rows of X = B^-1
+    are the Jacobian's periods, as in `plectic_jacobian`, and X also reads
+    off the share of each action matrix's image of a piece that lies
+    outside that piece.
+
+    With rm=None the field is the first one detect_rm meets within
+    height_bound; a torus with several real-multiplication fields may be
+    certified for another field than expected (the dual of
+    construct_rm_torus(Q(sqrt 5), [i, 2i]) gives Q(sqrt 2)).  Pass rm to
+    certify a specific action.
+    """
+    tol = resolve_tolerance(tol)
+    if h.n != 1 or h.pieces.keys() != {H10, H01}:
+        raise InputError("the certificate needs a structure of degree 1 with pieces "
+                         "H^{1,0} and H^{0,1}")
+    pieces = [(bd, h.pieces[bd]) for bd in (H10, H01)]
+    B, X, block = cx.piece_coordinates(pieces, "filtration and complement")
+    torus = _coordinate_torus(X, block[H01])
+    if rm is None:
+        rm = detect_rm(torus, height_bound)
+        if rm is None:
+            raise DegenerateInputError("no real multiplication detected on the Jacobian")
+    if 2 * rm.field.degree != h.rank:
+        raise InputError("field degree must be half the lattice rank")
+    for a in rm.action:
+        for bd, basis in pieces:
+            # the image is formed at mpmath's ambient precision (ROADMAP item 2)
+            image = cx.matmul(cx.mpm(a.entries), basis)
+            with working_precision():
+                resid = cx.outside(image, B, X, block[bd])
+            if resid > tol * 1000:
+                raise InputError("supplied action does not preserve the Hodge pieces")
+    return algebraize_rm(torus, rm, tol=tol)
 
 
 def check_morphism(f: IntMatrix, src: PlecticHodgeStructure,

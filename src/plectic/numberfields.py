@@ -24,7 +24,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .config import working_precision
-from .errors import DegenerateInputError, InputError, json_int, reading
+from .errors import DegenerateInputError, InputError, json_bool, json_int, reading
 from .lattices import (
     IntMatrix,
     coefficient_shells,
@@ -311,7 +311,7 @@ class FieldOrder:
             min_poly = tuple(json_int(c) for c in obj["min_poly"])
             table = tuple(tuple(tuple(json_int(x) for x in k) for k in row)
                           for row in obj["integral_basis_mult_table"])
-            is_maximal = bool(obj.get("is_maximal", False))
+            is_maximal = json_bool(obj.get("is_maximal", False))
         return cls(degree, min_poly, table, is_maximal=is_maximal)
 
 
@@ -517,5 +517,11 @@ class FractionalIdealRep:
     @classmethod
     def from_json(cls, order: FieldOrder, obj: dict) -> "FractionalIdealRep":
         with reading("bad ideal JSON"):
-            rows = tuple(tuple(Fraction(s) for s in row) for row in obj["basis"])
+            rows = tuple(tuple(_fraction(s) for s in row) for row in obj["basis"])
         return cls(order, rows)
+
+
+def _fraction(s) -> Fraction:
+    """An ideal-basis entry: a JSON integer or a string such as "-3/7";
+    a bool or a float raises TypeError for `reading` to report."""
+    return Fraction(s if type(s) is str else json_int(s))

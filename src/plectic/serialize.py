@@ -10,7 +10,8 @@ which reports a missing key or a value of the wrong type or shape as one
 `InputError`, and then builds its objects outside the guard.  Integer
 fields take JSON integers (`errors.json_int`), and the integer-matrix
 entries also decimal integer strings; 1.5 and true are input errors,
-never truncated.
+never truncated.  Decimals (real and imaginary parts) take JSON strings
+only; the flat-torus weights alone also take JSON numbers.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ def real_from_json(s):
 
 def _decimal(s):
     """`real_from_json` without the guard or the precision context, for
-    readers that hold both."""
+    readers that hold both.  A decimal is a JSON string: a JSON number
+    (true, 1.5) raises TypeError for `reading` to report."""
+    if type(s) is not str:
+        raise TypeError(f"expected a decimal string, not {s!r}")
     x = mp.mpf(s)
     if not mp.isfinite(x):
         raise InputError(f"decimal {s!r} is not finite")
@@ -126,11 +130,12 @@ def phs_from_json(obj: dict):
 
 
 def classical_to_json(h) -> dict:
+    """A structure of degree 1, its pieces keyed by the weights (p, q)."""
     return {
         "rank": h.rank,
         "pieces": [
-            {"p": pq[0], "q": pq[1], "basis": matrix_to_json(basis)}
-            for pq, basis in h.sorted_pieces()
+            {"p": bd.weights[0], "q": bd.weights[1], "basis": matrix_to_json(basis)}
+            for bd, basis in h.sorted_pieces()
         ],
     }
 

@@ -19,23 +19,19 @@ from . import cxlinalg as cx
 from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError
 from .hodge import (
+    H01,
+    H10,
     Bidegree,
-    ClassicalHodgeStructure,
     PlecticHodgeStructure,
+    ValidationReport,
     _coordinate_torus,
     check_morphism,
+    jacobian_is_abelian_certificate,
     validate,
 )
 from .lattices import IntMatrix, kernel_integer, solve_integer
 from .numberfields import FieldOrder
-from .tori import (
-    ComplexTorus,
-    RMCertificate,
-    RMStructure,
-    detect_rm,
-    jacobian_is_abelian_certificate,
-)
-from .tori import _rm_poly
+from .tori import ComplexTorus, RMStructure, _rm_poly
 
 __all__ = [
     "StronglyPrimitiveDatum",
@@ -109,10 +105,11 @@ class CupOperator:
     target: PlecticHodgeStructure
 
 
-def build_plectic_from_frobenii(d: StronglyPrimitiveDatum, tol=None) -> PlecticHodgeStructure:
+def build_plectic_from_frobenii(d: StronglyPrimitiveDatum, tol=None
+                               ) -> tuple[PlecticHodgeStructure, ValidationReport]:
     """Effective weight-one plectic structure with pieces the involution
-    translates of the holomorphic subspace; conjugation symmetry is
-    checked, not assumed."""
+    translates of the holomorphic subspace, and the `validate` report that
+    checked its conjugation symmetry (a structure that fails it raises)."""
     tol = resolve_tolerance(tol)
     pieces = {}
     with working_precision():
@@ -131,7 +128,7 @@ def build_plectic_from_frobenii(d: StronglyPrimitiveDatum, tol=None) -> PlecticH
     for t in d.hecke:
         if not check_morphism(t, phs, phs, tol):
             raise DegenerateInputError("hecke operator is not a plectic morphism")
-    return phs
+    return phs, report
 
 
 def strongly_primitive(h: PlecticHodgeStructure, cups, tol=None) -> PlecticHodgeStructure:
@@ -219,8 +216,8 @@ def _check_cup(h: PlecticHodgeStructure, cup: CupOperator, tol):
             raise DegenerateInputError("cup operator is not a plectic morphism")
 
 
-def nu_hodge_structure(d: StronglyPrimitiveDatum, nu: int, tol=None) -> ClassicalHodgeStructure:
-    """Weight-one structure whose F^1 collects the translates with
+def nu_hodge_structure(d: StronglyPrimitiveDatum, nu: int, tol=None) -> PlecticHodgeStructure:
+    """Weight-one structure of degree 1 whose F^1 collects the translates with
     beta_nu = 0; the other involutions must act as automorphisms of it
     (checked; the nu-th involution is excluded since it swaps the two
     pieces)."""
@@ -251,7 +248,7 @@ def _nu_structure(d: StronglyPrimitiveDatum, nu: int, tol):
                 raise DegenerateInputError(
                     f"involution {mu} is not an automorphism of the {nu}-th structure"
                 )
-    return ClassicalHodgeStructure(d.rank, {(1, 0): F1, (0, 1): C1}), X, block["C1"]
+    return PlecticHodgeStructure(1, d.rank, {H10: F1, H01: C1}), X, block["C1"]
 
 
 def character_decompose(d: StronglyPrimitiveDatum, nu: int):
@@ -284,7 +281,7 @@ def character_decompose(d: StronglyPrimitiveDatum, nu: int):
 @dataclass(frozen=True)
 class QSVJacobianResult:
     torus: ComplexTorus
-    certificates: dict  # character -> RMCertificate
+    certificates: dict  # character -> AlgebraizationResult
     skipped: tuple      # characters with no real multiplication found
 
 
@@ -295,53 +292,39 @@ def plectic_jacobian_qsv(d: StronglyPrimitiveDatum, nu: int,
     action is supplied (via Hecke restriction) or detected."""
     tol = resolve_tolerance(tol)
     h1, X, rows = _nu_structure(d, nu, tol)
-    torus = _coordinate_torus(X, rows)  # h1.jacobian(), from the same factorization
+    torus = _coordinate_torus(X, rows)  # plectic_jacobian(h1, 1), from the same factorization
     chars = character_decompose(d, nu)
     certs = {}
     skipped = []
     for chi, basis in sorted(chars.items()):
         h_chi = _restrict_structure(h1, basis, tol)
-        rm = _hecke_rm(d, basis, h_chi) if d.hecke else None
+        rm = _hecke_rm(d, basis) if d.hecke else None
         try:
-            if rm is not None:
-                certs[chi] = jacobian_is_abelian_certificate(h_chi, rm, tol=tol)
-            else:
-                certs[chi] = jacobian_is_abelian_certificate(
-                    h_chi, _detected_rm(h_chi, height_bound), tol=tol
-                )
+            certs[chi] = jacobian_is_abelian_certificate(h_chi, rm, height_bound, tol=tol)
         except DegenerateInputError:
             skipped.append(chi)
     return QSVJacobianResult(torus, certs, tuple(skipped))
 
 
-def _detected_rm(h_chi, height_bound):
-    torus = h_chi.jacobian()
-    rm = detect_rm(torus, height_bound)
-    if rm is None:
-        raise DegenerateInputError("no real multiplication detected")
-    return rm
-
-
-def _restrict_structure(h1: ClassicalHodgeStructure, basis: IntMatrix, tol):
-    """Weight-one structure induced on a rational character piece, in
-    the coordinates of its integral basis."""
+def _restrict_structure(h1: PlecticHodgeStructure, basis: IntMatrix, tol):
+    """Weight-one structure, of degree 1, induced on a rational character
+    piece, in the coordinates of its integral basis."""
     with working_precision():
         P = cx.mpm(basis.entries).T  # columns span the piece
         pieces = {}
-        for pq, B in h1.sorted_pieces():
+        for bd, B in h1.sorted_pieces():
             stacked = cx.hstack([B, P * mp.mpf(-1)])
             null = cx.nullspace(stacked, tol)
             if null.cols == 0:
                 continue
-            coords = null[B.cols :, :]  # intersection written in piece coordinates
-            pieces[pq] = coords
+            pieces[bd] = null[B.cols :, :]  # intersection written in piece coordinates
         total = sum(v.cols for v in pieces.values())
         if total != basis.rows:
             raise DegenerateInputError("character piece is not compatible with F^1")
-    return ClassicalHodgeStructure(basis.rows, pieces)
+    return PlecticHodgeStructure(1, basis.rows, pieces)
 
 
-def _hecke_rm(d: StronglyPrimitiveDatum, basis: IntMatrix, h_chi) -> RMStructure | None:
+def _hecke_rm(d: StronglyPrimitiveDatum, basis: IntMatrix) -> RMStructure | None:
     """Order generated by a Hecke restriction with a totally real
     minimal polynomial of the right degree, if one is supplied."""
     want, k = basis.rows // 2, basis.rows

@@ -47,7 +47,6 @@ from .numberfields import (
 __all__ = [
     "ComplexTorus",
     "RMStructure",
-    "RMCertificate",
     "AlgebraizationResult",
     "dual_torus",
     "product_torus",
@@ -59,7 +58,6 @@ __all__ = [
     "enlarge_to_maximal",
     "steinitz_decompose",
     "algebraize_rm",
-    "jacobian_is_abelian_certificate",
     "tori_isomorphic",
 ]
 
@@ -152,20 +150,12 @@ class RMStructure:
 
 @dataclass(frozen=True)
 class AlgebraizationResult:
+    field: FieldOrder  # the maximal order the model is built over
     z: tuple  # one mpc per real embedding, all with positive imaginary part
     ideal: FractionalIdealRep
-    iso: mp.matrix  # complex g x g carrying the input torus onto the model
+    iso: mp.matrix  # complex g x g carrying the (enlarged) torus onto the model
     residual: mp.mpf
     model: ComplexTorus
-
-
-@dataclass(frozen=True)
-class RMCertificate:
-    field: FieldOrder
-    z: tuple
-    ideal: FractionalIdealRep
-    iso: mp.matrix
-    residual: mp.mpf
 
 
 # ----------------------------------------------------------------------
@@ -621,21 +611,22 @@ def _equivariant_section(rm: RMStructure, pi: IntMatrix, B):
     return _unvec([x for (x,) in sol.entries], n, d)
 
 
-def algebraize_rm(t: ComplexTorus, rm: RMStructure, sign_bound: int = 50, tol=None) -> AlgebraizationResult:
-    """Normalize an RM torus to the standard model: eigen-split V over
-    the real embeddings, read off the two Steinitz coordinates, and
-    correct signs by a small field element so every modulus lands in the
-    upper half plane.  Row l of the eigen-split is the largest row of the
-    spectral projector prod_{m != l} (M - sigma_m I), M the generator's
-    analytic action: a left eigenvector of M for sigma_l by Cayley-Hamilton,
-    whose scale cancels in iso through mu_l."""
+def algebraize_rm(t: ComplexTorus, rm: RMStructure, tol=None) -> AlgebraizationResult:
+    """Normalize an RM torus to the standard model: pass to the maximal
+    order (`enlarge_to_maximal`), eigen-split V over the real embeddings,
+    read off the two Steinitz coordinates, and correct signs by a small
+    field element so every modulus lands in the upper half plane.  Row l
+    of the eigen-split is the largest row of the spectral projector
+    prod_{m != l} (M - sigma_m I), M the generator's analytic action: a
+    left eigenvector of M for sigma_l by Cayley-Hamilton, whose scale
+    cancels in iso through mu_l.  iso acts on the enlarged torus, which
+    is the input torus when its order is already maximal."""
     tol = resolve_tolerance(tol)
+    t, rm, _ = enlarge_to_maximal(t, rm)
     field = rm.field
     d = field.degree
     if rm.lattice_rank != 2 * t.g or t.g != d:
         raise InputError("torus dimension must equal the field degree")
-    if not field.is_maximal:
-        raise InputError("algebraization runs after enlarge_to_maximal")
     with working_precision():
         emb = field.embeddings()
         if d > 1:
@@ -664,69 +655,28 @@ def algebraize_rm(t: ComplexTorus, rm: RMStructure, sign_bound: int = 50, tol=No
                 raise DegenerateInputError("inconsistent module coordinates")
             mu.append(vals[0])
         tau = [lam[l] / mu[l] for l in range(d)]
-        x = _sign_correction(field, emb, tau, sign_bound)
+        x = _sign_correction(field, emb, tau)
         z = tuple(field.element_embedding(x, emb[l]) * tau[l] for l in range(d))
         ideal = ideal0.scaled(x)
         iso = cx.matmul(mp.diag([field.element_embedding(x, emb[l]) / mu[l] for l in range(d)]), W)
         model = construct_rm_torus(field, z, ideal)
         resid = cx.frob(cx.matmul(cx.matmul(iso, t.periods), cx.mpm(U.entries)) - model.periods)
         resid = resid / max(mp.mpf(1), cx.frob(model.periods))
-    return AlgebraizationResult(z, ideal, iso, resid, model)
+    return AlgebraizationResult(field, z, ideal, iso, resid, model)
 
 
-def _sign_correction(field: FieldOrder, emb, tau, bound: int):
+def _sign_correction(field: FieldOrder, emb, tau):
     """Field element x with sigma(x) * Im(tau_sigma) > 0 at every
-    embedding, enumerated by height; exists by density of the field in
-    its archimedean algebra."""
+    embedding, enumerated by height up to 50; exists by density of the
+    field in its archimedean algebra."""
     d = field.degree
     signs = [mp.sign(mp.im(c)) for c in tau]
-    for cand in coefficient_shells(d, bound):
+    for cand in coefficient_shells(d, 50):
         x = tuple(Fraction(c) for c in cand)
         vals = [field.element_embedding(x, emb[l]) for l in range(d)]
         if all(v * s > 0 for v, s in zip(vals, signs)):
             return x
-    raise SearchExhaustedError("sign-correction search exhausted; raise the bound")
-
-
-def jacobian_is_abelian_certificate(h, rm: RMStructure | None = None,
-                                    height_bound: int = 10, tol=None) -> RMCertificate:
-    """Algebraicity certificate for the Jacobian of an effective
-    weight-one structure carrying real multiplication: the (z, ideal)
-    normal form of the Jacobian torus.
-
-    With rm=None the field is the first one detect_rm meets within
-    height_bound; a torus with several real-multiplication fields may be
-    certified for another field than expected (the dual of
-    construct_rm_torus(Q(sqrt 5), [i, 2i]) gives Q(sqrt 2)).  Pass rm to
-    certify a specific action.
-
-    `h` must expose `.rank`, `.pieces` keyed by (p, q), and `.jacobian()`.
-    """
-    tol = resolve_tolerance(tol)
-    keys = set(h.pieces.keys())
-    if not keys <= {(1, 0), (0, 1)}:
-        raise InputError("structure is not effective of weight one")
-    torus = h.jacobian()
-    if rm is None:
-        rm = detect_rm(torus, height_bound)
-        if rm is None:
-            raise DegenerateInputError("no real multiplication detected on the Jacobian")
-    if 2 * rm.field.degree != h.rank:
-        raise InputError("field degree must be half the lattice rank")
-    # the B that h.jacobian() has inverted, so X is not None
-    pieces = [(pq, h.pieces[pq]) for pq in ((1, 0), (0, 1))]
-    B, X, block = cx.piece_coordinates(pieces, "Hodge pieces")
-    for a in rm.action:
-        for key, basis in pieces:
-            # the image is formed at mpmath's ambient precision (ROADMAP item 2)
-            image = cx.matmul(cx.mpm(a.entries), basis)
-            with working_precision():
-                resid = cx.outside(image, B, X, block[key])
-            if resid > tol * 1000:
-                raise InputError("supplied action does not preserve the Hodge pieces")
-    t2, rm2, _ = enlarge_to_maximal(torus, rm)
-    res = algebraize_rm(t2, rm2, tol=tol)
-    return RMCertificate(rm2.field, res.z, res.ideal, res.iso, res.residual)
+    raise SearchExhaustedError("sign-correction search exhausted")
 
 
 def tori_isomorphic(t1: ComplexTorus, t2: ComplexTorus, tol=None, coeff_bound: int = 4):

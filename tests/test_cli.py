@@ -283,6 +283,43 @@ def test_bad_rm_construct_json_exits_two(document, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_missing_is_maximal_means_false(fixtures, tmp_path):
+    doc = json.loads(pathlib.Path(fixtures["rm_construct.json"]).read_text())
+    del doc["field"]["is_maximal"]
+    path = tmp_path / "rm.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["torus", "rm-construct", "--input", str(path)])
+    assert code == 0
+    assert json.loads(out)["payload"]["torus"]["rm"]["field"]["is_maximal"] is False
+
+
+def test_ideal_basis_takes_json_integers(fixtures, tmp_path):
+    doc = json.loads(pathlib.Path(fixtures["rm_construct.json"]).read_text())
+    doc["ideal"] = {"basis": [[1, 0], [0, 1]]}
+    path = tmp_path / "rm.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["torus", "rm-construct", "--input", str(path)])
+    assert code == 0
+
+
+def test_endos_decides_at_the_given_tolerance(tmp_path, capsys):
+    """--tolerance reaches the endomorphism check: at 128 bits the
+    multiplier residual of the Q(sqrt 5) torus's real multiplication is
+    about 3e-43, which passes the default 2^-64 and fails 1e-50."""
+    from plectic.tori import construct_rm_torus
+
+    t = construct_rm_torus(FieldOrder.quadratic_maximal(5),
+                           [mp.mpc("0.31", "1.17"), mp.mpc("-0.42", "0.83")])
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(ser.torus_to_json(t)))
+    argv = ["torus", "endos", "--input", str(path), "--height-bound", "2"]
+    assert run(argv)[0] == 0
+    code, out = run(argv + ["--tolerance", "1e-50"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == "error: endomorphism candidate failed verification\n"
+
+
 def _set_cups(cups):
     return lambda doc: doc.update(cups=cups)
 
@@ -340,6 +377,32 @@ def test_non_integer_in_integer_field_exits_two(fixture, argv, path, value, fixt
     """An integer field takes a JSON integer (and, in the integer-matrix
     format, a decimal integer string); anything else is an input error,
     never truncated to an integer."""
+    doc = json.loads(pathlib.Path(fixtures[fixture]).read_text())
+    target = tmp_path / fixture
+    target.write_text(json.dumps(_replaced(doc, path, value)))
+    code, out = run(argv + ["--input", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fixture,argv,path,value", [
+    ("rm_construct.json", ["torus", "rm-construct"], ("field", "is_maximal"), "false"),
+    ("rm_construct.json", ["torus", "rm-construct"], ("field", "is_maximal"), "true"),
+    ("rm_construct.json", ["torus", "rm-construct"], ("field", "is_maximal"), 1),
+    ("rm_construct.json", ["torus", "rm-construct"], ("field", "is_maximal"), None),
+    ("torus.json", ["torus", "dual"], ("periods", 0, 0), [True, "0"]),
+    ("torus.json", ["torus", "dual"], ("periods", 0, 0), [1.5, "0"]),
+    ("torus.json", ["torus", "dual"], ("periods", 0, 0), [1, "0"]),
+    ("rm_construct.json", ["torus", "rm-construct"], ("z", 0), ["0", 1]),
+    ("rm_construct.json", ["torus", "rm-construct"], ("ideal",), {"basis": [[True, 0], [0, 1]]}),
+    ("rm_construct.json", ["torus", "rm-construct"], ("ideal",), {"basis": [[1.0, 0], [0, 1]]}),
+], ids=["maximal-string-false", "maximal-string-true", "maximal-one", "maximal-null",
+        "period-true", "period-float", "period-int", "z-int", "ideal-true", "ideal-float"])
+def test_wrong_json_type_exits_two(fixture, argv, path, value, fixtures, tmp_path, capsys):
+    """is_maximal is a JSON boolean, a decimal a JSON string, and an
+    ideal-basis entry a string or a JSON integer; anything else is an
+    input error, never read by its truth value or as a number."""
     doc = json.loads(pathlib.Path(fixtures[fixture]).read_text())
     target = tmp_path / fixture
     target.write_text(json.dumps(_replaced(doc, path, value)))

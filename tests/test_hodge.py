@@ -63,13 +63,27 @@ def test_validate_dimension_mismatch_raises():
 def test_refine_n1_identity():
     h = elliptic_h1(1, TAU1)
     cl = refine_to_classical(h)
-    assert {pq: v.cols for pq, v in cl.sorted_pieces()} == {(1, 0): 1, (0, 1): 1}
+    assert {bd.weights: v.cols for bd, v in cl.sorted_pieces()} == {(1, 0): 1, (0, 1): 1}
 
 
 def test_refine_kunneth_dims():
     t = tensor(elliptic_h1(1, TAU1), elliptic_h1(1, TAU2))
     cl = refine_to_classical(t)
-    assert {pq: v.cols for pq, v in cl.sorted_pieces()} == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    dims = {bd.weights: v.cols for bd, v in cl.sorted_pieces()}
+    assert cl.n == 1 and dims == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+
+
+@pytest.mark.parametrize("h", [
+    elliptic_h1(1, TAU1),
+    refine_to_classical(tensor(elliptic_h1(1, TAU1), elliptic_h1(1, TAU2))),
+], ids=["elliptic", "refined-tensor"])
+def test_refine_degree_one_keeps_keys_and_bases(h):
+    """A classical structure is a plectic one of degree 1, and refining it
+    changes nothing: the same keys and the same bases, bit for bit."""
+    cl = refine_to_classical(h)
+    assert cl.n == 1 and cl.rank == h.rank
+    assert cl.pieces.keys() == h.pieces.keys()
+    assert all(cl.pieces[bd].tolist() == h.pieces[bd].tolist() for bd in h.pieces)
 
 
 def test_refine_preserves_total_dimension():

@@ -6,6 +6,7 @@ from plectic import cxlinalg as cx
 from plectic.config import working_precision
 from plectic.errors import DegenerateInputError, InputError
 from plectic.hodge import (
+    H10,
     Bidegree,
     PlecticHodgeStructure,
     elliptic_h1,
@@ -73,7 +74,7 @@ def test_datum_validation():
 
 
 def test_build_elliptic():
-    phs = build_plectic_from_frobenii(elliptic_datum())
+    phs, _ = build_plectic_from_frobenii(elliptic_datum())
     h = elliptic_h1(1, mp.mpc(0, 1))
     for bd in phs.pieces:
         assert subspace_distance(phs.pieces[bd], h.pieces[bd]) < mp.mpf("1e-30")
@@ -81,12 +82,12 @@ def test_build_elliptic():
 
 def test_build_identity_translate_is_holo():
     d = tensor_datum()
-    phs = build_plectic_from_frobenii(d)
+    phs, _ = build_plectic_from_frobenii(d)
     assert subspace_distance(phs.pieces[Bidegree((1, 1), (0, 0))], d.holo) == 0
 
 
 def test_build_tensor_equals_tensor_structure():
-    phs = build_plectic_from_frobenii(tensor_datum())
+    phs, _ = build_plectic_from_frobenii(tensor_datum())
     t = tensor(elliptic_h1(1, mp.mpc(0, 1)), elliptic_h1(1, mp.mpc(0, 1)))
     for bd in phs.pieces:
         assert subspace_distance(phs.pieces[bd], t.pieces[bd]) < mp.mpf("1e-30")
@@ -100,7 +101,7 @@ def test_build_rejects_incompatible_holo():
 
 def test_frobenii_permute_pieces():
     d = tensor_datum()
-    phs = build_plectic_from_frobenii(d)
+    phs, _ = build_plectic_from_frobenii(d)
     with working_precision():
         for mu in range(d.r):
             fr = cx.mpm(d.frobenii[mu].entries)
@@ -117,8 +118,8 @@ def test_nu_structure_matches_filtration():
     ns = nu_hodge_structure(d, 1)
     t = tensor(elliptic_h1(1, mp.mpc(0, 1)), elliptic_h1(1, mp.mpc(0, 1)))
     F = hodge_filtration(t, 1)
-    assert ns.pieces[(1, 0)].cols == d.rank // 2
-    assert subspace_distance(ns.pieces[(1, 0)], F) < mp.mpf("1e-30")
+    assert ns.pieces[H10].cols == d.rank // 2
+    assert subspace_distance(ns.pieces[H10], F) < mp.mpf("1e-30")
 
 
 def test_nu_structure_excludes_nu_itself():
@@ -126,7 +127,7 @@ def test_nu_structure_excludes_nu_itself():
     ns = nu_hodge_structure(d, 1)
     with working_precision():
         fr1 = cx.mpm(d.frobenii[0].entries)
-        F1 = ns.pieces[(1, 0)]
+        F1 = ns.pieces[H10]
         # Fr_nu swaps the beta_nu bit, so it does not preserve F^{1_nu}
         assert subspace_residual(fr1 * F1, F1) > mp.mpf("0.5")
 
@@ -244,8 +245,8 @@ def test_qsv_jacobian_tensor_formula():
 
 def test_qsv_jacobian_rm_surface_certificates():
     d, O2 = rm_surface_datum()
-    phs = build_plectic_from_frobenii(d)
-    assert validate(phs).passed
+    phs, report = build_plectic_from_frobenii(d)
+    assert report.passed and report == validate(phs)
     chars = character_decompose(d, 1)
     assert all(b.rows == 4 for b in chars.values())
     res = plectic_jacobian_qsv(d, 1)
@@ -264,8 +265,8 @@ def test_hecke_restriction_skips_operators_without_rm():
     d, O2 = rm_surface_datum()
     d2 = StronglyPrimitiveDatum(d.r, d.frobenii, d.holo, (IntMatrix.identity(d.rank),) + d.hecke)
     for basis in character_decompose(d, 1).values():
-        rm = _hecke_rm(d2, basis, None)
-        assert rm == _hecke_rm(d, basis, None)
+        rm = _hecke_rm(d2, basis)
+        assert rm == _hecke_rm(d, basis)
         assert rm.field.min_poly == O2.min_poly
 
 

@@ -9,6 +9,15 @@ import plectic.tori as tori
 from plectic import cxlinalg as cx
 from plectic.config import set_precision, working_precision
 from plectic.errors import InputError
+from plectic.hodge import (
+    H01,
+    H10,
+    PlecticHodgeStructure,
+    elliptic_h1,
+    jacobian_is_abelian_certificate,
+    refine_to_classical,
+    tensor,
+)
 from plectic.lattices import (
     IntMatrix,
     coefficient_shells,
@@ -28,7 +37,6 @@ from plectic.tori import (
     endomorphisms,
     enlarge_to_maximal,
     hom_lattice,
-    jacobian_is_abelian_certificate,
     product_torus,
     steinitz_decompose,
     tori_isomorphic,
@@ -376,9 +384,22 @@ def test_algebraize_random_sqrt2():
         assert res.residual < mp.mpf("1e-9")
 
 
-def test_certificate_elliptic():
-    from plectic.hodge import elliptic_h1, refine_to_classical
+def test_algebraize_enlarges_a_non_maximal_order():
+    """On the Z[sqrt 5] torus at z = (0.31 + 1.17i, -0.42 + 0.83i),
+    algebraize_rm passes to the maximal order itself: the same model, bit
+    for bit, as enlarge_to_maximal followed by algebraize_rm."""
+    Z5 = FieldOrder.quadratic(0, -5)
+    t = construct_rm_torus(Z5, [mp.mpc("0.31", "1.17"), mp.mpc("-0.42", "0.83")])
+    assert not t.rm.field.is_maximal
+    res = algebraize_rm(t, t.rm)
+    t2, rm2, _ = enlarge_to_maximal(t, t.rm)
+    want = algebraize_rm(t2, rm2)
+    assert res.field == want.field == rm2.field and res.field.is_maximal
+    assert res.z == want.z and res.ideal == want.ideal
+    assert res.iso.tolist() == want.iso.tolist() and res.residual == want.residual
 
+
+def test_certificate_elliptic():
     h = refine_to_classical(elliptic_h1(1, mp.mpc("0.3", "1.7")))
     cert = jacobian_is_abelian_certificate(h)
     assert cert.field.degree == 1
@@ -387,15 +408,13 @@ def test_certificate_elliptic():
 
 
 def test_certificate_detects_rm_on_g2_jacobian():
-    from plectic.hodge import ClassicalHodgeStructure
-
     # weight-one structure with H^{1,0} spanned by the transposed periods of
     # a generic Q(sqrt 5) torus; its Jacobian is the dual torus, which keeps
     # the real multiplication.  rm=None makes the certificate search for it.
     O5 = FieldOrder.quadratic_maximal(5)
     t = construct_rm_torus(O5, [mp.mpc("0.31", "1.13"), mp.mpc("-0.27", "0.71")])
     hol = t.periods.T
-    h = ClassicalHodgeStructure(4, {(1, 0): hol, (0, 1): cx.conj(hol)})
+    h = PlecticHodgeStructure(1, 4, {H10: hol, H01: cx.conj(hol)})
     cert = jacobian_is_abelian_certificate(h)
     assert cert.field.min_poly == (1, -1, -1)
     assert cert.field.is_maximal
@@ -404,8 +423,6 @@ def test_certificate_detects_rm_on_g2_jacobian():
 
 
 def test_certificate_rank_mismatch():
-    from plectic.hodge import elliptic_h1, refine_to_classical
-
     h = refine_to_classical(elliptic_h1(1, mp.mpc("0.3", "1.7")))
     O2 = FieldOrder.quadratic_maximal(2)
     bad = RMStructure(
@@ -415,6 +432,12 @@ def test_certificate_rank_mismatch():
     )
     with pytest.raises(InputError):
         jacobian_is_abelian_certificate(h, bad)
+
+
+def test_certificate_needs_degree_one():
+    h = tensor(elliptic_h1(1, mp.mpc("0.3", "1.7")), elliptic_h1(1, mp.mpc("-0.2", "0.9")))
+    with pytest.raises(InputError, match="degree 1"):
+        jacobian_is_abelian_certificate(h)
 
 
 def single_stage_kernel(L):
