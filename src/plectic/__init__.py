@@ -13,7 +13,6 @@ from .errors import DegenerateInputError, InputError, PlecticError, SearchExhaus
 from .lattices import (
     IntMatrix,
     hermite_normal_form,
-    lattice_membership,
     smith_normal_form,
     torsion_free_quotient,
 )

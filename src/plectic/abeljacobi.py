@@ -4,13 +4,13 @@ Abel-Jacobi images.
 Cycles store explicit lifts (the iterated integral is defined on lifts;
 the quotient image is derived data).  On translation quotients every
 basis form is a constant product of dz's and dzbar's, so all integrals
-are closed-form products; a quadrature-backed provider is included for
-nonconstant factor forms but sits outside the acceptance surface.
+are closed-form products.  The Abel-Jacobi target is a complex torus
+(`tori.ComplexTorus`) whose period columns integrate the basis forms over
+the product loops, and a point is reduced by that torus's Babai rounding.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -18,26 +18,23 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from . import cxlinalg as cx
-from .config import default_tolerance, resolve_tolerance, working_precision
+from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError
 from .hodge import PlecticHodgeStructure, elliptic_h1, tensor
+from .tori import ComplexTorus
 
 __all__ = [
     "QuotientDatum",
     "PlecticCycle",
     "PeriodFunctional",
-    "PeriodLatticeData",
     "AbelJacobiPoint",
     "iterated_integral",
-    "iterated_integral_forms",
     "period_lattice",
     "abel_jacobi",
     "relift",
     "theorem_b_harness",
     "classical_aj",
     "HarnessReport",
-    "GaussLegendreForm",
-    "constant_form",
 ]
 
 
@@ -113,67 +110,6 @@ class PeriodFunctional:
     coordinates: tuple
 
 
-@dataclass(frozen=True)
-class PeriodLatticeData:
-    nu: int
-    generators: tuple  # 2^n complex coordinate vectors
-    real_matrix: mp.matrix  # rows = generators flattened over (Re, Im)
-    factors: cx.LU  # LU of real_matrix.T, formed once per lattice
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
-    def reduce(self, coords):
-        """Babai rounding against the generator matrix: returns (reduced
-        coordinates, integer combination, distance of the remainder)."""
-        with working_precision():
-            vec = _flatten(coords)
-            sol = self.factors.solve(mp.matrix(vec))
-            ints = [int(mp.nint(sol[i])) for i in range(self.rank)]
-            red = list(coords)
-            for c, gen in zip(ints, self.generators):
-                for k in range(len(red)):
-                    red[k] = red[k] - c * gen[k]
-            dist = mp.sqrt(mp.fsum(abs(v) ** 2 for v in red))
-            return tuple(red), tuple(ints), dist
-
-
-def constant_form(beta_j: int):
-    """Constant factor form: dz for 0, dzbar for 1."""
-    if beta_j == 0:
-        return lambda x, y: x - y
-    return lambda x, y: mp.conj(x - y)
-
-
-class GaussLegendreForm:
-    """Factor form f(z) dz (or f(z) dzbar) integrated along the straight
-    segment with Gauss-Legendre quadrature; provider for nonconstant
-    forms on factors beyond translation quotients."""
-
-    def __init__(self, f, antiholomorphic: bool = False, nodes: int = 64):
-        self.f = f
-        self.antiholomorphic = antiholomorphic
-        with working_precision():
-            self._t, self._w = _legendre_rule(int(nodes), mp.mp.prec)
-
-    def __call__(self, x, y):
-        x, y = mp.mpmathify(x), mp.mpmathify(y)
-        seg = x - y
-        acc = mp.mpf(0)
-        for t, w in zip(self._t, self._w):
-            acc += w * self.f(y + seg * t)
-        return (mp.conj(seg) if self.antiholomorphic else seg) * acc
-
-
-@functools.cache
-def _legendre_rule(nodes: int, prec: int):
-    """Gauss-Legendre nodes and weights at `prec` bits, moved to [0, 1]."""
-    with mp.workprec(prec):
-        xs, ws = mp.gauss_quadrature(nodes, "legendre")
-        return [(x + 1) / 2 for x in xs], [w / 2 for w in ws]
-
-
 def iterated_integral(d: QuotientDatum, c: PlecticCycle, beta) -> mp.mpc:
     """Integral of the constant product form indexed by beta over the
     cycle: per factor x - y (dz slots) or its conjugate (dzbar slots),
@@ -181,21 +117,13 @@ def iterated_integral(d: QuotientDatum, c: PlecticCycle, beta) -> mp.mpc:
     beta = tuple(beta)
     if len(beta) != d.n or c.n != d.n:
         raise InputError("form index or cycle width mismatch")
-    forms = [constant_form(b) for b in beta]
-    return iterated_integral_forms(d, c, forms)
-
-
-def iterated_integral_forms(d: QuotientDatum, c: PlecticCycle, forms) -> mp.mpc:
-    """Iterated integral with one factor form per coordinate (provider
-    entry point; the acceptance surface uses constant forms only)."""
-    if len(forms) != d.n:
-        raise InputError("need one factor form per coordinate")
     with working_precision():
         total = mp.mpc(0)
         for coeff, lifts in c.terms:
             prod = mp.mpc(int(coeff))
-            for form, (x, y) in zip(forms, lifts):
-                prod *= form(mp.mpmathify(x), mp.mpmathify(y))
+            for b, (x, y) in zip(beta, lifts):
+                dz = mp.mpmathify(x) - mp.mpmathify(y)
+                prod *= dz if b == 0 else mp.conj(dz)
             total += prod
         return total
 
@@ -205,41 +133,28 @@ def functional(d: QuotientDatum, c: PlecticCycle, nu: int) -> PeriodFunctional:
     return PeriodFunctional(nu, coords)
 
 
-def period_lattice(d: QuotientDatum, nu: int) -> PeriodLatticeData:
+def period_lattice(d: QuotientDatum, nu: int) -> ComplexTorus:
     """Lattice of functionals integrating the F^{1_nu} basis over the
-    product cycles built from one lattice loop per factor; mixed cycles
-    supported on fewer factors vanish on product forms and are omitted.
-    Rank deficient when `cxlinalg.lattice_lu` finds that the generators do
-    not span at the default tolerance."""
+    product cycles built from one lattice loop per factor, as a torus of
+    dimension 2^(n-1): column k of its periods is the generator of the k-th
+    loop choice in {0, 1}^n.  Mixed cycles supported on fewer factors
+    vanish on product forms and are omitted.  Rank deficient when the
+    generators do not span at the default tolerance (`ComplexTorus`)."""
     betas = d.form_indices(nu)
-    gens = []
+    choices = list(itertools.product((0, 1), repeat=d.n))
+    periods = mp.matrix(len(betas), len(choices))
     with working_precision():
-        for choice in itertools.product((0, 1), repeat=d.n):
+        for k, choice in enumerate(choices):
             mus = [mp.mpmathify(d.factors[j][choice[j]]) for j in range(d.n)]
-            vec = []
-            for beta in betas:
+            for i, beta in enumerate(betas):
                 val = mp.mpc(1)
                 for j in range(d.n):
                     val *= mus[j] if beta[j] == 0 else mp.conj(mus[j])
-                vec.append(val)
-            gens.append(tuple(vec))
-        real = mp.matrix(len(gens), 2 * len(betas))
-        for i, g in enumerate(gens):
-            flat = _flatten(g)
-            for k, v in enumerate(flat):
-                real[i, k] = v
-        factors = cx.lattice_lu(real.T, default_tolerance())
-        if factors is None:
-            raise DegenerateInputError("period lattice is rank deficient")
-    return PeriodLatticeData(nu, tuple(gens), real, factors)
-
-
-def _flatten(coords):
-    out = []
-    for v in coords:
-        out.append(mp.re(v))
-        out.append(mp.im(v))
-    return out
+                periods[i, k] = val
+    try:
+        return ComplexTorus(len(betas), periods)
+    except DegenerateInputError:
+        raise DegenerateInputError("period lattice is rank deficient") from None
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,7 @@ def cmd_torus_rm_algebraize(args, config):
         "ideal": res.ideal.to_json(),
         "field": res.field.to_json(),
         "iso": ser.matrix_to_json(res.iso),
+        "index": res.index,
         "residual": real_to_json(res.residual),
     }
     return payload, bool(res.residual < config.tolerance * 1000)
@@ -429,8 +430,8 @@ def cmd_aj_periods(args, config):
     lat = aj.period_lattice(d, args.nu)
     payload = {
         "nu": args.nu,
-        "rank": lat.rank,
-        "generators": [[ser.complex_to_json(v) for v in g] for g in lat.generators],
+        "rank": 2 * lat.g,
+        "generators": ser.matrix_to_json(lat.periods.T),
     }
     return payload, True
 

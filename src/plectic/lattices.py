@@ -1,9 +1,8 @@
 """Exact integer-matrix and lattice algebra.
 
 Everything here is exact: entries are Python ints or Fractions and no
-routine rounds, apart from :func:`lattice_membership`, which takes an
-explicit tolerance, and :func:`fraction_to_mpf`.  A lattice is a list of
-integer basis rows (or an :class:`IntMatrix` holding them).
+routine rounds, apart from :func:`fraction_to_mpf`.  A lattice is a list
+of integer basis rows (or an :class:`IntMatrix` holding them).
 
 The Hermite normal form is the one lattice normal form: ranks, kernels,
 saturations, row-lattice bases, integer solves, lattice equality and
@@ -25,7 +24,6 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError, json_int, reading
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "hermite_normal_form",
     "smith_normal_form",
     "torsion_free_quotient",
-    "lattice_membership",
     "kernel_integer",
     "row_lattice_basis",
     "saturation",
@@ -483,37 +480,3 @@ def torsion_free_quotient(sub_rows, ambient_rows):
         return []
     K = IntMatrix.from_rows(ker)
     return list((at @ solve_integer(K, IntMatrix.identity(K.rows))).transpose().entries)
-
-
-def lattice_membership(v, basis: IntMatrix, tol=None):
-    """Integer coordinates c with ||v - c^T basis|| < tol, or None.
-
-    v is a real vector of length basis.cols; the least-squares system is
-    solved exactly in the integer Gram matrix of the basis rows, so only
-    the final residual is floating point.
-    """
-    tol = resolve_tolerance(tol)
-    B = basis
-    if B.rows == 0:
-        raise DegenerateInputError("membership in a rank-0 lattice")
-    if B.rank() != B.rows:
-        raise DegenerateInputError("rank-deficient embedding")
-    if len(v) != B.cols:
-        raise InputError("vector length must equal the ambient rank")
-    gram = (B @ B.transpose()).entries  # exact integer Gram
-    with working_precision():
-        vv = [mp.mpf(str(x)) if isinstance(x, (int, str)) else mp.mpmathify(x) for x in v]
-        rhs = [sum(mp.mpmathify(B.entries[i][j]) * vv[j] for j in range(B.cols))
-               for i in range(B.rows)]
-        ginv = fraction_inverse(IntMatrix.from_rows(gram))
-        coeffs = [sum(fraction_to_mpf(ginv[i][j]) * rhs[j] for j in range(B.rows))
-                  for i in range(B.rows)]
-        c = [int(mp.nint(x)) for x in coeffs]
-        acc = mp.mpf(0)
-        for j in range(B.cols):
-            approx = sum(c[i] * B.entries[i][j] for i in range(B.rows))
-            acc += (vv[j] - approx) ** 2
-        resid = mp.sqrt(acc)
-        if resid < tol:
-            return tuple(c)
-    return None

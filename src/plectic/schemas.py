@@ -88,8 +88,9 @@ _PAYLOADS = {
                            "properties": {"torus": TORUS}},
     "torus.rm-algebraize": {
         "type": "object",
-        "required": ["z", "ideal", "iso", "residual"],
-        "properties": {"z": {"type": "array", "items": COMPLEX}, "residual": DECIMAL},
+        "required": ["z", "ideal", "iso", "index", "residual"],
+        "properties": {"z": {"type": "array", "items": COMPLEX}, "residual": DECIMAL,
+                       "index": {"type": "integer"}},
     },
     "flat.verify-identities": {
         "type": "object",

@@ -35,8 +35,13 @@ __all__ = [
 
 def real_to_json(x) -> str:
     with working_precision():
-        return mp.nstr(mp.mpf(x) if not isinstance(x, mp.mpf) else x,
-                       decimal_digits(), strip_zeros=False)
+        return _real_str(x, decimal_digits())
+
+
+def _real_str(x, digits) -> str:
+    """`real_to_json` without the precision context, for writers that hold
+    it and have read `decimal_digits()` once."""
+    return mp.nstr(x if isinstance(x, mp.mpf) else mp.mpf(x), digits, strip_zeros=False)
 
 
 def real_from_json(s):
@@ -59,7 +64,12 @@ def _decimal(s):
 
 def complex_to_json(z) -> list:
     z = mp.mpmathify(z)
-    return [real_to_json(mp.re(z)), real_to_json(mp.im(z))]
+    with working_precision():
+        return _complex_str(z, decimal_digits())
+
+
+def _complex_str(z, digits) -> list:
+    return [_real_str(mp.re(z), digits), _real_str(mp.im(z), digits)]
 
 
 def complex_from_json(pair):
@@ -74,7 +84,10 @@ def _complex(pair):
 
 
 def matrix_to_json(m: mp.matrix) -> list:
-    return [[complex_to_json(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    """Rows of [re, im] decimal pairs, under one precision context."""
+    with working_precision():
+        digits = decimal_digits()
+        return [[_complex_str(m[i, j], digits) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def matrix_from_json(rows) -> mp.matrix:

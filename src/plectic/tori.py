@@ -67,7 +67,9 @@ class ComplexTorus:
     """V/Lambda presented by a g x 2g period matrix whose columns
     generate the lattice, which they must span at the working precision
     and default tolerance (`cxlinalg.lattice_lu`); optionally carries a
-    real-multiplication witness."""
+    real-multiplication witness.  The LU of `real_matrix()` formed by that
+    check is kept (outside the fields, so it takes no part in == or repr)
+    and serves `complex_structure` and `reduce` at the same precision."""
 
     g: int
     periods: mp.matrix
@@ -77,8 +79,16 @@ class ComplexTorus:
         if self.periods.rows != self.g or self.periods.cols != 2 * self.g:
             raise InputError("period matrix must be g x 2g")
         with working_precision():
-            if cx.lattice_lu(self.real_matrix(), default_tolerance()) is None:
+            f = cx.lattice_lu(self.real_matrix(), default_tolerance())
+            if f is None:
                 raise DegenerateInputError("periods do not span a full lattice")
+            object.__setattr__(self, "_lu", (mp.mp.prec, f))
+
+    def _factors(self) -> cx.LU:
+        """LU of `real_matrix()` at the current precision: the one formed at
+        construction, or a new one at any other precision."""
+        prec, f = self._lu
+        return f if prec == mp.mp.prec else cx._factor(self.real_matrix())
 
     def real_matrix(self) -> mp.matrix:
         """2g x 2g real matrix whose columns are the lattice generators."""
@@ -93,7 +103,23 @@ class ComplexTorus:
             for k in range(g):
                 J0[k, g + k] = mp.mpf(-1)
                 J0[g + k, k] = mp.mpf(1)
-            return cx.solve(P, cx.matmul(J0, P))
+            return self._factors().solve(cx.matmul(J0, P))
+
+    def reduce(self, coords):
+        """Babai rounding of a point of V given by its g complex coordinates:
+        its lattice coordinates (the solve of [Re; Im] against `real_matrix()`)
+        rounded to integers c.  Returns (the point minus sum_k c_k * column
+        k, c, the length of that remainder)."""
+        with working_precision():
+            sol = self._factors().solve(
+                mp.matrix([mp.re(v) for v in coords] + [mp.im(v) for v in coords]))
+            ints = tuple(int(mp.nint(sol[k])) for k in range(2 * self.g))
+            red = list(coords)
+            for k, c in enumerate(ints):
+                for i in range(self.g):
+                    red[i] = red[i] - c * self.periods[i, k]
+            dist = mp.sqrt(mp.fsum(abs(v) ** 2 for v in red))
+            return tuple(red), ints, dist
 
     def multiplier(self, N: IntMatrix):
         """Complex matrix M with M * periods = periods * N, and the
@@ -154,6 +180,7 @@ class AlgebraizationResult:
     z: tuple  # one mpc per real embedding, all with positive imaginary part
     ideal: FractionalIdealRep
     iso: mp.matrix  # complex g x g carrying the (enlarged) torus onto the model
+    index: int  # [enlarged lattice : input lattice]; iso is an isomorphism iff 1
     residual: mp.mpf
     model: ComplexTorus
 
@@ -620,9 +647,10 @@ def algebraize_rm(t: ComplexTorus, rm: RMStructure, tol=None) -> AlgebraizationR
     prod_{m != l} (M - sigma_m I), M the generator's analytic action: a
     left eigenvector of M for sigma_l by Cayley-Hamilton, whose scale
     cancels in iso through mu_l.  iso acts on the enlarged torus, which
-    is the input torus when its order is already maximal."""
+    is the input torus when its order is already maximal; on the input
+    lattice it is an isogeny of degree `index`, |det| of the inclusion."""
     tol = resolve_tolerance(tol)
-    t, rm, _ = enlarge_to_maximal(t, rm)
+    t, rm, inclusion = enlarge_to_maximal(t, rm)
     field = rm.field
     d = field.degree
     if rm.lattice_rank != 2 * t.g or t.g != d:
@@ -662,7 +690,7 @@ def algebraize_rm(t: ComplexTorus, rm: RMStructure, tol=None) -> AlgebraizationR
         model = construct_rm_torus(field, z, ideal)
         resid = cx.frob(cx.matmul(cx.matmul(iso, t.periods), cx.mpm(U.entries)) - model.periods)
         resid = resid / max(mp.mpf(1), cx.frob(model.periods))
-    return AlgebraizationResult(field, z, ideal, iso, resid, model)
+    return AlgebraizationResult(field, z, ideal, iso, abs(inclusion.det()), resid, model)
 
 
 def _sign_correction(field: FieldOrder, emb, tau):

@@ -4,24 +4,29 @@ import mpmath as mp
 import pytest
 
 from plectic.abeljacobi import (
-    GaussLegendreForm,
     PlecticCycle,
     QuotientDatum,
     abel_jacobi,
     classical_aj,
     functional,
     iterated_integral,
-    iterated_integral_forms,
     period_lattice,
     relift,
     theorem_b_harness,
 )
 from plectic.config import default_tolerance, working_precision
 from plectic.errors import DegenerateInputError, InputError
+from plectic.hodge import plectic_jacobian
+from plectic.tori import dual_torus, tori_isomorphic
 
 SQ = (1, mp.mpc(0, 1))
 GEN1 = (1, mp.mpc("0.3", "1.7"))
 GEN2 = (1, mp.mpc("-0.2", "0.9"))
+
+
+def _generators(lat):
+    """The period columns of the Abel-Jacobi target, one per loop choice."""
+    return [tuple(lat.periods[i, k] for i in range(lat.g)) for k in range(2 * lat.g)]
 
 
 def test_iterated_integral_closed_forms():
@@ -47,16 +52,16 @@ def test_iterated_integral_n1_fundamental_theorem():
 
 def test_period_lattice_n1_classical():
     lat = period_lattice(QuotientDatum((GEN1,)), 1)
-    assert len(lat.generators) == 2
-    vals = {complex(g[0]) for g in lat.generators}
+    assert len(_generators(lat)) == 2
+    vals = {complex(g[0]) for g in _generators(lat)}
     assert any(abs(v - 1) < 1e-30 for v in vals)
     assert any(abs(v - complex(GEN1[1])) < 1e-30 for v in vals)
 
 
 def test_period_lattice_n2_rank_four():
     lat = period_lattice(QuotientDatum((SQ, SQ)), 1)
-    assert lat.rank == 4
-    coords = {tuple(complex(x) for x in g) for g in lat.generators}
+    assert 2 * lat.g == 4
+    coords = {tuple(complex(x) for x in g) for g in _generators(lat)}
     assert (1 + 0j, 1 + 0j) in coords
     assert (1j, -1j) in coords  # (mu1 mu2, mu1 conj(mu2)) with mu2 = i
 
@@ -67,8 +72,8 @@ def test_period_lattice_scaling():
     l1 = period_lattice(d1, 1)
     l2 = period_lattice(d2, 1)
     with working_precision():
-        s1 = sorted(abs(x) for g in l1.generators for x in g)
-        s2 = sorted(abs(x) for g in l2.generators for x in g)
+        s1 = sorted(abs(x) for g in _generators(l1) for x in g)
+        s2 = sorted(abs(x) for g in _generators(l2) for x in g)
         assert all(abs(2 * a - b) < mp.mpf("1e-30") for a, b in zip(s1, s2))
 
 
@@ -94,7 +99,7 @@ def test_period_lattice_rank_does_not_depend_on_scale():
     for s in ("0.01", "0.1", "1", "10"):
         d, c = _scaled_datum_and_cycle(s)
         rep = theorem_b_harness(d, c, 1, 5, 11)
-        seen.add((period_lattice(d, 1).rank, rep.diagonal.memberships,
+        seen.add((2 * period_lattice(d, 1).g, rep.diagonal.memberships,
                   rep.factorwise.memberships))
     assert seen == {(8, (True,) * 5, (False,) * 5)}
 
@@ -105,6 +110,43 @@ def test_nearly_collinear_factor_is_rank_deficient():
     for factors in ((skew,), (SQ, SQ, skew)):
         with pytest.raises(DegenerateInputError, match="rank deficient"):
             period_lattice(QuotientDatum(factors), 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_target_reduce_is_babai_rounding(n):
+    """The target's reduce rounds the lattice coordinates of [Re; Im] to
+    the integers that an independent mpmath solve gives, and the reduced
+    point differs from the input by that combination of period columns."""
+    rng = random.Random(n)
+    with working_precision():
+        factors = tuple((1, mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6)))
+                        for _ in range(n))
+    lat = period_lattice(QuotientDatum(factors), 1)
+    with working_precision():
+        P = lat.real_matrix()
+        for _ in range(10):
+            coords = tuple(mp.mpc(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(lat.g))
+            red, ints, dist = lat.reduce(coords)
+            x = mp.lu_solve(P, mp.matrix([mp.re(v) for v in coords] + [mp.im(v) for v in coords]))
+            assert ints == tuple(int(mp.nint(x[k])) for k in range(2 * lat.g))
+            for i in range(lat.g):
+                comb = mp.fsum(c * lat.periods[i, k] for k, c in enumerate(ints))
+                assert abs(coords[i] - red[i] - comb) < mp.mpf(2) ** -110
+            assert dist == mp.sqrt(mp.fsum(abs(v) ** 2 for v in red))
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+def test_target_is_isomorphic_to_the_plectic_jacobian(nu):
+    """At n = 2 the Abel-Jacobi target and the plectic Jacobian are both
+    ComplexTorus, and tori_isomorphic finds an isomorphism from the target
+    to J and to its dual."""
+    with working_precision():
+        d = QuotientDatum(((1, mp.mpc("0.3", "1.1")), (1, mp.mpc("-0.2", "0.9"))))
+    target = period_lattice(d, nu)
+    J = plectic_jacobian(d.structure(), nu)
+    for other in (J, dual_torus(J)):
+        found, _, _, resid = tori_isomorphic(target, other)
+        assert found and resid < mp.mpf("1e-30")
 
 
 def test_abel_jacobi_matches_classical():
@@ -216,19 +258,3 @@ def test_harness_deterministic():
     r1 = theorem_b_harness(d, c, 1, 8, 123, tol=1e-10)
     r2 = theorem_b_harness(d, c, 1, 8, 123, tol=1e-10)
     assert r1 == r2
-
-
-def test_gauss_legendre_provider():
-    tol = default_tolerance()
-    with working_precision():
-        const = GaussLegendreForm(lambda z: mp.mpc(1), nodes=24)
-        assert abs(const(1 + 1j, 0) - (1 + 1j)) < tol
-        linear = GaussLegendreForm(lambda z: z, nodes=24)
-        assert abs(linear(2, 0) - 2) < tol
-        d = QuotientDatum((SQ,))
-        c = PlecticCycle.elementary([(0.7 + 0.4j, 0.1)])
-        quad = iterated_integral_forms(d, c, [GaussLegendreForm(lambda z: mp.mpc(1))])
-        exact = iterated_integral(d, c, (0,))
-        assert abs(quad - exact) < tol
-        end = mp.mpc(1, "0.5")  # float64 nodes would be off by about 2e-16 here
-        assert abs(GaussLegendreForm(mp.exp)(end, 0) - (mp.exp(end) - 1)) < tol

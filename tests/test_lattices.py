@@ -16,7 +16,6 @@ from plectic.lattices import (
     hermite_normal_form,
     int_combination,
     kernel_integer,
-    lattice_membership,
     lattices_equal,
     lll_reduce,
     row_lattice_basis,
@@ -145,45 +144,6 @@ def test_quotient_rank_matches_saturation():
         q = torsion_free_quotient(rows, IntMatrix.identity(4).entries)
         sat_rank = len(saturation(m))
         assert len(q) == 4 - sat_rank
-
-
-def test_membership_zero_and_sum():
-    L = IntMatrix.from_rows([[1, 2, 0], [0, 1, 1], [0, 0, 3]])
-    assert lattice_membership([0, 0, 0], L) == (0, 0, 0)
-    v = [1, 3, 1]  # row0 + row1
-    assert lattice_membership(v, L) == (1, 1, 0)
-
-
-def test_membership_rejects_perturbation():
-    L = IntMatrix.identity(2)
-    tol = 1e-6
-    assert lattice_membership([1 + 10 * tol, 0], L, tol=tol) is None
-    assert lattice_membership([1 + 0.01 * tol, 0], L, tol=tol) == (1, 0)
-
-
-def test_membership_rank_deficient():
-    with pytest.raises(DegenerateInputError):
-        lattice_membership([3, 0], IntMatrix.from_rows([[1, 0], [2, 0]]))
-    with pytest.raises(InputError):
-        lattice_membership([3, 0, 0], IntMatrix.from_rows([[1, 0]]))
-    # fine: rank-1 lattice in a rank-2 space
-    assert lattice_membership([3, 0], IntMatrix.from_rows([[1, 0]])) == (3,)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
-def test_membership_translation_invariance(a, b, c):
-    L = IntMatrix.from_rows([[1, 0, 2], [0, 3, 1]])
-    base = [0.25, 0.0, 0.5]
-    res = lattice_membership(base, L, tol=1e-9)
-    shift = [a * 1 + b * 0, a * 0 + b * 3, a * 2 + b * 1]
-    moved = [x + s for x, s in zip(base, shift)]
-    res2 = lattice_membership(moved, L, tol=1e-9)
-    if res is None:
-        assert res2 is None
-    else:
-        assert res2 == (res[0] + a, res[1] + b)
-    assert c is not None  # keep hypothesis happy about unused draws
 
 
 def test_kernel_and_solve():

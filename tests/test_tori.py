@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 import plectic.tori as tori
+from conftest import raw
 from plectic import cxlinalg as cx
 from plectic.config import set_precision, working_precision
 from plectic.errors import InputError
@@ -46,6 +47,30 @@ from test_polynomials import krylov_min_poly
 
 def elliptic(tau):
     return ComplexTorus(1, cx.mpm([[1, tau]]))
+
+
+def test_complex_structure_reuses_the_construction_factorization():
+    """complex_structure() solves with the LU that the span check formed:
+    bit for bit the fresh solve at the construction precision, and at
+    another precision the fresh solve of that precision."""
+    with working_precision():
+        t = ComplexTorus(2, cx.mpm([[1, 0, mp.mpc("0.3", "1.1"), mp.mpc("0.1", "0.2")],
+                                    [0, 1, mp.mpc("0.2", "-0.1"), mp.mpc("-0.2", "0.9")]]))
+
+    def fresh():
+        with working_precision():
+            P = t.real_matrix()
+            J0 = mp.matrix(4, 4)
+            J0[0, 2] = J0[1, 3] = -1
+            J0[2, 0] = J0[3, 1] = 1
+            return cx.solve(P, cx.matmul(J0, P))
+
+    assert raw(t.complex_structure()) == raw(fresh())
+    set_precision(256)
+    try:
+        assert raw(t.complex_structure()) == raw(fresh())
+    finally:
+        set_precision(128)
 
 
 def test_dual_square_torus_self_dual():
@@ -387,7 +412,8 @@ def test_algebraize_random_sqrt2():
 def test_algebraize_enlarges_a_non_maximal_order():
     """On the Z[sqrt 5] torus at z = (0.31 + 1.17i, -0.42 + 0.83i),
     algebraize_rm passes to the maximal order itself: the same model, bit
-    for bit, as enlarge_to_maximal followed by algebraize_rm."""
+    for bit, as enlarge_to_maximal followed by algebraize_rm.  Its iso is
+    then an isogeny of degree 4 on the input lattice, and says so."""
     Z5 = FieldOrder.quadratic(0, -5)
     t = construct_rm_torus(Z5, [mp.mpc("0.31", "1.17"), mp.mpc("-0.42", "0.83")])
     assert not t.rm.field.is_maximal
@@ -397,6 +423,7 @@ def test_algebraize_enlarges_a_non_maximal_order():
     assert res.field == want.field == rm2.field and res.field.is_maximal
     assert res.z == want.z and res.ideal == want.ideal
     assert res.iso.tolist() == want.iso.tolist() and res.residual == want.residual
+    assert (res.index, want.index) == (4, 1)
 
 
 def test_certificate_elliptic():
