@@ -42,10 +42,18 @@ def _generates_totally_real_field(p, degree: int) -> bool:
     """Whether the monic integer polynomial p (highest degree first) is
     irreducible of the given degree with all its roots real.
 
-    Three exact tests, cheapest first: the degree; `degree` distinct real
-    roots, counted by a Sturm sequence; irreducibility over Q.
+    Degree 2 is decided in closed form: the discriminant is positive (two
+    distinct real roots) and not a square (irreducible), which is what
+    the Sturm count and `_is_irreducible` decide.  Above that, three exact
+    tests, cheapest first: the degree; `degree` distinct real roots,
+    counted by a Sturm sequence; irreducibility over Q.
     """
-    return len(p) - 1 == degree and _real_root_count(p) == degree and _is_irreducible(p)
+    if len(p) - 1 != degree:
+        return False
+    if degree == 2:
+        disc = p[1] * p[1] - 4 * p[2]
+        return disc > 0 and math.isqrt(disc) ** 2 != disc
+    return _real_root_count(p) == degree and _is_irreducible(p)
 
 
 def _real_root_count(p) -> int:

@@ -357,16 +357,90 @@ def _bounded_lattice_elements(basis, height_bound):
 # ----------------------------------------------------------------------
 
 
+def _contract(A: IntMatrix, B: IntMatrix) -> int:
+    """tr(A B) = sum_ab A_ab B_ba, with the product AB never formed."""
+    return sum(sum(map(operator.mul, row, col)) for row, col in zip(A.entries, zip(*B.entries)))
+
+
+def _power_traces(N: IntMatrix, g: int):
+    """tr(N^k), k = 1..g; N^g itself is never formed."""
+    traces = [sum(N.entries[i][i] for i in range(N.rows))]
+    P = N  # N^(k-1)
+    for k in range(2, g + 1):
+        traces.append(_contract(P, N))
+        if k < g:
+            P = P @ N
+    return traces
+
+
+class _TraceForms:
+    """The power sums tr(N(c)^k), k = 1..degree, of N(c) = sum_i c_i B_i
+    as integer forms in the coefficient vector c, built once for a basis
+    B_1..B_r (Cohen, GTM 138, §4.3).
+
+    tr(N^k) is the sum over words w of length k of c_w tr(B_w), so the
+    coefficient of a monomial is the sum of tr(B_w) over the distinct
+    orderings w of its indices: tr(B_i) in degree 1, tr(B_i^2) and
+    2 tr(B_i B_j) for i < j in degree 2.  Monomials with a zero
+    coefficient are dropped.  The forms are exact, so a call returns
+    `_power_traces(N(c), degree)` without forming N(c).  Above degree 2
+    there are no forms, and a call forms N(c) and its powers.
+    """
+
+    def __init__(self, basis, degree: int):
+        self.basis, self.degree = basis, degree
+        if degree > 2:
+            return
+        r = range(len(basis))
+        self.linear = [sum(B.entries[i][i] for i in range(B.rows)) for B in basis]
+        self.quadratic = [(a, i, j) for i, j in itertools.combinations_with_replacement(r, 2)
+                          if (a := (1 if i == j else 2) * _contract(basis[i], basis[j]))]
+
+    def __call__(self, c):
+        if self.degree > 2:
+            return _power_traces(int_combination(c, self.basis), self.degree)
+        traces = [sum(map(operator.mul, self.linear, c)),
+                  sum(a * c[i] * c[j] for a, i, j in self.quadratic)]
+        return traces[:self.degree]
+
+
+def _field_poly(traces, g: int):
+    """The monic degree-g polynomial m (ints, highest degree first) whose
+    roots have the power sums s_k = traces[k-1]/2, when m is irreducible
+    with g real roots; else None.
+
+    Newton's identities k m_k = -(m_{k-1} s_1 + ... + m_0 s_k) give m
+    (Cohen, GTM 138, §4.3).  An odd trace or an inexact division returns
+    None at once; so does `_generates_totally_real_field(m, g)`.
+    """
+    if any(t % 2 for t in traces):
+        return None
+    s = [t // 2 for t in traces]
+    m = [1]
+    for k in range(1, g + 1):
+        q, r = divmod(-sum(m[k - i] * s[i - 1] for i in range(1, k + 1)), k)
+        if r:
+            return None
+        m.append(q)
+    return tuple(m) if _generates_totally_real_field(m, g) else None
+
+
+def _annihilates(m, N: IntMatrix) -> bool:
+    """Whether m(N) = 0, by Horner."""
+    n = N.rows
+    value = IntMatrix.identity(n)
+    for c in m[1:]:
+        value = value @ N + IntMatrix.identity(n).scale(c)
+    return value.is_zero()
+
+
 def _rm_poly(N: IntMatrix, g: int):
     """N's minimal polynomial (monic ints, highest degree first) when it is
     irreducible of degree g with all its roots real, else None; N is a
     2g x 2g integer matrix.
 
-    Half traces s_k = tr(N^k)/2, k = 1..g, give by Newton's identities
-    k m_k = -(m_{k-1} s_1 + ... + m_0 s_k) the monic degree-g polynomial
-    m whose roots have power sums s_k (Cohen, GTM 138, §4.3).  A trace
-    that is odd or a division that is inexact rejects N at once; so does
-    `_generates_totally_real_field(m, g)`; N is accepted only if m(N) = 0.
+    Two steps: `_field_poly` turns the traces tr(N^k), k = 1..g, into the
+    candidate m, and N is accepted only if m(N) = 0 (`_annihilates`).
 
     The accept set is exactly that of "the minimal polynomial p is
     irreducible of degree g with all roots real".  If p is, N's
@@ -377,31 +451,28 @@ def _rm_poly(N: IntMatrix, g: int):
     and scalar matrices give m = x^g or (x - a)^g, which have one real
     root, so they are rejected for g >= 2.
     """
-    n = N.rows
-    cols = tuple(zip(*N.entries))
-    traces = [sum(N.entries[i][i] for i in range(n))]
-    P = N  # N^(k-1)
-    for k in range(2, g + 1):
-        # tr(N^k) = sum_ij (N^(k-1))_ij N_ji: N^g itself is never formed
-        traces.append(sum(sum(a * b for a, b in zip(row, col))
-                          for row, col in zip(P.entries, cols)))
-        if k < g:
-            P = P @ N
-    if any(t % 2 for t in traces):
-        return None
-    s = [t // 2 for t in traces]
-    m = [1]
-    for k in range(1, g + 1):
-        q, r = divmod(-sum(m[k - i] * s[i - 1] for i in range(1, k + 1)), k)
-        if r:
-            return None
-        m.append(q)
-    if not _generates_totally_real_field(m, g):
-        return None
-    value = IntMatrix.identity(n)
-    for c in m[1:]:  # Horner: m(N)
-        value = value @ N + IntMatrix.identity(n).scale(c)
-    return tuple(m) if value.is_zero() else None
+    m = _field_poly(_power_traces(N, g), g)
+    return m if m is not None and _annihilates(m, N) else None
+
+
+def _rm_candidates(basis, g: int, height_bound: int):
+    """(N, m) for every N = sum_i c_i basis[i] that `_rm_poly(N, g)`
+    accepts, with m = `_rm_poly(N, g)`, c running through
+    `coefficient_shells(len(basis), height_bound, positive_first=True)`
+    in order.
+
+    Each candidate's traces come from the `_TraceForms` of the basis, so
+    at g <= 2 N is formed only for the candidates whose m passes
+    `_field_poly`, and then checked by m(N) = 0.
+    """
+    forms = _TraceForms(basis, g)
+    for coeffs in coefficient_shells(len(basis), height_bound, positive_first=True):
+        m = _field_poly(forms(coeffs), g)
+        if m is None:
+            continue
+        N = int_combination(coeffs, basis)
+        if _annihilates(m, N):
+            yield N, m
 
 
 def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | None = None):
@@ -413,15 +484,19 @@ def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | 
     coefficients in [-height_bound, height_bound], by increasing height
     and up to sign; at rank > 6 only the first six basis vectors are
     combined, so None then says nothing about the rest of the lattice.
-    Each candidate N is decided exactly by `_rm_poly`: from the half
-    traces tr(N^k)/2 and Newton's identities, then one identity m(N) = 0
-    for a candidate m that is irreducible with g real roots.  The first
-    N it accepts generates the field.  The returned order is
-    theta^{-1}(End(T)), the full order realized on the lattice, so
-    already-maximal actions are detected as maximal.  A non-generic torus
-    can carry several real-multiplication fields; pass field_hint to
-    select a specific one (matched on the fundamental discriminant,
-    degree 2 only).  A height_bound below 1 raises InputError.
+    Each candidate N is decided exactly, as `_rm_poly` decides it: for
+    g <= 2 the power-sum forms tr(N^k), k = 1..g, of the searched basis
+    are built once per call (`_TraceForms`) and evaluated on each
+    coefficient vector (above g = 2 each N and its powers are formed);
+    the half traces give m by Newton's identities, and only for an m
+    that is irreducible with g real roots is m(N) = 0 checked.  The
+    first N it accepts generates the field.
+    The returned order is theta^{-1}(End(T)), the full order realized on
+    the lattice, so already-maximal actions are detected as maximal.  A
+    non-generic torus can carry several real-multiplication fields; pass
+    field_hint to select a specific one (matched on the fundamental
+    discriminant, degree 2 only).  A height_bound below 1 raises
+    InputError.
     """
     if height_bound < 1:
         raise InputError("height_bound must be >= 1")
@@ -431,14 +506,9 @@ def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | 
     basis = hom_lattice(t, t)
     if not basis:
         return None
-    searched = basis[:6]  # at rank > 6 only the first six basis vectors are combined
-    for coeffs in coefficient_shells(len(searched), height_bound, positive_first=True):
-        N = int_combination(coeffs, searched)
-        # zero, scalar, CM and non-semisimple directions are all rejected here
-        p = _rm_poly(N, g)
-        if p is None:
-            continue
-        if field_hint is not None and not _same_quadratic_field(p, field_hint):
+    # at rank > 6 only the first six basis vectors are combined
+    for N, m in _rm_candidates(basis[:6], g, height_bound):
+        if field_hint is not None and not _same_quadratic_field(m, field_hint):
             continue
         return _order_from_generator(N, basis, g)
     return None

@@ -3,6 +3,7 @@ plectic.numberfields, checked against sympy (a test dependency only), and
 tori._rm_poly checked against the minimal-polynomial test it replaces: the
 Krylov minimal polynomial, kept here as the reference."""
 
+import functools
 import itertools
 import math
 import random
@@ -154,6 +155,25 @@ def test_sturm_count_and_irreducibility_match_sympy(p):
         assert _is_irreducible(p) == P.is_irreducible
     assert _generates_totally_real_field(p, d) == (P.is_irreducible
                                                    and len(P.real_roots()) == d)
+
+
+@functools.cache
+def sympy_totally_real_quadratic(e, c):
+    """sympy's verdict on x^2 + e x + c: irreducible with two real roots."""
+    P = sympy.Poly((1, e, c), X)
+    return P.count_roots() == 2 and P.is_irreducible
+
+
+def test_quadratic_field_test_matches_sympy():
+    """Every monic x^2 + bx + c with |b|, |c| <= 60: negative, zero and
+    square discriminants.  Both properties survive x -> x - j, so sympy
+    decides the translate x^2 + ex + (c - j(j + e)), b = 2j + e, e in
+    {0, 1}, once for all (b, c) that share it."""
+    for b in range(-60, 61):
+        j, e = divmod(b, 2)
+        for c in range(-60, 61):
+            assert _generates_totally_real_field((1, b, c), 2) is \
+                sympy_totally_real_quadratic(e, c - j * (j + e)), (b, c)
 
 
 # ----------------------------------------------------------------------

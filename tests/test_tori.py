@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plectic.tori as tori
 from conftest import raw
@@ -42,7 +44,14 @@ from plectic.tori import (
     steinitz_decompose,
     tori_isomorphic,
 )
-from test_polynomials import krylov_min_poly
+from test_polynomials import (
+    RM_POLYS,
+    blocks,
+    companion,
+    conjugate,
+    doubled_companions,
+    krylov_min_poly,
+)
 
 
 def elliptic(tau):
@@ -608,8 +617,9 @@ def test_detect_rm_keeps_min_poly_search_order():
     rng = random.Random(7)
     for d1, d2 in ((2, 5), (7, 11)):
         t = _cm_product(d1, d2, rng)
-        assert detect_rm(t, 2) is None
-        assert min_poly_detect_rm(t, 2) is None
+        for height_bound in (1, 2, 3):
+            assert detect_rm(t, height_bound) is None
+            assert min_poly_detect_rm(t, height_bound) is None
     O5 = FieldOrder.quadratic_maximal(5)
     t = dual_torus(construct_rm_torus(O5, [mp.mpc(0, 1), mp.mpc(0, 2)]))
     assert t.rm is None
@@ -619,3 +629,75 @@ def test_detect_rm_keeps_min_poly_search_order():
     hinted = detect_rm(t, 10, field_hint=O5)
     assert hinted.field.min_poly == (1, -1, -1)
     assert _same_rm(hinted, min_poly_detect_rm(t, 10, field_hint=O5))
+
+
+def test_detect_rm_on_a_rank_eight_cm_torus_matches_the_reference():
+    """An RM torus over Q(sqrt 2) at z_j = sigma_j(1/3 + sqrt2/5 + (3 + sqrt 2) i),
+    a CM point with CM by F(i) (ROADMAP item 15): End has rank 8, so only
+    the first six basis vectors are searched, with six-variable forms."""
+    F = FieldOrder.quadratic_maximal(2)
+    with working_precision():
+        z = [F.element_embedding((Fraction(1, 3), Fraction(1, 5)), e)
+             + 1j * F.element_embedding((3, 1), e) for e in F.embeddings()]
+    t = construct_rm_torus(F, z)
+    assert len(hom_lattice(t, t)) == 8
+    rm = detect_rm(t, 1)
+    assert rm is not None
+    assert _same_rm(rm, min_poly_detect_rm(t, 1))
+
+
+def _power_traces_by_products(N, k):
+    traces, P = [], N
+    for _ in range(k):
+        traces.append(sum(P.entries[i][i] for i in range(P.rows)))
+        P = P @ N
+    return traces
+
+
+def _int_matrices(n):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(IntMatrix.from_rows)
+
+
+# integer bases of 4 x 4 and 6 x 6 matrices, rank <= 6; the second kind holds I and a
+# doubled companion matrix, so some of its combinations have real multiplication
+int_bases = st.one_of(
+    st.sampled_from([4, 6]).flatmap(lambda n: st.lists(_int_matrices(n), min_size=1, max_size=6)),
+    doubled_companions.flatmap(lambda D: st.lists(_int_matrices(D.rows), max_size=4).map(
+        lambda ms: [IntMatrix.identity(D.rows), D, *ms])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_bases, st.data())
+def test_trace_forms_are_the_power_traces(basis, data):
+    forms = [tori._TraceForms(basis, k) for k in (1, 2, 3)]
+    coeffs = st.lists(st.integers(-5, 5), min_size=len(basis), max_size=len(basis))
+    for _ in range(4):
+        c = data.draw(coeffs)
+        want = _power_traces_by_products(int_combination(c, basis), 3)
+        assert [f(c) for f in forms] == [want[:1], want[:2], want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_bases)
+def test_detect_rm_decides_each_candidate_as_rm_poly(basis):
+    g = basis[0].rows // 2
+    bound = 2 if len(basis) <= 4 else 1
+    got = [(N.entries, m) for N, m in tori._rm_candidates(basis, g, bound)]
+    want = []
+    for c in coefficient_shells(len(basis), bound, positive_first=True):
+        N = int_combination(c, basis)
+        if (m := tori._rm_poly(N, g)) is not None:
+            want.append((N.entries, m))
+    assert got == want
+
+
+@pytest.mark.parametrize("m", RM_POLYS, ids=["x2-2", "x2-x-1", "x3-3x+1"])
+def test_rm_candidates_accept_a_doubled_companion(m):
+    n = 2 * (len(m) - 1)
+    C = conjugate(blocks([[companion(m), None], [None, companion(m)]]), [(0, 1, 2), (3, 1, -1)])
+    basis = [IntMatrix.identity(n), C, IntMatrix.from_rows(
+        [[(i * j) % 3 - 1 for j in range(n)] for i in range(n)])]
+    got = list(tori._rm_candidates(basis, n // 2, 2))
+    assert got and all(tori._rm_poly(N, n // 2) == p for N, p in got)
+    assert (C, m) in got
