@@ -30,7 +30,8 @@ Otherwise, or for an inf or nan entry, the kernel calls `mp.fdot`.  The
 saving comes from converting each row and column once: `lu` grows its L
 rows and U columns in this form, an `LU` converts its rows once for all
 the columns `solve` is given, and `matmul` converts each row of A and
-column of B once.  `frob` makes mpmath's roundings on raw libmp values.
+column of B once.  `frob` and `sub` make mpmath's roundings on raw libmp
+values.
 
 A subspace question about pieces that together form a basis is read in
 piece coordinates: `piece_coordinates` stacks the piece bases into B and
@@ -51,13 +52,25 @@ from functools import cached_property
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero, mpc_abs, mpf_abs, mpf_add, mpf_pow_int, mpf_sqrt
+from mpmath.libmp import (
+    from_man_exp,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_neg,
+    mpf_abs,
+    mpf_add,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_sqrt,
+)
 
 from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError
 
 __all__ = [
-    "mpm", "conj", "ctranspose", "hstack", "frob", "kron", "matmul", "nullspace",
+    "mpm", "conj", "ctranspose", "hstack", "frob", "sub", "kron", "matmul", "nullspace",
     "piece_coordinates", "outside", "real_imag_stack", "LU", "lu", "lattice_lu", "inverse",
     "solve", "det",
 ]
@@ -205,6 +218,29 @@ def frob(A: mp.matrix) -> mp.mpf:
         return mp.mp.make_mpf(mpf_sqrt(acc, prec, rnd))
 
 
+def sub(A: mp.matrix, B: mp.matrix) -> mp.matrix:
+    """A - B at the current precision, entry for entry as mpmath's `A - B`,
+    which is A + B * (-1): each entry of B is negated at the precision (a
+    rounding only for an entry with more bits than it), then added to A's
+    entry with one rounding, on raw libmp values and with no negated copy
+    of B."""
+    if A.rows != B.rows or A.cols != B.cols:
+        raise ValueError("incompatible dimensions for subtraction")
+    prec, rnd = mp.mp._prec_rounding  # as mpf arithmetic reads them
+    make_mpf, make_mpc = mp.mp.make_mpf, mp.mp.make_mpc
+    out = mp.matrix(A.rows, A.cols)
+    for i, (ra, rb) in enumerate(zip(A.tolist(), B.tolist())):
+        for j, (a, b) in enumerate(zip(ra, rb)):
+            if type(b) is _MPC:
+                za = a._mpc_ if type(a) is _MPC else (a._mpf_, fzero)
+                out[i, j] = make_mpc(mpc_add(za, mpc_neg(b._mpc_, prec, rnd), prec, rnd))
+            elif type(a) is _MPC:
+                out[i, j] = make_mpc(mpc_add_mpf(a._mpc_, mpf_neg(b._mpf_, prec, rnd), prec, rnd))
+            else:
+                out[i, j] = make_mpf(mpf_add(a._mpf_, mpf_neg(b._mpf_, prec, rnd), prec, rnd))
+    return out
+
+
 def kron(A: mp.matrix, B: mp.matrix) -> mp.matrix:
     out = mp.matrix(A.rows * B.rows, A.cols * B.cols)
     with working_precision():
@@ -276,7 +312,7 @@ def outside(A: mp.matrix, B: mp.matrix, X: mp.matrix, rows: slice) -> mp.mpf:
     piece whose coordinates are `rows`, for X = B^-1 from `piece_coordinates`.
     This oblique residual is never below the orthogonal one, ||A - P A||_F /
     ||A||_F with P the orthogonal projector onto the piece."""
-    return frob(A - matmul(B[:, rows], matmul(X[rows, :], A))) / frob(A)
+    return frob(sub(A, matmul(B[:, rows], matmul(X[rows, :], A)))) / frob(A)
 
 
 def real_imag_stack(A: mp.matrix) -> mp.matrix:

@@ -154,7 +154,7 @@ def validate(h: PlecticHodgeStructure, tol=None) -> ValidationReport:
     with working_precision():
         B, X, block = cx.piece_coordinates(pieces, "pieces")
         if X is not None and cx.frob(B) * cx.frob(X) * tol < h.rank:
-            span_defect = cx.frob(mp.eye(h.rank) - cx.matmul(B, X))
+            span_defect = cx.frob(cx.sub(mp.eye(h.rank), cx.matmul(B, X)))
         else:
             X, span_defect = None, mp.mpf(1)
         conj_res = mp.mpf(0)

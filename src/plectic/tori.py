@@ -8,7 +8,11 @@ with the exact tests of :mod:`plectic.numberfields`; period-matrix work
 runs at the configured mpmath precision.  Hom lattices are found one
 source generator at a time, each by a staged exact integral LLL
 (:func:`plectic.lattices.lll_reduce`); a map is kept only when it commutes
-with the complex structures to the precision floor, then saturated.
+with the complex structures to the precision floor, then saturated.  The
+complex structures and constraint matrices are formed once with mpmath
+and rounded once to fixed-point integers round(2^p x) at the working
+precision p; the relation search and both acceptance tests run on those
+integers.
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ def _multiplier_fit(Pi):
 
     def fit(B):
         M = cx.matmul(cx.matmul(B, Ph), Ginv)
-        return M, cx.frob(cx.matmul(M, Pi) - B) / max(mp.mpf(1), cx.frob(B))
+        return M, cx.frob(cx.sub(cx.matmul(M, Pi), B)) / max(mp.mpf(1), cx.frob(B))
 
     return fit
 
@@ -237,19 +241,30 @@ def power_torus(t: ComplexTorus, k: int) -> ComplexTorus:
 _STAGE_BITS = 16  # scale step between the LLL stages of _integral_relations
 
 
-def _integral_relations(V, K, ver_bits):
+def _fixed(x, p):
+    """round(2^p x) for a real mpf x, exactly (ties upward)."""
+    sign, man, exp, _ = x._mpf_
+    man, exp = -man if sign else man, exp + p
+    return man << exp if exp >= 0 else (man + (1 << -exp >> 1)) >> -exp
+
+
+def _integral_relations(V, K, p, ver_bits):
     """Basis of the v in span_Z(V) with K v integral (V independent
-    integer vectors, K a real matrix as a list of rows): the exact
-    `lll_reduce` of x = (a, w) -> x || 2^s (K V a - w), v = a V, in the
-    stages s = 16, 32, ..., top = floor(3 ver_bits / 4), each from the x
-    the previous stage left, with K V rounded at 2^top and shifted down.
-    A relation of height h misses by about 2^-ver_bits h, a Diophantine
-    near-miss by about 2^-top h: v is kept when |K v - w| <= 2^-ver_bits h len(v).
+    integer vectors, K a real matrix given as the integer rows
+    round(2^p K)): the exact `lll_reduce` of x = (a, w) -> x || 2^s (K V a - w),
+    v = a V, in the stages s = 16, 32, ..., top = floor(3 ver_bits / 4), each
+    from the x the previous stage left, with K V rounded at 2^top and shifted
+    down.  A relation of height h misses by about 2^-ver_bits h, a Diophantine
+    near-miss by about 2^-top h: v is kept when |K v - w| <= 2^-ver_bits h len(v),
+    tested on integers as |round(2^p K) v - 2^p w| <= 2^(p - ver_bits) h len(v);
+    the rounding of K adds at most len(v) h / 2 to the left side, far inside
+    that allowance.
     """
     r, m = len(V), len(K)
     top = (3 * ver_bits) // 4
+    s = p - top
     # C[j] is constraint j, (K V a)_j - w_j, at the top scale
-    C = [[int(mp.nint(mp.ldexp(mp.fdot(row, v), top))) for v in V]
+    C = [[(sum(map(operator.mul, row, v)) + (1 << s >> 1)) >> s for v in V]
          + [-(i == j) << top for i in range(m)] for j, row in enumerate(K)]
     X = IntMatrix.identity(r + m).entries
     for bits in [*range(_STAGE_BITS, top, _STAGE_BITS), top]:
@@ -260,8 +275,9 @@ def _integral_relations(V, K, ver_bits):
     out = []
     for x in X:
         v = [sum(map(operator.mul, x[:r], col)) for col in zip(*V)]
-        bound = mp.ldexp(max(map(abs, v), default=0) * len(v), -ver_bits)
-        if any(v) and all(abs(mp.fdot(row, v) - w) <= bound for row, w in zip(K, x[r:])):
+        bound = max(map(abs, v), default=0) * len(v) << (p - ver_bits)
+        if any(v) and all(abs(sum(map(operator.mul, row, v)) - (w << p)) <= bound
+                          for row, w in zip(K, x[r:])):
             out.append(v)
     return out
 
@@ -272,34 +288,45 @@ def hom_lattice(src: ComplexTorus, dst: ComplexTorus):
     The pivots of `cxlinalg.lu` pick g_src C-independent generators F of
     the source; any other is Pi_src e_k = sum_l c_lk Pi_src e_{F_l}, so
     U e_k = sum_l (Re c_lk + Im c_lk J_dst) U e_{F_l} = K_k v, with v the
-    2 g_dst g_src entries of U[:, F].  Starting from Z^that, each dependent
-    k keeps the v with K_k v integral (`_integral_relations`).  A survivor
-    is assembled into U and kept only if every entry of U J_src - J_dst U
-    is within 2^-ver_bits max(1, h) n (h its height, n its size); the kept
-    set is saturated exactly.
+    2 g_dst g_src entries of U[:, F].  J_src, J_dst and each K_k are formed
+    at the working precision p and rounded once to the integers
+    round(2^p x); everything after that is integer arithmetic.  Starting
+    from Z^that, each dependent k keeps the v with K_k v integral
+    (`_integral_relations`).  A survivor is assembled into U, its dependent
+    columns rounded from K_k v, and kept only if every entry of
+    U J_src - J_dst U is within 2^-ver_bits max(1, h) n (h its height, n its
+    size), tested as the integer products against
+    2^(p - ver_bits) max(1, h) n; the kept set is saturated exactly.
     """
     with working_precision():
-        ver_bits = mp.mp.prec - 40
+        p = mp.mp.prec
         J_dst = dst.complex_structure()
-        J_src = J_dst if src is dst else src.complex_structure()
         Pi, g, r, c = src.periods, src.g, 2 * dst.g, 2 * src.g
         free = cx.lu(cx.hstack([Pi.T, cx.ctranspose(Pi)])).perm[:g]
         dep = [k for k in range(c) if k not in free]
         coef = cx.solve(cx.mpm([[Pi[i, j] for j in free] for i in range(g)]),
                         cx.mpm([[Pi[i, k] for k in dep] for i in range(g)]))
-        Ks = [[[mp.re(coef[l, t]) * (i == j) + mp.im(coef[l, t]) * J_dst[i, j]
+        Ks = [[[_fixed(mp.re(coef[l, t]) * (i == j) + mp.im(coef[l, t]) * J_dst[i, j], p)
                 for l in range(g) for j in range(r)] for i in range(r)] for t in range(len(dep))]
-        V = IntMatrix.identity(r * g).entries
-        for K in Ks:
-            V = _integral_relations(V, K, ver_bits)
-        found = []
-        for v in V:
-            cols = {j: v[l * r:(l + 1) * r] for l, j in enumerate(free)}
-            cols.update((k, [int(mp.nint(mp.fdot(row, v))) for row in K]) for k, K in zip(dep, Ks))
-            U = cx.mpm([[cols[j][i] for j in range(c)] for i in range(r)])
-            bound = mp.ldexp(max(1, *map(abs, U)) * r * c, -ver_bits)
-            if all(abs(x) <= bound for x in cx.matmul(U, J_src) - cx.matmul(J_dst, U)):
-                found.append(tuple(int(x) for x in U))
+        Jd = [[_fixed(x, p) for x in row] for row in J_dst.tolist()]
+        Js = Jd if src is dst else [[_fixed(x, p) for x in row]
+                                    for row in src.complex_structure().tolist()]
+    ver_bits = p - 40
+    V = IntMatrix.identity(r * g).entries
+    for K in Ks:
+        V = _integral_relations(V, K, p, ver_bits)
+    Js_cols = list(zip(*Js))
+    found = []
+    for v in V:
+        cols = {j: v[l * r:(l + 1) * r] for l, j in enumerate(free)}
+        cols.update((k, [(sum(map(operator.mul, row, v)) + (1 << p >> 1)) >> p for row in K])
+                    for k, K in zip(dep, Ks))
+        U = [[cols[j][i] for j in range(c)] for i in range(r)]
+        U_cols = list(zip(*U))
+        bound = max(1, *(abs(x) for row in U for x in row)) * r * c << (p - ver_bits)
+        if all(abs(sum(map(operator.mul, u, jc)) - sum(map(operator.mul, jr, uc))) <= bound
+               for u, jr in zip(U, Jd) for jc, uc in zip(Js_cols, U_cols)):
+            found.append(tuple(x for row in U for x in row))
     if not found:
         return []
     # the Hermite basis of the saturation can be badly skewed; reduce

@@ -214,6 +214,24 @@ def test_frob_rounds_as_the_mpf_loop(rows, cols, spread, seed):
     assert raw(cx.frob(A)) == raw(reference_frob(A))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 300), st.integers(0, 2**30),
+       st.booleans())
+def test_sub_is_mpmath_difference(rows, cols, spread, seed, long_b):
+    """Mixed mpf, mpc and zero entries, with A and (when long_b) B carrying
+    more bits than the precision, so that the negation of B rounds too."""
+    A, B = _mixed_matrix(rows, cols, seed, spread), _mixed_matrix(rows, cols, seed + 1, spread)
+    with mp.workprec(300):
+        A = A * mp.mpf(1) / 3
+        if long_b:
+            B = B * mp.mpf(1) / 7
+    with working_precision():
+        assert raw(cx.sub(A, B)) == raw(A - B)
+    assert raw(cx.sub(A, B)) == raw(A - B)  # at mpmath's own precision
+    with pytest.raises(ValueError):
+        cx.sub(A, mp.matrix(rows + 1, cols))
+
+
 def _same_lu(A, B):
     """`lu(A)` and `LU.solve(B)` against the mp.fdot reference, bit for bit."""
     f, ref = cx.lu(A), reference_lu(A)
