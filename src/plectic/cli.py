@@ -82,6 +82,9 @@ def _parse_bits(text, n):
 
 
 def _parse_weights(text, n):
+    from . import flat as fl
+
+    fl.check_factor_count(n)  # before n weights or factors are formed
     if text is None:
         return (1.0,) * n
     w = tuple(float(x) for x in text.split(","))

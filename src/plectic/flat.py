@@ -20,9 +20,13 @@ are held as Python ints over one positive int denominator per operator,
 so sums, products and adjoints multiply and add ints only.  The refined
 identities, the Laplacian decomposition, the Laplacian's kernel and its
 independence of the metric are decided on those ints, exactly and for
-every truncation.  The frequencies are never listed: the one reported
-size, that of a nonzero residual, is a closed form in the coefficients
-and the exact corner values of |z_j|^2 (see _residual).
+every truncation.  The Hodge Laplacian Delta_d = d d* + d* d is formed
+one source type at a time, and each of its cross terms is decided as the
+one off-diagonal block of a column it fills (see laplacian_d).  The
+frequencies are never listed: the one reported size, that of a nonzero
+residual, is a closed form in the coefficients and the exact corner
+values of |z_j|^2 (see _residual).  A form space takes at most
+MAX_FACTORS factors, since its 4^n refined types are listed.
 """
 
 from __future__ import annotations
@@ -67,6 +71,18 @@ __all__ = [
     "ResidualReport",
     "LaplacianReport",
 ]
+
+
+MAX_FACTORS = 6  # 4^6 = 4,096 refined types
+
+
+def check_factor_count(n: int) -> None:
+    """InputError unless a form space over n factors is within MAX_FACTORS:
+    the refined types, 4^n of them, are listed, and the Laplacian check at
+    n = MAX_FACTORS already takes about a second."""
+    if n > MAX_FACTORS:
+        raise InputError(f"a flat form space takes at most {MAX_FACTORS} factors "
+                         f"({4 ** MAX_FACTORS} refined types), got {n}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +144,7 @@ class FourierFormSpace:
     def __init__(self, torus: FlatTorus, truncation: int):
         if truncation < 0:
             raise InputError("truncation must be nonnegative")
+        check_factor_count(torus.n)
         self.torus = torus
         self.truncation = int(truncation)
         n = torus.n
@@ -165,6 +182,12 @@ class FourierFormSpace:
         g, _ = self.slot_factors
         scale = math.lcm(*g)
         return scale, [scale // x for x in g]
+
+    @functools.cached_property
+    def squares(self) -> dict:
+        """The exponents of each |z_j|^2 = z_j conj(z_j), mapped to j."""
+        n = self.torus.n
+        return {tuple(int(i in (j, n + j)) for i in range(2 * n)): j for j in range(n)}
 
     @functools.cached_property
     def radii_squared(self) -> list:
@@ -211,19 +234,7 @@ class OperatorMatrix:
     den: int = 1
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """The sum over the lcm of the two denominators."""
-        if self.conjugates_argument != other.conjugates_argument:
-            raise InputError("cannot add a linear and a conjugate-linear operator")
-        den = math.lcm(self.den, other.den)
-        k = den // self.den
-        blocks = {key: {e: k * c for e, c in p.items()} for key, p in self.blocks.items()}
-        k = den // other.den
-        for key, p in other.blocks.items():
-            acc = blocks.setdefault(key, {})
-            for e, c in p.items():
-                c *= k
-                acc[e] = acc[e] + c if e in acc else c
-        return OperatorMatrix(self.space, blocks, self.conjugates_argument, den)
+        return _sum([self, other])
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self + (-1) * other
@@ -251,17 +262,23 @@ def _compose(a: OperatorMatrix, b: OperatorMatrix, blocks: dict) -> dict:
     the denominator a.den * b.den, added in."""
     if a.conjugates_argument or b.conjugates_argument:
         raise InputError("composition is defined for linear operators only")
-    by_src = {}
-    for (dst, mid), pa in a.blocks.items():
-        by_src.setdefault(mid, []).append((dst, pa))
+    by_src, sums = _by_src(a), {}
     for (mid, src), pb in b.blocks.items():
         for dst, pa in by_src.get(mid, ()):
-            acc = blocks.setdefault((dst, src), {})
-            for ea, ca in pa.items():
-                for eb, cb in pb.items():
-                    e, c = tuple(map(operator.add, ea, eb)), ca * cb
-                    acc[e] = acc[e] + c if e in acc else c
+            _add_product(blocks.setdefault((dst, src), {}), pa, pb, sums)
     return blocks
+
+
+def _add_product(acc: dict, pa: dict, pb: dict, sums: dict) -> None:
+    """Add the product of the polynomials pa and pb into acc; sums holds
+    the sums of exponents formed so far."""
+    for ea, ca in pa.items():
+        for eb, cb in pb.items():
+            e = sums.get((ea, eb))
+            if e is None:
+                e = sums[ea, eb] = tuple(map(operator.add, ea, eb))
+            c = ca * cb
+            acc[e] = acc[e] + c if e in acc else c
 
 
 def _anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -344,8 +361,22 @@ def _check_j(space, j):
 
 
 def _sum(ops) -> OperatorMatrix:
-    ops = iter(ops)
-    return sum(ops, next(ops))
+    """The sum of one or more operators over the lcm of their
+    denominators, in one pass over their blocks."""
+    ops = list(ops)
+    flag = ops[0].conjugates_argument
+    if any(op.conjugates_argument != flag for op in ops):
+        raise InputError("cannot add a linear and a conjugate-linear operator")
+    den = math.lcm(*(op.den for op in ops))
+    blocks = {}
+    for op in ops:
+        k = den // op.den
+        for key, p in op.blocks.items():
+            acc = blocks.setdefault(key, {})
+            for e, c in p.items():
+                c *= k
+                acc[e] = acc[e] + c if e in acc else c
+    return OperatorMatrix(ops[0].space, blocks, flag, den)
 
 
 def del_operator(space: FourierFormSpace) -> OperatorMatrix:
@@ -398,27 +429,52 @@ def xi_laplacians(space: FourierFormSpace):
 
 
 def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
-    """Hodge Laplacian of d, assembled componentwise.
+    """Hodge Laplacian of d, Delta_d = d d* + d* d, formed one source
+    type t at a time.
 
-    d splits into the 2n type-raising components; the diagonal terms
-    P P* + P* P add up while every cross term P Q* + Q* P anticommutes
-    to zero, so the assembly keeps only the diagonal terms and the
-    result is type-block-diagonal by construction.  All (2n)(2n - 1)
-    cross terms are checked to have exactly zero coefficients first;
-    DegenerateInputError is raised otherwise.  The result is cached on
-    the space.
+    d is the sum of its 2n type-raising components P_i, each raising one
+    slot i, and d* that of their adjoints, each lowering one.  Column t
+    of Delta_d adds up the paths t -> mid -> dst through d* then d and
+    through d then d*.  Its block (t + e_i - e_j, t), i != j, is the
+    cross term P_i P_j* + P_j* P_i alone, since the type difference fixes
+    the slot pair (i, j); the diagonal block (t, t) is the sum of the
+    diagonal terms P_i P_i* + P_i* P_i.  Each off-diagonal block must have
+    exactly zero coefficients, so that all (2n)(2n - 1) cross terms vanish;
+    DegenerateInputError is raised otherwise.  The diagonal block is
+    kept and the rest of the column dropped, so the result is
+    type-block-diagonal by construction and no cross term is held as an
+    operator.  d and d* hold 2n monomials each, and the sums of their
+    exponents are formed once.  The result is cached on the space.
     """
     key = "laplacian_d"
     if key in space._cache:
         return space._cache[key]
-    comps = _components(space)
-    adjs = [adjoint(c) for c in comps]
-    if not all(_anticommutator(comps[i], adjs[j]).is_zero()
-               for i, j in itertools.permutations(range(len(comps)), 2)):
-        raise DegenerateInputError("Laplacian cross terms failed to anticommute")
-    total = _sum(_anticommutator(c, a) for c, a in zip(comps, adjs))
+    d = _sum(_components(space))
+    d_star = adjoint(d)
+    up, down = _by_src(d), _by_src(d_star)
+    sums = {}
+    blocks = {}
+    for t in range(space.type_count):
+        column = {}
+        for first, second in ((down, up), (up, down)):
+            for mid, pa in first.get(t, ()):
+                for dst, pb in second.get(mid, ()):
+                    _add_product(column.setdefault(dst, {}), pb, pa, sums)
+        if t in column:
+            blocks[(t, t)] = column.pop(t)
+        if any(c for p in column.values() for c in p.values()):
+            raise DegenerateInputError("Laplacian cross terms failed to anticommute")
+    total = OperatorMatrix(space, blocks, den=d.den * d_star.den)
     space._cache[key] = total
     return total
+
+
+def _by_src(op: OperatorMatrix) -> dict:
+    """op's blocks by source type: src -> [(dst, polynomial)]."""
+    out = {}
+    for (dst, src), p in op.blocks.items():
+        out.setdefault(src, []).append((dst, p))
+    return out
 
 
 def _residual(op: OperatorMatrix) -> float:
@@ -434,7 +490,11 @@ def _residual(op: OperatorMatrix) -> float:
     summed in mpmath at 113 bits from the exact R_j^2 and the exact
     |c| / op.den, each reduced to lowest terms before it is rounded as
     fraction_to_mpf rounds it, and rounded once to a double, inf beyond
-    its range.  Each monomial's pi^|e| and product of R_j is formed once."""
+    its range.  Each monomial's pi^|e| and product of R_j is formed once,
+    and so is each distinct term (e, c): the terms repeat across types
+    (the report's half-sum difference at n = 3 has 192 terms and 3
+    distinct ones), and a repeated term is the same mpf, so the sums are
+    those of every term formed anew, bit for bit."""
     if op.is_zero():
         return 0.0
     n, den = op.space.torus.n, op.den
@@ -442,10 +502,15 @@ def _residual(op: OperatorMatrix) -> float:
         radii = [mp.sqrt(fraction_to_mpf(r2)) for r2 in op.space.radii_squared]
         sizes = {e: (mp.pi ** sum(e), mp.fprod(radii[k % n] ** power for k, power in enumerate(e)))
                  for e in set().union(*op.blocks.values())}
-        rows = {}
+        terms, rows = {}, {}
         for (dst, _), p in op.blocks.items():
-            rows[dst] = rows.get(dst, 0) + mp.fsum(
-                _abs_over(c, den) * sizes[e][0] * sizes[e][1] for e, c in p.items())
+            row = []
+            for e, c in p.items():
+                term = terms.get((e, c))
+                if term is None:
+                    term = terms[e, c] = _abs_over(c, den) * sizes[e][0] * sizes[e][1]
+                row.append(term)
+            rows[dst] = rows.get(dst, 0) + mp.fsum(row)
         return float(max(rows.values()))
 
 
@@ -532,8 +597,7 @@ def _kernel_factors(space: FourierFormSpace, t: int) -> tuple:
     Exactly, its diagonal coefficients on t are sum_j c_j z_j conj(z_j)
     with every c_j of one sign, so it vanishes where z_j = 0 for every j
     with c_j != 0.  DegenerateInputError if they have any other form."""
-    n = space.torus.n
-    squares = {tuple(int(i in (j, n + j)) for i in range(2 * n)): j for j in range(n)}
+    squares = space.squares
     p = {e: c for e, c in laplacian_d(space).blocks.get((t, t), {}).items() if c}
     if not set(p) <= set(squares) or len({c > 0 for c in p.values()}) > 1:
         raise DegenerateInputError("the Laplacian's diagonal is not a definite sum of |z_j|^2")

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import pathlib
+import time
 
 import jsonschema
 import mpmath as mp
@@ -766,6 +767,32 @@ def test_extreme_generators_are_decided_exactly(tmp_path, scale, argv):
     path.write_text(json.dumps({"factors": [[[scale, "0"], ["0", scale]]], "weights": [1]}))
     code, _ = run(["flat"] + argv + ["--truncation", "1", "--input", str(path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-identities", "--n", "40", "--truncation", "0"],
+    ["verify-laplacian", "--n", "7", "--truncation", "0"],
+    ["harmonic", "--n", "7", "--alpha", "1,0,0,0,0,0,0", "--beta", "0,0,0,0,0,0,0"],
+    ["metric-independence", "--n", "40", "--truncation", "0"],
+    ["verify-identities", "--n", "1000000000000"],
+    ["extract-phs", "--degree", "1", "--input"],
+], ids=["identities-40", "laplacian-7", "harmonic-7", "metric-40", "identities-10e12",
+        "input-7"])
+def test_too_many_flat_factors_exit_two(argv, tmp_path, capsys):
+    """A form space lists its 4^n refined types, so n is capped at 6
+    (4,096 types): n = 7, 40 and 10^12, given by --n, or seven factors in
+    an input file, exit 2 at once with one error line; --n is refused
+    before its n default weights are formed."""
+    if argv[-1] == "--input":
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"factors": [[["1", "0"], ["0", "1"]]] * 7, "weights": [1] * 7}))
+        argv = argv + [str(path)]
+    t0 = time.monotonic()
+    code = main(["flat"] + argv)
+    elapsed = time.monotonic() - t0
+    err = capsys.readouterr().err
+    assert code == 2 and elapsed < 1.0
+    assert err.startswith("error:") and "at most 6 factors" in err and err.count("\n") == 1
 
 
 def test_collinear_flat_generators_exit_two(tmp_path, capsys):

@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from plectic.flat import (
     xi_bar_operator,
     xi_operator,
 )
+from plectic.lattices import fraction_to_mpf
 
 GENERIC = FlatTorus(((1, 0.3 + 1.7j), (1, -0.2 + 0.9j)), (1.0, 1.0))
 
@@ -543,6 +545,18 @@ def _without_swap(adj):
     return mutated
 
 
+def _negated_block(xi_bar, k):
+    """xi_bar_operator with one block of xi_bar_1, the k-th modulo their
+    number, negated."""
+    def mutated(space, j):
+        op = xi_bar(space, j)
+        if j != 1:
+            return op
+        key = list(op.blocks)[k % len(op.blocks)]
+        return replace(op, blocks={**op.blocks, key: {e: -c for e, c in op.blocks[key].items()}})
+    return mutated
+
+
 def _laplacian_verdict(space):
     """verify_laplacian_sum's verdict, False when laplacian_d finds a
     cross term that is not exactly zero."""
@@ -585,15 +599,17 @@ _rational_weight = st.one_of(st.fractions(Fraction(1, 20), 20, max_denominator=6
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(_factor, _rational_weight), min_size=1, max_size=4))
-def test_identities_exact_on_random_rational_weights(factors):
+@given(st.lists(st.tuples(_factor, _rational_weight), min_size=1, max_size=4),
+       st.integers(0, 2**16))
+def test_identities_exact_on_random_rational_weights(factors, k):
     """Truncation 0, where every multiplier but the constant ones vanishes,
     so only the coefficients can decide: the anticommutators, all cross
     terms, Delta_d = 2 sum_j Delta_xi_j and Delta_d = 2 Delta_del hold
     exactly, laplacian_d is laplacian(d) coefficient by coefficient, and
     dropping xibar's sign (-1)^|alpha| or the adjoint's swap of z_j and
-    conj(z_j) each fails the Laplacian check.  Weights include 1e300 and
-    1e-300, whose rationals have about a thousand bits.  The coefficients
+    conj(z_j), or negating one block of xibar_1, each fails the Laplacian
+    check.  Weights include 1e300 and 1e-300, whose rationals have about
+    a thousand bits.  The coefficients
     of xi_j, of its adjoint and of laplacian_d are ints, and over their
     operator's den they equal the Fractions composed from the definition
     G_dst / G_src."""
@@ -621,15 +637,107 @@ def test_identities_exact_on_random_rational_weights(factors):
         assert not _laplacian_verdict(build_space(torus, 0))
     with mock.patch.object(flat, "adjoint", _without_swap(flat.adjoint)):
         assert not _laplacian_verdict(build_space(torus, 0))
+    with mock.patch.object(flat, "xi_bar_operator", _negated_block(flat.xi_bar_operator, k)):
+        assert not _laplacian_verdict(build_space(torus, 0))
 
 
-@pytest.mark.parametrize("step", ["verify_laplacian_sum", "harmonic_space"])
-def test_flat_reductions_bound_peak_memory(step):
-    """tracemalloc's peak over one step on a fresh space at (n, N) = (3, 2),
-    dimension 10^6.  The steps hold operator coefficients and no arrays
-    over the frequencies, about 0.4 MB; an array of one complex double
-    per basis element alone would take 16 MB."""
-    s = build_space(FlatTorus.square(3, (1.0, 2.0, 3.0)), 2)
+def _cross_terms(space):
+    """The (2n)(2n - 1) cross terms P_i P_j* + P_j* P_i, i != j, of the
+    components P_i of d, each a whole operator from the generic
+    _anticommutator: the reference for what laplacian_d decides blockwise."""
+    comps = flat._components(space)
+    adjs = [adjoint(c) for c in comps]
+    return [flat._anticommutator(comps[i], adjs[j])
+            for i, j in itertools.permutations(range(len(comps)), 2)]
+
+
+def _reference_laplacian_d(space):
+    """Delta_d as the sum of the diagonal terms P_i P_i* + P_i* P_i, each
+    from the generic _anticommutator; DegenerateInputError unless every
+    cross term is exactly zero."""
+    if not all(op.is_zero() for op in _cross_terms(space)):
+        raise DegenerateInputError("Laplacian cross terms failed to anticommute")
+    return flat._sum(flat._anticommutator(c, adjoint(c)) for c in flat._components(space))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(_factor, _rational_weight), min_size=1, max_size=4),
+       st.integers(0, 2**16))
+def test_laplacian_pass_decides_each_cross_term_in_its_block(factors, k):
+    """Truncation 0, n = 1..4.  The cross terms' blocks (t + e_i - e_j, t)
+    are pairwise disjoint and off the diagonal, so the column-wise pass
+    sees each cross term alone in its block.  laplacian_d, which calls no
+    _anticommutator, equals the sum of the diagonal terms block for block,
+    den included, and raises exactly where the reference check finds a
+    cross term that is not zero: on xibar without its sign (-1)^|alpha|
+    and with one block of xibar_1 negated."""
+    torus = _torus(factors)
+    s = build_space(torus, 0)
+    cross = _cross_terms(s)
+    keys = [set(op.blocks) for op in cross]
+    n = s.torus.n
+    assert len(cross) == 2 * n * (2 * n - 1) and all(op.is_zero() for op in cross)
+    assert all(dst != src for ks in keys for dst, src in ks)
+    assert sum(map(len, keys)) == len(set().union(*keys))
+    with mock.patch.object(flat, "_anticommutator", side_effect=AssertionError("called")):
+        got = laplacian_d(s)
+    want = _reference_laplacian_d(s)
+    assert got.blocks == want.blocks and got.den == want.den
+    for mutation in (_without_alpha_sign(flat.xi_bar_operator),
+                     _negated_block(flat.xi_bar_operator, k)):
+        with mock.patch.object(flat, "xi_bar_operator", mutation):
+            with pytest.raises(DegenerateInputError):
+                _reference_laplacian_d(build_space(torus, 0))
+            with pytest.raises(DegenerateInputError, match="failed to anticommute"):
+                laplacian_d(build_space(torus, 0))
+
+
+def _reference_residual(op):
+    """_residual from its per-term formula: per type, the fsum over the
+    terms of its blocks of |c| / den pi^|e| prod_j R_j^(e[j] + e[n + j]),
+    each term formed anew, at 113 bits."""
+    if op.is_zero():
+        return 0.0
+    n, den = op.space.torus.n, op.den
+    with mp.workprec(113):
+        radii = [mp.sqrt(fraction_to_mpf(r2)) for r2 in op.space.radii_squared]
+        rows = {}
+        for (dst, _), p in op.blocks.items():
+            rows[dst] = rows.get(dst, 0) + mp.fsum(
+                flat._abs_over(c, den) * mp.pi ** sum(e)
+                * mp.fprod(radii[k % n] ** power for k, power in enumerate(e))
+                for e, c in p.items())
+        return float(max(rows.values()))
+
+
+@pytest.mark.parametrize("weights", [(0.9123, 1.1011, 1.0571), (1e300, 1e-300, 1.0)],
+                         ids=["near-one", "extreme"])
+def test_residual_is_its_per_term_formula_bit_for_bit(weights):
+    """_residual, which forms each distinct term once, against the fsum of
+    every term formed anew: equal as doubles, on d, d*, Delta_d d and the
+    half-coefficient difference of the Laplacian report, and on d + d*,
+    where one monomial z_j carries two sizes of coefficient (1 from xibar_j,
+    G_dst / G_src from xi_j*), so a term looked up by its monomial alone
+    would be wrong."""
+    s = build_space(FlatTorus.square(3, weights), 1)
+    d = d_operator(s)
+    half = laplacian_d(s) - Fraction(1, 2) * flat._sum(flat.xi_laplacians(s))
+    for op in (d, adjoint(d), laplacian_d(s) @ d, half, d + adjoint(d)):
+        got = _residual(op)
+        assert got > 0.0 and got == _reference_residual(op)
+
+
+@pytest.mark.parametrize("step,n,N", [("verify_laplacian_sum", 3, 2), ("harmonic_space", 3, 2),
+                                      ("verify_laplacian_sum", 5, 0)],
+                         ids=["verify_laplacian_sum", "harmonic_space", "verify_laplacian_sum-5-0"])
+def test_flat_reductions_bound_peak_memory(step, n, N):
+    """tracemalloc's peak over one step on a fresh space.  At (n, N) =
+    (3, 2), dimension 10^6, the steps hold operator coefficients and no
+    arrays over the frequencies, about 0.4 MB; an array of one complex
+    double per basis element alone would take 16 MB.  At (5, 0), 1,024
+    refined types, the Laplacian check peaks near 10 MB; a whole d d*
+    operator held at once would peak near 17 MB."""
+    s = build_space(FlatTorus.square(n, (1.0, 2.0, 3.0, 0.7, 1.3)[:n]), N)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
