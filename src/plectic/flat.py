@@ -20,9 +20,10 @@ are held as Python ints over one positive int denominator per operator,
 so sums, products and adjoints multiply and add ints only.  The refined
 identities, the Laplacian decomposition, the Laplacian's kernel and its
 independence of the metric are decided on those ints, exactly and for
-every truncation.  The Hodge Laplacian Delta_d = d d* + d* d is formed
-one source type at a time, and each of its cross terms is decided as the
-one off-diagonal block of a column it fills (see laplacian_d).  The
+every truncation.  Every Laplacian P P* + P* P here (Delta_d, Delta_del,
+each Delta_{xi_j}) is formed by one column pass, one source type at a
+time, and each cross term, the refined identities among them, is decided
+as the one off-diagonal block of a column it fills (_laplacian_pass).  The
 frequencies are never listed: the one reported size, that of a nonzero
 residual, is a closed form in the coefficients and the exact corner
 values of |z_j|^2 (see _residual).  A form space takes at most
@@ -59,7 +60,6 @@ __all__ = [
     "delbar_operator",
     "d_operator",
     "adjoint",
-    "laplacian",
     "laplacian_d",
     "xi_laplacians",
     "verify_refined_identities",
@@ -165,23 +165,32 @@ class FourierFormSpace:
         return tuple(int(i == k) for i in range(2 * self.torus.n))
 
     @functools.cached_property
+    def halves(self) -> dict:
+        """Per half of a refined type (alpha or beta), the product over j of
+        the numerator of 2 / w_j, w_j the rational of its float, where the
+        slot is set and of its denominator where it is not."""
+        ratios = [(2 / Fraction(w)).as_integer_ratio()[::-1] for w in self.torus.weights]
+        return {bits: math.prod(r[bit] for r, bit in zip(ratios, bits))
+                for bits in itertools.product((0, 1), repeat=self.torus.n)}
+
+    @functools.cached_property
     def slot_factors(self) -> tuple:
         """Gram entry over the volume, one per refined type, exactly, as
-        (numerators, denominator): int numerators over one common int
-        denominator, the square of the product of the denominators of the
-        2 / w_j.  The weights enter as the rationals their floats are."""
-        nums, dens = zip(*((2 / Fraction(w)).as_integer_ratio() for w in self.torus.weights))
-        den = math.prod(dens) ** 2
-        return [_slot_factor(nums, alpha, beta) * (den // _slot_factor(dens, alpha, beta))
-                for alpha, beta in self.types], den
+        (numerators, denominator): the product of the type's two halves
+        over that of the two halves with no slot set."""
+        h = self.halves
+        return [h[alpha] * h[beta] for alpha, beta in self.types], h[(0,) * self.torus.n] ** 2
 
     @functools.cached_property
     def slot_inverses(self) -> tuple:
-        """(L, [L / g_t]) for L the lcm of the slot factors' numerators
-        g_t: G_dst / G_src is g_dst (L / g_src) over L."""
-        g, _ = self.slot_factors
-        scale = math.lcm(*g)
-        return scale, [scale // x for x in g]
+        """(L, [L / g_t]) for L the lcm of the slot factors' numerators g_t:
+        G_dst / G_src is g_dst (L / g_src) over L.  Each prime's largest
+        power in a product of two halves is the square of its largest in
+        one, so L is M^2 for M the lcm of the halves."""
+        h = self.halves
+        m = math.lcm(*h.values())
+        inverse = {bits: m // x for bits, x in h.items()}
+        return m * m, [inverse[alpha] * inverse[beta] for alpha, beta in self.types]
 
     @functools.cached_property
     def squares(self) -> dict:
@@ -250,23 +259,17 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Composition: (self @ other) applies other first."""
-        return OperatorMatrix(self.space, _compose(self, other, {}), den=self.den * other.den)
+        if self.conjugates_argument or other.conjugates_argument:
+            raise InputError("composition is defined for linear operators only")
+        by_src, sums, blocks = _by_src(self), {}, {}
+        for (mid, src), pb in other.blocks.items():
+            for dst, pa in by_src.get(mid, ()):
+                _add_product(blocks.setdefault((dst, src), {}), pa, pb, sums)
+        return OperatorMatrix(self.space, blocks, den=self.den * other.den)
 
     def is_zero(self) -> bool:
         """Whether every coefficient is exactly zero."""
         return not any(c for p in self.blocks.values() for c in p.values())
-
-
-def _compose(a: OperatorMatrix, b: OperatorMatrix, blocks: dict) -> dict:
-    """blocks with the coefficients of the composition a b (b first), over
-    the denominator a.den * b.den, added in."""
-    if a.conjugates_argument or b.conjugates_argument:
-        raise InputError("composition is defined for linear operators only")
-    by_src, sums = _by_src(a), {}
-    for (mid, src), pb in b.blocks.items():
-        for dst, pa in by_src.get(mid, ()):
-            _add_product(blocks.setdefault((dst, src), {}), pa, pb, sums)
-    return blocks
 
 
 def _add_product(acc: dict, pa: dict, pb: dict, sums: dict) -> None:
@@ -279,11 +282,6 @@ def _add_product(acc: dict, pa: dict, pb: dict, sums: dict) -> None:
                 e = sums[ea, eb] = tuple(map(operator.add, ea, eb))
             c = ca * cb
             acc[e] = acc[e] + c if e in acc else c
-
-
-def _anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """a b + b a, composed into one set of blocks."""
-    return OperatorMatrix(a.space, _compose(b, a, _compose(a, b, {})), den=a.den * b.den)
 
 
 def build_space(torus: FlatTorus, truncation: int) -> FourierFormSpace:
@@ -388,7 +386,9 @@ def delbar_operator(space: FourierFormSpace) -> OperatorMatrix:
 
 
 def d_operator(space: FourierFormSpace) -> OperatorMatrix:
-    return _sum([del_operator(space), delbar_operator(space)])
+    n = space.torus.n
+    return _sum([xi_operator(space, j + 1) for j in range(n)]
+                + [xi_bar_operator(space, j + 1) for j in range(n)])
 
 
 def adjoint(op: OperatorMatrix) -> OperatorMatrix:
@@ -413,60 +413,57 @@ def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(op.space, blocks, den=op.den * scale)
 
 
-def laplacian(op: OperatorMatrix) -> OperatorMatrix:
-    return _anticommutator(op, adjoint(op))
+def _laplacian_pass(p: OperatorMatrix) -> tuple:
+    """P P* + P* P for P a sum of operators P_i that each raise one slot i
+    of the refined type (d, del or one xi_j), one source type t at a time.
 
-
-def _components(space):
-    n = space.torus.n
-    return [xi_operator(space, j + 1) for j in range(n)] + [
-        xi_bar_operator(space, j + 1) for j in range(n)
-    ]
-
-
-def xi_laplacians(space: FourierFormSpace):
-    return [laplacian(xi_operator(space, j + 1)) for j in range(space.torus.n)]
-
-
-def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
-    """Hodge Laplacian of d, Delta_d = d d* + d* d, formed one source
-    type t at a time.
-
-    d is the sum of its 2n type-raising components P_i, each raising one
-    slot i, and d* that of their adjoints, each lowering one.  Column t
-    of Delta_d adds up the paths t -> mid -> dst through d* then d and
-    through d then d*.  Its block (t + e_i - e_j, t), i != j, is the
-    cross term P_i P_j* + P_j* P_i alone, since the type difference fixes
-    the slot pair (i, j); the diagonal block (t, t) is the sum of the
-    diagonal terms P_i P_i* + P_i* P_i.  Each off-diagonal block must have
-    exactly zero coefficients, so that all (2n)(2n - 1) cross terms vanish;
-    DegenerateInputError is raised otherwise.  The diagonal block is
-    kept and the rest of the column dropped, so the result is
-    type-block-diagonal by construction and no cross term is held as an
-    operator.  d and d* hold 2n monomials each, and the sums of their
-    exponents are formed once.  The result is cached on the space.
+    P* lowers one slot per term.  Column t adds up the paths t -> mid ->
+    dst through P* then P and through P then P*.  Its block
+    (t + e_i - e_j, t), i != j, is the one cross term P_i P_j* + P_j* P_i,
+    since the type difference fixes the slot pair (i, j); its diagonal
+    block (t, t) is the sum of the diagonal terms P_i P_i* + P_i* P_i.
+    Returns the diagonal blocks as an OperatorMatrix over den = P.den P*.den
+    and, over the same den, the off-diagonal blocks with a coefficient that
+    is not zero, as {(dst, src): polynomial}; the rest of each column is
+    dropped, so no cross term that vanishes is held.  The sums of exponents
+    are formed once per call.
     """
-    key = "laplacian_d"
-    if key in space._cache:
-        return space._cache[key]
-    d = _sum(_components(space))
-    d_star = adjoint(d)
-    up, down = _by_src(d), _by_src(d_star)
-    sums = {}
-    blocks = {}
-    for t in range(space.type_count):
+    p_star = adjoint(p)
+    up, down = _by_src(p), _by_src(p_star)
+    sums, diagonal, cross = {}, {}, {}
+    for t in range(p.space.type_count):
         column = {}
         for first, second in ((down, up), (up, down)):
             for mid, pa in first.get(t, ()):
                 for dst, pb in second.get(mid, ()):
                     _add_product(column.setdefault(dst, {}), pb, pa, sums)
         if t in column:
-            blocks[(t, t)] = column.pop(t)
-        if any(c for p in column.values() for c in p.values()):
+            diagonal[t, t] = column.pop(t)
+        for dst, q in column.items():
+            if any(q.values()):
+                cross[dst, t] = q
+    return OperatorMatrix(p.space, diagonal, den=p.den * p_star.den), cross
+
+
+def xi_laplacians(space: FourierFormSpace):
+    """Delta_{xi_j} = xi_j xi_j* + xi_j* xi_j for each j, each type-diagonal."""
+    return [_laplacian_pass(xi_operator(space, j + 1))[0] for j in range(space.torus.n)]
+
+
+def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
+    """Hodge Laplacian of d, Delta_d = d d* + d* d, from _laplacian_pass
+    of d = sum_j (xi_j + xibar_j).  Its (2n)(2n - 1) cross terms must all
+    vanish, so that Delta_d is the sum of the diagonal terms and
+    type-block-diagonal; DegenerateInputError is raised otherwise.  The
+    result is cached on the space.
+    """
+    key = "laplacian_d"
+    if key not in space._cache:
+        total, cross = _laplacian_pass(d_operator(space))
+        if cross:
             raise DegenerateInputError("Laplacian cross terms failed to anticommute")
-    total = OperatorMatrix(space, blocks, den=d.den * d_star.den)
-    space._cache[key] = total
-    return total
+        space._cache[key] = total
+    return space._cache[key]
 
 
 def _by_src(op: OperatorMatrix) -> dict:
@@ -530,49 +527,51 @@ class ResidualReport:
 
 def verify_refined_identities(space: FourierFormSpace) -> ResidualReport:
     """Decide xi_j xi_k* + xi_k* xi_j = 0 for all j != k exactly on the
-    coefficients; max_residual is the largest _residual, 0.0 when the
-    identities hold."""
-    n = space.torus.n
-    xis = [xi_operator(space, j + 1) for j in range(n)]
-    adjs = [adjoint(x) for x in xis]
-    ops = [_anticommutator(xis[j], adjs[k]) for j, k in itertools.permutations(range(n), 2)]
-    worst = max((_residual(op) for op in ops), default=0.0)
-    dims = {"dim": space.dim, "n": n, "truncation": space.truncation}
-    return ResidualReport("anticommutators", worst, dims, all(op.is_zero() for op in ops))
+    coefficients: they are the cross terms of _laplacian_pass of
+    del = sum_j xi_j, and its blocks of type difference e_j - e_k are that
+    one anticommutator's.  max_residual is the largest _residual over the
+    anticommutators, 0.0 when the identities hold."""
+    delta_del, cross = _laplacian_pass(del_operator(space))
+    pairs = {}
+    for (dst, src), p in cross.items():
+        pairs.setdefault(tuple(map(operator.sub, space.types[dst][0], space.types[src][0])),
+                         {})[dst, src] = p
+    worst = max((_residual(OperatorMatrix(space, blocks, den=delta_del.den))
+                 for blocks in pairs.values()), default=0.0)
+    dims = {"dim": space.dim, "n": space.torus.n, "truncation": space.truncation}
+    return ResidualReport("anticommutators", worst, dims, not cross)
 
 
 @dataclass(frozen=True)
 class LaplacianReport:
     sum_residual: float          # || Delta_d - 2 sum_j Delta_{xi_j} ||
-    dolbeault_residual: float    # || Delta_d - 2 Delta_del ||
+    dolbeault_residual: float    # || Delta_d - 2 Delta_del ||, the same number
     half_sum_residual: float     # || Delta_d - (1/2) sum_j Delta_{xi_j} ||, reported only
     cross_term_max: float        # 0.0: laplacian_d raises unless every cross term is zero
-    block_diagonal_exact: bool
+    block_diagonal_exact: bool   # True: laplacian_d keeps the diagonal blocks only
     dims: dict
     passed: bool
 
 
 def verify_laplacian_sum(space: FourierFormSpace) -> LaplacianReport:
     """Decide the Laplacian decomposition exactly on the coefficients:
-    Delta_d = 2 sum_j Delta_{xi_j} and Delta_d = 2 Delta_del, plus
-    type-block diagonality (exact for the assembled Laplacian).  Each
-    residual is _residual of the difference.
-
-    The residual of the half-coefficient variant is measured and
-    reported but is not part of the pass verdict: Delta_del equals the
-    sum of the xi-Laplacians, so the two asserted identities pin the
-    coefficient at 2.
+    Delta_d = 2 sum_j Delta_{xi_j} and Delta_d = 2 Delta_del.  Delta_del
+    is _laplacian_pass of del = sum_j xi_j: its diagonal is
+    sum_j Delta_{xi_j} by construction, and its cross terms
+    xi_j xi_k* + xi_k* xi_j are among those laplacian_d has found zero.  So
+    the two differences are one operator, and sum_residual and
+    dolbeault_residual one _residual.  laplacian_d is type-block-diagonal
+    by construction, so cross_term_max is 0.0 and block_diagonal_exact
+    True.  The half-coefficient variant's residual is reported but is not
+    part of the verdict: the asserted identity pins the coefficient at 2.
     """
     dd = laplacian_d(space)
-    s = _sum(xi_laplacians(space))
-    sum_op = dd - 2 * s
-    dol_op = dd - 2 * laplacian(del_operator(space))
-    block_ok = all(c == 0 for (dst, src), p in dd.blocks.items() if dst != src
-                   for c in p.values())
+    delta_del, cross = _laplacian_pass(del_operator(space))
+    diff = dd - 2 * delta_del
+    residual = _residual(diff)
     dims = {"dim": space.dim, "n": space.torus.n, "truncation": space.truncation}
-    passed = sum_op.is_zero() and dol_op.is_zero() and block_ok
-    return LaplacianReport(_residual(sum_op), _residual(dol_op),
-                           _residual(dd - Fraction(1, 2) * s), 0.0, block_ok, dims, passed)
+    return LaplacianReport(residual, residual, _residual(dd - Fraction(1, 2) * delta_del), 0.0,
+                           True, dims, diff.is_zero() and not cross)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from plectic.flat import (
     extract_plectic_structure,
     harmonic_space,
     hodge_star,
-    laplacian,
     laplacian_d,
     metric_independence_check,
     partial_bar_operator,
@@ -117,6 +116,12 @@ def harmonic_vectors(hb):
     out = np.zeros((s.dim, len(freqs)), dtype=complex)
     out[index(s, freqs, s.type_index[(hb.alpha, hb.beta)]), np.arange(len(freqs))] = 1.0
     return out
+
+
+def anticommutator(a, b):
+    """a b + b a as one whole operator, from @ and +: the reference that
+    the library's column pass is checked against."""
+    return a @ b + b @ a
 
 
 def coefficients(op):
@@ -239,7 +244,8 @@ def test_laplacian_sum_n2():
 
 def test_laplacian_assembly_matches_direct_product():
     s = build_space(GENERIC, 1)
-    assert coefficients(laplacian_d(s)) == coefficients(laplacian(d_operator(s)))
+    d = d_operator(s)
+    assert coefficients(laplacian_d(s)) == coefficients(d @ adjoint(d) + adjoint(d) @ d)
 
 
 def test_residual_is_the_largest_row_sum():
@@ -520,7 +526,8 @@ def test_random_flat_tori(factors, truncation):
     s = build_space(_torus(factors), truncation)
     assert verify_refined_identities(s).passed
     assert verify_laplacian_sum(s).passed
-    assert coefficients(laplacian_d(s)) == coefficients(laplacian(d_operator(s)))
+    d = d_operator(s)
+    assert coefficients(laplacian_d(s)) == coefficients(anticommutator(d, adjoint(d)))
     for alpha, beta in s.types:
         assert harmonic_space(s, alpha, beta).dim == 1
 
@@ -545,11 +552,11 @@ def _without_swap(adj):
     return mutated
 
 
-def _negated_block(xi_bar, k):
-    """xi_bar_operator with one block of xi_bar_1, the k-th modulo their
-    number, negated."""
+def _negated_block(component, k):
+    """component (xi_operator or xi_bar_operator) with one block of its
+    j = 1 operator, the k-th modulo their number, negated."""
     def mutated(space, j):
-        op = xi_bar(space, j)
+        op = component(space, j)
         if j != 1:
             return op
         key = list(op.blocks)[k % len(op.blocks)]
@@ -605,7 +612,7 @@ def test_identities_exact_on_random_rational_weights(factors, k):
     """Truncation 0, where every multiplier but the constant ones vanishes,
     so only the coefficients can decide: the anticommutators, all cross
     terms, Delta_d = 2 sum_j Delta_xi_j and Delta_d = 2 Delta_del hold
-    exactly, laplacian_d is laplacian(d) coefficient by coefficient, and
+    exactly, laplacian_d is d d* + d* d coefficient by coefficient, and
     dropping xibar's sign (-1)^|alpha| or the adjoint's swap of z_j and
     conj(z_j), or negating one block of xibar_1, each fails the Laplacian
     check.  Weights include 1e300 and 1e-300, whose rationals have about
@@ -632,7 +639,8 @@ def test_identities_exact_on_random_rational_weights(factors, k):
     assert ident.passed and ident.max_residual == 0.0
     lap = verify_laplacian_sum(s)  # laplacian_d raises unless every cross term is zero
     assert lap.passed and lap.sum_residual == lap.dolbeault_residual == 0.0
-    assert coefficients(laplacian_d(s)) == coefficients(laplacian(d_operator(s)))
+    d = d_operator(s)
+    assert coefficients(laplacian_d(s)) == coefficients(anticommutator(d, adjoint(d)))
     with mock.patch.object(flat, "xi_bar_operator", _without_alpha_sign(flat.xi_bar_operator)):
         assert not _laplacian_verdict(build_space(torus, 0))
     with mock.patch.object(flat, "adjoint", _without_swap(flat.adjoint)):
@@ -641,23 +649,31 @@ def test_identities_exact_on_random_rational_weights(factors, k):
         assert not _laplacian_verdict(build_space(torus, 0))
 
 
+def _components(space):
+    """The 2n components xi_j and xibar_j of d, each raising one slot,
+    read from flat at call time so that a patched constructor is used."""
+    n = space.torus.n
+    return ([flat.xi_operator(space, j + 1) for j in range(n)]
+            + [flat.xi_bar_operator(space, j + 1) for j in range(n)])
+
+
 def _cross_terms(space):
     """The (2n)(2n - 1) cross terms P_i P_j* + P_j* P_i, i != j, of the
-    components P_i of d, each a whole operator from the generic
-    _anticommutator: the reference for what laplacian_d decides blockwise."""
-    comps = flat._components(space)
+    components P_i of d, each a whole operator a b + b a: the reference
+    for what laplacian_d decides blockwise."""
+    comps = _components(space)
     adjs = [adjoint(c) for c in comps]
-    return [flat._anticommutator(comps[i], adjs[j])
+    return [comps[i] @ adjs[j] + adjs[j] @ comps[i]
             for i, j in itertools.permutations(range(len(comps)), 2)]
 
 
 def _reference_laplacian_d(space):
     """Delta_d as the sum of the diagonal terms P_i P_i* + P_i* P_i, each
-    from the generic _anticommutator; DegenerateInputError unless every
-    cross term is exactly zero."""
+    a whole operator a b + b a; DegenerateInputError unless every cross
+    term is exactly zero."""
     if not all(op.is_zero() for op in _cross_terms(space)):
         raise DegenerateInputError("Laplacian cross terms failed to anticommute")
-    return flat._sum(flat._anticommutator(c, adjoint(c)) for c in flat._components(space))
+    return flat._sum(c @ adjoint(c) + adjoint(c) @ c for c in _components(space))
 
 
 @settings(max_examples=20, deadline=None)
@@ -666,11 +682,11 @@ def _reference_laplacian_d(space):
 def test_laplacian_pass_decides_each_cross_term_in_its_block(factors, k):
     """Truncation 0, n = 1..4.  The cross terms' blocks (t + e_i - e_j, t)
     are pairwise disjoint and off the diagonal, so the column-wise pass
-    sees each cross term alone in its block.  laplacian_d, which calls no
-    _anticommutator, equals the sum of the diagonal terms block for block,
-    den included, and raises exactly where the reference check finds a
-    cross term that is not zero: on xibar without its sign (-1)^|alpha|
-    and with one block of xibar_1 negated."""
+    sees each cross term alone in its block.  laplacian_d, from the one
+    column pass (flat has no _anticommutator), equals the sum of the
+    diagonal terms block for block, den included, and raises exactly where
+    the reference check finds a cross term that is not zero: on xibar
+    without its sign (-1)^|alpha| and with one block of xibar_1 negated."""
     torus = _torus(factors)
     s = build_space(torus, 0)
     cross = _cross_terms(s)
@@ -679,8 +695,8 @@ def test_laplacian_pass_decides_each_cross_term_in_its_block(factors, k):
     assert len(cross) == 2 * n * (2 * n - 1) and all(op.is_zero() for op in cross)
     assert all(dst != src for ks in keys for dst, src in ks)
     assert sum(map(len, keys)) == len(set().union(*keys))
-    with mock.patch.object(flat, "_anticommutator", side_effect=AssertionError("called")):
-        got = laplacian_d(s)
+    assert not hasattr(flat, "_anticommutator") and not hasattr(flat, "laplacian")
+    got = laplacian_d(s)
     want = _reference_laplacian_d(s)
     assert got.blocks == want.blocks and got.den == want.den
     for mutation in (_without_alpha_sign(flat.xi_bar_operator),
@@ -690,6 +706,37 @@ def test_laplacian_pass_decides_each_cross_term_in_its_block(factors, k):
                 _reference_laplacian_d(build_space(torus, 0))
             with pytest.raises(DegenerateInputError, match="failed to anticommute"):
                 laplacian_d(build_space(torus, 0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(_factor, _rational_weight), min_size=2, max_size=4),
+       st.integers(0, 2**16))
+def test_identities_fail_with_the_largest_anticommutator_residual(factors, k):
+    """n = 2..4.  Delta_del, the column pass of del, and each
+    Delta_{xi_j} equal the whole a a* + a* a, block for block with den.
+    With one drawn block of xi_1 negated the refined identities fail, and
+    max_residual equals, as a double, the largest _residual over the
+    n(n - 1) whole anticommutators xi_j xi_k* + xi_k* xi_j.  At truncation
+    0 every R_j is 0, so the coefficients alone decide and every residual
+    is 0.0; at truncation 1 the residuals are positive."""
+    torus = _torus(factors)
+    n = torus.n
+    mutated = _negated_block(flat.xi_operator, k)
+    for truncation in (0, 1):
+        s = build_space(torus, truncation)
+        xis = [xi_operator(s, j + 1) for j in range(n)]
+        for got, p in [(flat._laplacian_pass(del_operator(s))[0], del_operator(s))] + list(
+                zip(flat.xi_laplacians(s), xis)):
+            want = anticommutator(p, adjoint(p))
+            assert got.den == want.den
+            assert got.blocks == {key: q for key, q in want.blocks.items() if any(q.values())}
+        with mock.patch.object(flat, "xi_operator", mutated):
+            rep = verify_refined_identities(s)
+        whole = [anticommutator(x, adjoint(y)) for x, y in
+                 itertools.permutations([mutated(s, j + 1) for j in range(n)], 2)]
+        assert rep.passed is False
+        assert rep.max_residual == max(_residual(op) for op in whole)
+        assert (rep.max_residual > 0.0) == (truncation > 0)
 
 
 def _reference_residual(op):
@@ -728,14 +775,17 @@ def test_residual_is_its_per_term_formula_bit_for_bit(weights):
 
 
 @pytest.mark.parametrize("step,n,N", [("verify_laplacian_sum", 3, 2), ("harmonic_space", 3, 2),
-                                      ("verify_laplacian_sum", 5, 0)],
-                         ids=["verify_laplacian_sum", "harmonic_space", "verify_laplacian_sum-5-0"])
+                                      ("verify_laplacian_sum", 5, 0),
+                                      ("verify_refined_identities", 5, 0)],
+                         ids=["verify_laplacian_sum", "harmonic_space", "verify_laplacian_sum-5-0",
+                              "verify_refined_identities-5-0"])
 def test_flat_reductions_bound_peak_memory(step, n, N):
     """tracemalloc's peak over one step on a fresh space.  At (n, N) =
     (3, 2), dimension 10^6, the steps hold operator coefficients and no
     arrays over the frequencies, about 0.4 MB; an array of one complex
     double per basis element alone would take 16 MB.  At (5, 0), 1,024
-    refined types, the Laplacian check peaks near 10 MB; a whole d d*
+    refined types, the Laplacian check peaks near 6 MB and the refined
+    identities, the pass over del alone, near 3.5 MB; a whole d d*
     operator held at once would peak near 17 MB."""
     s = build_space(FlatTorus.square(n, (1.0, 2.0, 3.0, 0.7, 1.3)[:n]), N)
     tracemalloc.start()
@@ -743,6 +793,8 @@ def test_flat_reductions_bound_peak_memory(step, n, N):
         base = tracemalloc.get_traced_memory()[0]
         if step == "verify_laplacian_sum":
             assert verify_laplacian_sum(s).passed
+        elif step == "verify_refined_identities":
+            assert verify_refined_identities(s).passed
         else:
             assert harmonic_space(s, (1, 0, 0), (0, 1, 1)).dim == 1
         peak = tracemalloc.get_traced_memory()[1] - base
