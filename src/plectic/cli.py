@@ -540,7 +540,12 @@ def main(argv=None) -> int:
         "pass": bool(passed),
         "payload": payload,
     }
-    _emit(report, config.output)
+    try:
+        _emit(report, config.output)
+    except OSError as exc:
+        where = config.output or "standard output"
+        sys.stderr.write(f"error: cannot write {where}: {exc.strerror or exc}\n")
+        return 2
     return 0 if passed else 1
 
 

@@ -11,7 +11,8 @@ which reports a missing key or a value of the wrong type or shape as one
 fields take JSON integers (`errors.json_int`), and the integer-matrix
 entries also decimal integer strings; 1.5 and true are input errors,
 never truncated.  Decimals (real and imaginary parts) take JSON strings
-only; the flat-torus weights alone also take JSON numbers.
+only; the flat-torus weights alone also take JSON numbers, though not
+true or false.
 """
 
 from __future__ import annotations
@@ -259,8 +260,16 @@ def flat_torus_from_json(obj: dict):
             (complex(complex_from_json(w1)), complex(complex_from_json(w2)))
             for w1, w2 in obj["factors"]
         )
-        weights = tuple(float(w) for w in obj["weights"])
+        weights = tuple(_weight(w) for w in obj["weights"])
     return FlatTorus(factors, weights)
+
+
+def _weight(w) -> float:
+    """A flat-torus weight: a JSON number or a decimal string.  A bool (true
+    is an int to Python) raises TypeError for `reading` to report."""
+    if type(w) is bool:
+        raise TypeError(f"expected a number or a decimal string, not {w!r}")
+    return float(w)
 
 
 def quotient_datum_to_json(d) -> dict:

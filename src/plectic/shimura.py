@@ -217,37 +217,29 @@ def _check_cup(h: PlecticHodgeStructure, cup: CupOperator, tol):
 
 
 def nu_hodge_structure(d: StronglyPrimitiveDatum, nu: int, tol=None) -> PlecticHodgeStructure:
-    """Weight-one structure of degree 1 whose F^1 collects the translates with
-    beta_nu = 0; the other involutions must act as automorphisms of it
-    (checked; the nu-th involution is excluded since it swaps the two
-    pieces)."""
+    """Weight-one structure of degree 1 whose F^1 collects the pieces of
+    `build_plectic_from_frobenii(d)` with beta_nu = 0, and whose H^{0,1} the
+    others.  It inherits that structure's span and conjugation checks.  The
+    involutions other than the nu-th are automorphisms of it by construction:
+    they commute and square to 1, so Frob_mu maps the translate at beta to
+    the one at beta + e_mu, whose nu-th bit is the same."""
     return _nu_structure(d, nu, tol)[0]
 
 
 def _nu_structure(d: StronglyPrimitiveDatum, nu: int, tol):
-    """`nu_hodge_structure`, with the X = [F^1 | C^1]^-1 it is checked in
-    and the rows of X that hold the C^1 coordinates."""
-    tol = resolve_tolerance(tol)
+    """`nu_hodge_structure`, with the X = [F^1 | C^1]^-1 it is factored in
+    and the rows of X that hold the C^1 coordinates.  The columns follow
+    beta in `itertools.product` order, as the translates were formed."""
     if not 1 <= nu <= d.r:
         raise InputError("nu out of range")
-    with working_precision():
-        f1_parts, conj_parts = [], []
-        for beta in itertools.product((0, 1), repeat=d.r):
-            block = cx.matmul(cx.mpm(d.frobenius_product(beta).entries), d.holo)
-            (f1_parts if beta[nu - 1] == 0 else conj_parts).append(block)
-        F1 = cx.hstack(f1_parts)
-        C1 = cx.hstack(conj_parts)
-        B, X, block = cx.piece_coordinates([("F1", F1), ("C1", C1)], "involution translates")
-        if X is None:
-            raise DegenerateInputError("involution translates do not span in direct sum")
-        for mu in range(1, d.r + 1):
-            if mu == nu:
-                continue
-            fr = cx.mpm(d.frobenii[mu - 1].entries)
-            if cx.outside(cx.matmul(fr, F1), B, X, block["F1"]) > tol:
-                raise DegenerateInputError(
-                    f"involution {mu} is not an automorphism of the {nu}-th structure"
-                )
+    phs, _ = build_plectic_from_frobenii(d, tol)
+    parts = ([], [])  # F^1, C^1
+    for beta in itertools.product((0, 1), repeat=d.r):
+        parts[beta[nu - 1]].append(phs.piece(tuple(1 - b for b in beta), beta))
+    F1, C1 = cx.hstack(parts[0]), cx.hstack(parts[1])
+    _, X, block = cx.piece_coordinates([("F1", F1), ("C1", C1)], "involution translates")
+    if X is None:
+        raise DegenerateInputError("involution translates do not span in direct sum")
     return PlecticHodgeStructure(1, d.rank, {H10: F1, H01: C1}), X, block["C1"]
 
 

@@ -349,12 +349,14 @@ def endomorphisms(t: ComplexTorus, height_bound: int, tol=None):
     n = 2 * t.g
     out = []
     tol = resolve_tolerance(tol)
-    for r in rows:
-        N = _unvec(r, n, n)
-        M, resid = t.multiplier(N)
-        if resid > tol * 100:
-            raise DegenerateInputError("endomorphism candidate failed verification")
-        out.append((N, M))
+    with working_precision():
+        fit = _multiplier_fit(t.periods)
+        for r in rows:
+            N = _unvec(r, n, n)
+            M, resid = fit(cx.matmul(t.periods, cx.mpm(N.entries)))
+            if resid > tol * 100:
+                raise DegenerateInputError("endomorphism candidate failed verification")
+            out.append((N, M))
     return out
 
 

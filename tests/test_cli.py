@@ -609,6 +609,30 @@ def test_dependent_translates_exit_two(argv, tmp_path, capsys):
     assert "involution translates do not span in direct sum" in err
 
 
+CONJUGATE_INCOMPATIBLE_DATUM = {"r": 1, "rank": 2, "frobenii": [[[1, 0], [0, -1]]],
+                                "holo": [[["1", "0"]], [["2", "0"]]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["qsv", "build"], ["qsv", "nu-structure", "--nu", "1"], ["qsv", "jacobian", "--nu", "1"],
+], ids=["build", "nu-structure", "jacobian"])
+def test_conjugation_incompatible_datum_exits_two(argv, tmp_path, capsys):
+    """Holomorphic line (1, 2) under the flip: the translates span, but
+    H^{0,1} is not the conjugate of H^{1,0}, so no command reports on it."""
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(CONJUGATE_INCOMPATIBLE_DATUM))
+    code, out = run(argv + ["--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not conjugation-compatible" in err
+
+
+def test_nu_structure_reads_the_golden_datum_pieces(fixtures):
+    d = ser.datum_from_json(json.loads(pathlib.Path(fixtures["datum.json"]).read_text()))
+    test_shimura.assert_nu_pieces_are_built_pieces(d)
+
+
 def _target_pieces(*bases):
     def mutate(doc):
         doc["cups"][0]["target"]["pieces"] = [
@@ -793,6 +817,32 @@ def test_too_many_flat_factors_exit_two(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and elapsed < 1.0
     assert err.startswith("error:") and "at most 6 factors" in err and err.count("\n") == 1
+
+
+def test_boolean_flat_weight_exits_two(tmp_path, capsys):
+    """true is not read as the weight 1.0; a JSON number and a decimal
+    string still are."""
+    path = tmp_path / "flat.json"
+    argv = ["flat", "harmonic", "--alpha", "1", "--beta", "0", "--truncation", "1",
+            "--input", str(path)]
+    for weight, want in ((True, 2), (1, 0), ("1.0", 0)):
+        path.write_text(json.dumps({"factors": [[["1", "0"], ["0", "1"]]], "weights": [weight]}))
+        code, _ = run(argv)
+        assert code == want, weight
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad flat-torus JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dest", [lambda p: p / "missing" / "r.json", lambda p: p],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_two(dest, tmp_path, capsys):
+    """A report that cannot be written is an input error: one line, no traceback."""
+    path = dest(tmp_path)
+    code = main(["flat", "harmonic", "--n", "1", "--alpha", "1", "--beta", "0",
+                 "--output", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_collinear_flat_generators_exit_two(tmp_path, capsys):

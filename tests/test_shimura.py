@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath as mp
 import pytest
 
@@ -6,6 +8,7 @@ from plectic import cxlinalg as cx
 from plectic.config import working_precision
 from plectic.errors import DegenerateInputError, InputError
 from plectic.hodge import (
+    H01,
     H10,
     Bidegree,
     PlecticHodgeStructure,
@@ -132,6 +135,25 @@ def test_nu_structure_excludes_nu_itself():
         assert subspace_residual(fr1 * F1, F1) > mp.mpf("0.5")
 
 
+def assert_nu_pieces_are_built_pieces(d):
+    """F^1 and C^1 of each nu-th structure are the pieces of the built
+    structure, in beta order and mpc for mpc, so that X = [F^1 | C^1]^-1
+    and every report read from it stay bit for bit."""
+    phs, _ = build_plectic_from_frobenii(d)
+    betas = list(itertools.product((0, 1), repeat=d.r))
+    for nu in range(1, d.r + 1):
+        ns = nu_hodge_structure(d, nu)
+        for bd, bit in ((H10, 0), (H01, 1)):
+            want = cx.hstack([phs.pieces[Bidegree(tuple(1 - b for b in beta), beta)]
+                              for beta in betas if beta[nu - 1] == bit])
+            assert ns.pieces[bd].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("datum", [elliptic_datum, tensor_datum], ids=["elliptic", "tensor"])
+def test_nu_structure_reads_the_built_pieces(datum):
+    assert_nu_pieces_are_built_pieces(datum())
+
+
 def test_character_decompose_elliptic_trivial():
     chars = character_decompose(elliptic_datum(), 1)
     assert list(chars.keys()) == [()]
@@ -222,6 +244,17 @@ def test_dependent_translates_are_rejected():
     for build in (build_plectic_from_frobenii, lambda d: nu_hodge_structure(d, 1)):
         with pytest.raises(DegenerateInputError,
                            match="involution translates do not span in direct sum"):
+            build(d)
+
+
+def test_conjugation_incompatible_datum_is_rejected():
+    """Holomorphic line (1, 2) under the flip: its translate (1, -2) spans
+    with it, but is not its conjugate; the nu-th structure inherits the
+    rejection of the built structure."""
+    d = StronglyPrimitiveDatum(1, (FLIP,), cx.mpm([[1], [2]]))
+    for build in (build_plectic_from_frobenii, lambda d: nu_hodge_structure(d, 1),
+                  lambda d: plectic_jacobian_qsv(d, 1)):
+        with pytest.raises(DegenerateInputError, match="not conjugation-compatible"):
             build(d)
 
 
