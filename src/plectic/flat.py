@@ -413,7 +413,7 @@ def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(op.space, blocks, den=op.den * scale)
 
 
-def _laplacian_pass(p: OperatorMatrix) -> tuple:
+def _laplacian_pass(p: OperatorMatrix, cross_only: bool = False) -> tuple:
     """P P* + P* P for P a sum of operators P_i that each raise one slot i
     of the refined type (d, del or one xi_j), one source type t at a time.
 
@@ -425,8 +425,10 @@ def _laplacian_pass(p: OperatorMatrix) -> tuple:
     Returns the diagonal blocks as an OperatorMatrix over den = P.den P*.den
     and, over the same den, the off-diagonal blocks with a coefficient that
     is not zero, as {(dst, src): polynomial}; the rest of each column is
-    dropped, so no cross term that vanishes is held.  The sums of exponents
-    are formed once per call.
+    dropped, so no cross term that vanishes is held.  With cross_only the
+    paths t -> mid -> t are not formed and the diagonal comes back
+    without blocks, for a caller that reads only the cross terms.  The sums
+    of exponents are formed once per call.
     """
     p_star = adjoint(p)
     up, down = _by_src(p), _by_src(p_star)
@@ -436,7 +438,8 @@ def _laplacian_pass(p: OperatorMatrix) -> tuple:
         for first, second in ((down, up), (up, down)):
             for mid, pa in first.get(t, ()):
                 for dst, pb in second.get(mid, ()):
-                    _add_product(column.setdefault(dst, {}), pb, pa, sums)
+                    if dst != t or not cross_only:
+                        _add_product(column.setdefault(dst, {}), pb, pa, sums)
         if t in column:
             diagonal[t, t] = column.pop(t)
         for dst, q in column.items():
@@ -529,9 +532,10 @@ def verify_refined_identities(space: FourierFormSpace) -> ResidualReport:
     """Decide xi_j xi_k* + xi_k* xi_j = 0 for all j != k exactly on the
     coefficients: they are the cross terms of _laplacian_pass of
     del = sum_j xi_j, and its blocks of type difference e_j - e_k are that
-    one anticommutator's.  max_residual is the largest _residual over the
+    one anticommutator's; the pass skips the diagonal terms, which no
+    identity reads.  max_residual is the largest _residual over the
     anticommutators, 0.0 when the identities hold."""
-    delta_del, cross = _laplacian_pass(del_operator(space))
+    delta_del, cross = _laplacian_pass(del_operator(space), cross_only=True)
     pairs = {}
     for (dst, src), p in cross.items():
         pairs.setdefault(tuple(map(operator.sub, space.types[dst][0], space.types[src][0])),

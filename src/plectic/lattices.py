@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -346,8 +347,10 @@ def solve_integer(A: IntMatrix, B: IntMatrix):
         for i in range(A.cols)))
 
 
-def lll_reduce(rows):
-    """LLL-reduced basis (delta = 3/4) of the lattice spanned by `rows`.
+def lll_reduce(rows, delta=Fraction(3, 4)):
+    """LLL-reduced basis of the lattice spanned by `rows`, for the Lovasz
+    constant `delta`, an exact rational in (1/4, 1) (3/4 by default);
+    InputError otherwise.  A smaller delta swaps less and reduces less.
 
     Integral LLL (Cohen, GTM 138, Alg. 2.6.7): the Gram-Schmidt data are
     kept as the integers d_i = det(Gram of b_1..b_i) and
@@ -355,6 +358,9 @@ def lll_reduce(rows):
     or floating-point number is formed.  The rows must be linearly
     independent; otherwise DegenerateInputError is raised.
     """
+    if not isinstance(delta, numbers.Rational) or not Fraction(1, 4) < delta < 1:
+        raise InputError(f"LLL constant delta must be a rational in (1/4, 1), got {delta!r}")
+    num, den = delta.numerator, delta.denominator
     b = [list(map(int, r)) for r in rows]
     n = len(b)
     if n == 0:
@@ -406,8 +412,8 @@ def lll_reduce(rows):
             kmax = k
             gram_schmidt(k)
         reduce(k, k - 1)
-        # Lovasz condition B_k >= (3/4 - mu^2) B_{k-1}, scaled to integers
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+        # Lovasz condition B_k >= (delta - mu^2) B_{k-1}, scaled to integers
+        if den * d[k + 1] * d[k - 1] < num * d[k] ** 2 - den * lam[k][k - 1] ** 2:
             swap(k, kmax)
             k = max(1, k - 1)
         else:

@@ -7,10 +7,12 @@ runs over Z and Q, and real-multiplication detection decides its fields
 with the exact tests of :mod:`plectic.numberfields`; period-matrix work
 runs at the configured mpmath precision.  Hom lattices are found one
 source generator at a time, each by a staged exact integral LLL
-(:func:`plectic.lattices.lll_reduce`); a map is kept only when it commutes
-with the complex structures to the precision floor, then saturated.  The
-complex structures and constraint matrices are formed once with mpmath
-and rounded once to fixed-point integers round(2^p x) at the working
+(:func:`plectic.lattices.lll_reduce`), weak (delta = 3/10) below the top
+scale and delta = 3/4 at it; End searches a complement of the identity,
+which it always contains.  A map is kept only when it commutes with the
+complex structures to the precision floor, then saturated.  The complex
+structures and constraint matrices are formed once with mpmath and
+rounded once to fixed-point integers round(2^p x) at the working
 precision p; the relation search and both acceptance tests run on those
 integers.
 """
@@ -238,7 +240,8 @@ def power_torus(t: ComplexTorus, k: int) -> ComplexTorus:
 # ----------------------------------------------------------------------
 
 
-_STAGE_BITS = 16  # scale step between the LLL stages of _integral_relations
+_STAGE_BITS = 32  # scale step between the LLL stages of _integral_relations
+_STAGE_DELTA = Fraction(3, 10)  # Lovasz constant of every stage below the top one
 
 
 def _fixed(x, p):
@@ -252,12 +255,15 @@ def _integral_relations(V, K, p, ver_bits):
     """Basis of the v in span_Z(V) with K v integral (V independent
     integer vectors, K a real matrix given as the integer rows
     round(2^p K)): the exact `lll_reduce` of x = (a, w) -> x || 2^s (K V a - w),
-    v = a V, in the stages s = 16, 32, ..., top = floor(3 ver_bits / 4), each
+    v = a V, in the stages s = 32, 64, ..., top = floor(3 ver_bits / 4), each
     from the x the previous stage left, with K V rounded at 2^top and shifted
-    down.  A relation of height h misses by about 2^-ver_bits h, a Diophantine
-    near-miss by about 2^-top h: v is kept when |K v - w| <= 2^-ver_bits h len(v),
-    tested on integers as |round(2^p K) v - 2^p w| <= 2^(p - ver_bits) h len(v);
-    the rounding of K adds at most len(v) h / 2 to the left side, far inside
+    down.  The stages below top only carry the basis up to the next scale,
+    so they reduce weakly (delta = 3/10); the stage at top, whose basis the
+    test below reads, reduces with delta = 3/4.  A relation of height h
+    misses by about 2^-ver_bits h, a Diophantine near-miss by about
+    2^-top h: v is kept when |K v - w| <= 2^-ver_bits h len(v), tested on
+    integers as |round(2^p K) v - 2^p w| <= 2^(p - ver_bits) h len(v); the
+    rounding of K adds at most len(v) h / 2 to the left side, far inside
     that allowance.
     """
     r, m = len(V), len(K)
@@ -271,7 +277,8 @@ def _integral_relations(V, K, p, ver_bits):
         k = top - bits
         Cs = [[(c + (1 << k >> 1)) >> k for c in col] for col in C]
         rows = [[*x, *(sum(map(operator.mul, x, col)) for col in Cs)] for x in X]
-        X = [row[:r + m] for row in lll_reduce(rows)]
+        delta = _STAGE_DELTA if bits < top else Fraction(3, 4)
+        X = [row[:r + m] for row in lll_reduce(rows, delta)]
     out = []
     for x in X:
         v = [sum(map(operator.mul, x[:r], col)) for col in zip(*V)]
@@ -292,7 +299,12 @@ def hom_lattice(src: ComplexTorus, dst: ComplexTorus):
     at the working precision p and rounded once to the integers
     round(2^p x); everything after that is integer arithmetic.  Starting
     from Z^that, each dependent k keeps the v with K_k v integral
-    (`_integral_relations`).  A survivor is assembled into U, its dependent
+    (`_integral_relations`).  For End (src is dst) the identity's v is
+    known, so the search starts from a complement of it instead, and the
+    identity is put back in front of the survivors: End = Z identity plus
+    its part in the complement, as that v is primitive, and End holds the
+    identity even where the LLL basis shows it only as a sum of
+    near-relations, none of which passes the test below.  A survivor is assembled into U, its dependent
     columns rounded from K_k v, and kept only if every entry of
     U J_src - J_dst U is within 2^-ver_bits max(1, h) n (h its height, n its
     size), tested as the integer products against
@@ -313,8 +325,15 @@ def hom_lattice(src: ComplexTorus, dst: ComplexTorus):
                                     for row in src.complex_structure().tolist()]
     ver_bits = p - 40
     V = IntMatrix.identity(r * g).entries
+    if src is dst:
+        # the identity's v is 1 at entry free[0], so the other unit vectors
+        # span a complement C of it, and End = Z identity + (End meet C)
+        identity = tuple(int(i == j) for j in free for i in range(r))
+        V = V[:free[0]] + V[free[0] + 1:]
     for K in Ks:
         V = _integral_relations(V, K, p, ver_bits)
+    if src is dst:
+        V = [identity, *V]
     Js_cols = list(zip(*Js))
     found = []
     for v in V:

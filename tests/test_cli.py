@@ -321,6 +321,22 @@ def test_endos_decides_at_the_given_tolerance(tmp_path, capsys):
     assert err == "error: endomorphism candidate failed verification\n"
 
 
+@pytest.mark.parametrize("bits", [64, 128, 192, 256, 512])
+def test_endos_keeps_the_identity(bits, tmp_path):
+    """CI's CM product, written at 128 bits: End has rank 4 up to 128 bits
+    and rank 1 from 256, and never loses the identity (rank 0 at 192 bits
+    before the identity was taken out of the relation search)."""
+    path = tmp_path / "cm_product.json"
+    path.write_text(json.dumps(test_tori.cm_product_json()))
+    try:
+        code, out = run(["torus", "endos", "--input", str(path), "--height-bound", "5",
+                         "--precision", str(bits)])
+    finally:
+        set_precision(128)
+    assert code == 0
+    assert json.loads(out)["payload"]["rank"] >= 1
+
+
 def _set_cups(cups):
     return lambda doc: doc.update(cups=cups)
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -200,6 +201,16 @@ HOM_EMBEDDING_G1 = [
     [0, 0, 0, 1, 0, 66224245265654316987970, 22222901095857154527331, 0],
 ]
 
+# its LLL basis at the default delta = 3/4
+HOM_EMBEDDING_G1_REDUCED = [
+    (1, 0, 0, 1, 0, 0, 0, 0),
+    (-15, -149, 50, 15, -175173819, -31580599, 24672380, 175173819),
+    (13510803208230733, 134207311868425279, -45036010694102445, -13510803208230733,
+     1935629524213699, -29516893938185691, -10294722031112051, -1935629524213699),
+    (3882965748130663168, 38570793098097920194, -12943219160435544374, -3882965748130663169,
+     -11534369080729358566, 175884374618980006604, 61343958411885111127, 11534369080729358566),
+]
+
 
 def gram_schmidt_oracle(rows):
     """Exact Gram-Schmidt over Q: (mu, squared norms of the b*_i)."""
@@ -226,7 +237,8 @@ def test_lll_reduces_hom_embedding_exactly():
         assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
     # the identity endomorphism is the only short vector, so LLL puts it first
     assert red[0] in {(1, 0, 0, 1, 0, 0, 0, 0), (-1, 0, 0, -1, 0, 0, 0, 0)}
-    assert lll_reduce(HOM_EMBEDDING_G1) == red
+    # the default delta is 3/4, and its basis is pinned bit for bit
+    assert red == lll_reduce(HOM_EMBEDDING_G1, Fraction(3, 4)) == HOM_EMBEDDING_G1_REDUCED
 
 
 def test_snf_of_lll_reduced_embedding():
@@ -238,20 +250,28 @@ def test_snf_of_lll_reduced_embedding():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 2), st.integers(0, 2**30))
-def test_lll_random(n, extra, seed):
+@given(st.integers(1, 5), st.integers(0, 2), st.integers(0, 2**30),
+       st.sampled_from([Fraction(3, 10), Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)]))
+def test_lll_random(n, extra, seed, delta):
     rng = random.Random(seed)
     rows = [[rng.randint(-6, 6) for _ in range(n + extra)] for _ in range(n)]
     if IntMatrix.from_rows(rows).rank() < n:
         with pytest.raises(DegenerateInputError):
-            lll_reduce(rows)
+            lll_reduce(rows, delta)
         return
-    red = lll_reduce(rows)
+    red = lll_reduce(rows, delta)
     assert lattices_equal(red, rows)
     mu, norms = gram_schmidt_oracle(red)
     assert all(abs(m) <= Fraction(1, 2) for row in mu for m in row)
     for k in range(1, n):
-        assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+        assert norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 4), Fraction(1, 5), 0, 1, Fraction(5, 4), 0.75,
+                                   mp.mpf("0.75"), "3/4", None])
+def test_lll_rejects_a_bad_lovasz_constant(delta):
+    with pytest.raises(InputError, match="delta"):
+        lll_reduce([[1, 0], [0, 1]], delta)
 
 
 @pytest.mark.parametrize(

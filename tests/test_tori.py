@@ -599,6 +599,38 @@ def test_hom_acceptance_threshold():
     assert ranks == {64: (2, 2), 96: (2, 2), 128: (2, 1), 192: (2, 1), 256: (2, 1)}
 
 
+def cm_product_json():
+    """CI's E_{i sqrt 2} x E_{i sqrt 5} in the coordinate change
+    A = [[2, 1 + i], [-i, 3]], written by `torus_to_json` at 128 bits."""
+    from plectic.serialize import torus_to_json
+
+    with working_precision():
+        A = mp.matrix([[2, mp.mpc(1, 1)], [mp.mpc(0, -1), 3]])
+        P = A * mp.matrix([[1, 1j * mp.sqrt(2), 0, 0], [0, 0, 1, 1j * mp.sqrt(5)]])
+        return torus_to_json(ComplexTorus(2, P))
+
+
+def test_end_contains_the_identity():
+    """Read back at more bits than it was written with, the CM product keeps
+    only the identity (from 256 bits), but End always holds it: at 192 bits
+    the identity was only a combination of near-relations, each of which
+    failed the acceptance test, and End came back empty."""
+    from plectic.serialize import torus_from_json
+
+    doc = cm_product_json()
+    identity = IntMatrix.from_rows([[x] for x in tori._vec(IntMatrix.identity(4))])
+    try:
+        for bits in (64, 128, 192, 256, 512):
+            set_precision(bits)
+            t = torus_from_json(doc)
+            basis = [tori._vec(N) for N in hom_lattice(t, t)]
+            assert basis, bits
+            A = IntMatrix.from_rows(list(zip(*basis)))
+            assert solve_integer(A, identity) is not None, bits
+    finally:
+        set_precision(128)
+
+
 def test_generic_three_torus_has_only_scalars():
     rng = random.Random(11)
     with working_precision():
