@@ -28,7 +28,6 @@ from .hodge import (
     plectic_jacobian,
     refine_to_classical,
     tensor,
-    trivial_structure,
     validate,
 )
 from .numberfields import FieldOrder, FractionalIdealRep
@@ -58,7 +57,6 @@ from .abeljacobi import (
     PlecticCycle,
     QuotientDatum,
     abel_jacobi,
-    classical_aj,
     iterated_integral,
     period_lattice,
     relift,
@@ -76,7 +74,6 @@ _FLAT_NAMES = frozenset({
     "d_operator",
     "extract_plectic_structure",
     "harmonic_space",
-    "hodge_star",
     "metric_independence_check",
     "verify_laplacian_sum",
     "verify_refined_identities",

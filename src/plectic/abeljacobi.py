@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from . import cxlinalg as cx
 from .config import resolve_tolerance, working_precision
 from .errors import DegenerateInputError, InputError
 from .hodge import PlecticHodgeStructure, elliptic_h1, tensor
@@ -33,7 +32,6 @@ __all__ = [
     "abel_jacobi",
     "relift",
     "theorem_b_harness",
-    "classical_aj",
     "HarnessReport",
 ]
 
@@ -262,14 +260,3 @@ def theorem_b_harness(d: QuotientDatum, c: PlecticCycle, nu: int,
             reports[mode] = ModeReport(mode, trials, float(worst), tuple(verdicts),
                                        sum(1 for v in verdicts if not v))
     return HarnessReport(nu, seed, reports["diagonal"], reports["factorwise"])
-
-
-def classical_aj(factor, x, y):
-    """(x - y) reduced modulo the rank-two lattice: the classical
-    Abel-Jacobi point of a single elliptic curve."""
-    with working_precision():
-        w1, w2 = mp.mpmathify(factor[0]), mp.mpmathify(factor[1])
-        z = mp.mpmathify(x) - mp.mpmathify(y)
-        M = mp.matrix([[mp.re(w1), mp.re(w2)], [mp.im(w1), mp.im(w2)]])
-        sol = cx.solve(M, mp.matrix([mp.re(z), mp.im(z)]))
-        return z - int(mp.nint(sol[0])) * w1 - int(mp.nint(sol[1])) * w2

@@ -69,6 +69,8 @@ def _load_input(args) -> dict:
         raise InputError(
             f"malformed JSON in {args.input} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError(f"malformed JSON in {args.input}: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{args.input}: the top level must be a JSON object")
     return obj

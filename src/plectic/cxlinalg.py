@@ -12,9 +12,9 @@ at most ||A||_1 * eps (the norm in the same measure, eps at the caller's
 precision, mpmath's rule for `det`) means A is singular, and `lu` returns
 None.  Taking eps at the raised precision instead would judge by the
 guard bits: the last pivot of an exactly singular integer product, left
-by rounding, reached 18 ||A||_1 eps at that precision.  `inverse`,
-`solve` and `det` are built on `lu`; the first two raise
-`DegenerateInputError` on a singular matrix, and `det` returns 0.
+by rounding, reached 18 ||A||_1 eps at that precision.  `inverse` and
+`solve` are built on `lu` and raise `DegenerateInputError` on a singular
+matrix.
 `lattice_lu` adds the test that lattice generators span: a Hadamard
 ratio at least the tolerance.
 
@@ -72,7 +72,7 @@ from .errors import DegenerateInputError, InputError
 __all__ = [
     "mpm", "conj", "ctranspose", "hstack", "frob", "sub", "kron", "matmul", "nullspace",
     "piece_coordinates", "outside", "real_imag_stack", "LU", "lu", "lattice_lu", "inverse",
-    "solve", "det",
+    "solve",
 ]
 
 _LU_GUARD_BITS = 10
@@ -443,9 +443,3 @@ def solve(A, B) -> mp.matrix:
     """X with A X = B for square A, by `lu`; raises DegenerateInputError
     when A is singular."""
     return _factor(A).solve(B)
-
-
-def det(A):
-    """det(A) by `lu`, and 0 when `lu` finds A singular."""
-    f = lu(A)
-    return mp.mpf(0) if f is None else f.det()

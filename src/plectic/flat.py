@@ -7,7 +7,7 @@ polynomials are closed under every operator built here, so nothing is
 discretized.
 
 Every operator built here is diagonal in frequency and acts on the 4^n
-refined types by a fixed map (the Hodge star also negates frequencies).
+refined types by a fixed map.
 Its multiplier for a pair of refined types is a polynomial in the
 frequency coordinates z_j (z_j = a m1 + b m2 for factor j's digits a, b
 and dual generators m1, m2) and their conjugates, so an operator is
@@ -53,11 +53,7 @@ __all__ = [
     "build_space",
     "xi_operator",
     "xi_bar_operator",
-    "e_operator",
-    "partial_operator",
-    "partial_bar_operator",
     "del_operator",
-    "delbar_operator",
     "d_operator",
     "adjoint",
     "laplacian_d",
@@ -65,7 +61,6 @@ __all__ = [
     "verify_refined_identities",
     "verify_laplacian_sum",
     "harmonic_space",
-    "hodge_star",
     "metric_independence_check",
     "extract_plectic_structure",
     "ResidualReport",
@@ -158,7 +153,6 @@ class FourierFormSpace:
         self.type_count = len(self.types)
         self.dim = self.freq_count * self.type_count
         self._cache = {}
-        self.one = (0,) * (2 * n)  # exponents of the constant monomial
 
     def variable(self, k: int) -> tuple:
         """Exponents of z_(k+1) for k < n, of conj(z_(k-n+1)) for n <= k < 2n."""
@@ -209,13 +203,6 @@ class FourierFormSpace:
                 for (x1, y1), (x2, y2) in self.torus.dual_generators()]
 
 
-def _slot_factor(factors, alpha, beta):
-    """The product of factors[j] over the set slots of alpha and of beta.
-    With factors[j] = 2 / w_j it is the Gram entry over the volume: the
-    squared length of dz_j and of dzbar_j is 2 / w_j."""
-    return math.prod(f for f, a, b in zip(factors, alpha, beta) for bit in (a, b) if bit)
-
-
 @dataclass
 class OperatorMatrix:
     """Operator on a Fourier form space, stored by refined type as
@@ -229,17 +216,12 @@ class OperatorMatrix:
     denominator.  The operator sends the basis element of type src at
     frequency m to the polynomial's value at m times the one of type dst
     at the same frequency.  Absent pairs are zero.  Coefficients are
-    Python ints except the Hodge star's complex constants.  +, -, scalar
-    *, @ (composition) and adjoint change coefficients and den only.  A
-    conjugate-linear operator (conjugates_argument, the Hodge star)
-    conjugates the coefficients of its argument first and sends frequency
-    m to -m; it may be scaled and added to another conjugate-linear
-    operator, but not composed or added to a linear one.
+    Python ints.  +, -, scalar *, @ (composition) and adjoint change
+    coefficients and den only.
     """
 
     space: FourierFormSpace
     blocks: dict
-    conjugates_argument: bool = False
     den: int = 1
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -253,14 +235,12 @@ class OperatorMatrix:
         as the exact rational it is."""
         num, den = scalar.as_integer_ratio()
         blocks = {key: {e: num * c for e, c in p.items()} for key, p in self.blocks.items()}
-        return OperatorMatrix(self.space, blocks, self.conjugates_argument, self.den * den)
+        return OperatorMatrix(self.space, blocks, self.den * den)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Composition: (self @ other) applies other first."""
-        if self.conjugates_argument or other.conjugates_argument:
-            raise InputError("composition is defined for linear operators only")
         by_src, sums, blocks = _by_src(self), {}, {}
         for (mid, src), pb in other.blocks.items():
             for dst, pa in by_src.get(mid, ()):
@@ -293,13 +273,12 @@ def _raise_sign(bits, j0) -> int:
 
 
 def _type_shift_operator(space, j0, kind) -> dict:
-    """Blocks of a slot-raising operator; kind selects multiplier and slot."""
+    """Blocks of a slot-raising operator; kind ("xi" or "xi_bar") selects
+    multiplier and slot."""
     if kind == "xi":
         mono = space.variable(space.torus.n + j0)
-    elif kind == "xi_bar":
+    else:
         mono = space.variable(j0)
-    else:  # e
-        mono = space.one
     blocks = {}
     for t, (alpha, beta) in enumerate(space.types):
         if kind == "xi_bar":
@@ -330,29 +309,6 @@ def xi_bar_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
     return OperatorMatrix(space, _type_shift_operator(space, j - 1, "xi_bar"))
 
 
-def e_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
-    """Wedge with dz_j."""
-    _check_j(space, j)
-    return OperatorMatrix(space, _type_shift_operator(space, j - 1, "e"))
-
-
-def _diag_operator(space, k) -> dict:
-    """pi i times the variable k on every type."""
-    return {(t, t): {space.variable(k): 1} for t in range(space.type_count)}
-
-
-def partial_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
-    """Coefficientwise d/dz_j (diagonal in the Fourier basis)."""
-    _check_j(space, j)
-    return OperatorMatrix(space, _diag_operator(space, space.torus.n + j - 1))
-
-
-def partial_bar_operator(space: FourierFormSpace, j: int) -> OperatorMatrix:
-    """Coefficientwise d/dzbar_j (diagonal in the Fourier basis)."""
-    _check_j(space, j)
-    return OperatorMatrix(space, _diag_operator(space, j - 1))
-
-
 def _check_j(space, j):
     if not 1 <= j <= space.torus.n:
         raise InputError(f"factor index {j} out of range 1..{space.torus.n}")
@@ -362,9 +318,6 @@ def _sum(ops) -> OperatorMatrix:
     """The sum of one or more operators over the lcm of their
     denominators, in one pass over their blocks."""
     ops = list(ops)
-    flag = ops[0].conjugates_argument
-    if any(op.conjugates_argument != flag for op in ops):
-        raise InputError("cannot add a linear and a conjugate-linear operator")
     den = math.lcm(*(op.den for op in ops))
     blocks = {}
     for op in ops:
@@ -374,15 +327,11 @@ def _sum(ops) -> OperatorMatrix:
             for e, c in p.items():
                 c *= k
                 acc[e] = acc[e] + c if e in acc else c
-    return OperatorMatrix(ops[0].space, blocks, flag, den)
+    return OperatorMatrix(ops[0].space, blocks, den)
 
 
 def del_operator(space: FourierFormSpace) -> OperatorMatrix:
     return _sum([xi_operator(space, j + 1) for j in range(space.torus.n)])
-
-
-def delbar_operator(space: FourierFormSpace) -> OperatorMatrix:
-    return _sum([xi_bar_operator(space, j + 1) for j in range(space.torus.n)])
 
 
 def d_operator(space: FourierFormSpace) -> OperatorMatrix:
@@ -394,21 +343,19 @@ def d_operator(space: FourierFormSpace) -> OperatorMatrix:
 def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     """Adjoint for the inner product with diagonal Gram matrix:
     A* = G^-1 A^H G, so block (dst, src) with polynomial a becomes block
-    (src, dst) with polynomial conj(a) G_dst / G_src: each coefficient is
-    conjugated, times (-1)^|e| for the conjugate of (pi i)^|e|, and scaled
-    by the exact ratio of slot factors (the volume cancels), and z_j and
-    conj(z_j) swap places.  The ratio is g_dst (L / g_src) over L
+    (src, dst) with polynomial conj(a) G_dst / G_src: each coefficient, a
+    real int, is multiplied by (-1)^|e| for the conjugate of (pi i)^|e| and
+    scaled by the exact ratio of slot factors (the volume cancels), and z_j
+    and conj(z_j) swap places.  The ratio is g_dst (L / g_src) over L
     (FourierFormSpace.slot_inverses), so the result's denominator is
     op.den L."""
-    if op.conjugates_argument:
-        raise InputError("adjoint is defined for linear operators only")
     g, _ = op.space.slot_factors
     scale, inverses = op.space.slot_inverses
     n = op.space.torus.n
     blocks = {}
     for (dst, src), p in op.blocks.items():
         ratio = g[dst] * inverses[src]
-        blocks[(src, dst)] = {e[n:] + e[:n]: (-1) ** sum(e) * c.conjugate() * ratio
+        blocks[(src, dst)] = {e[n:] + e[:n]: (-1) ** sum(e) * c * ratio
                               for e, c in p.items()}
     return OperatorMatrix(op.space, blocks, den=op.den * scale)
 
@@ -615,43 +562,6 @@ def harmonic_space(space: FourierFormSpace, alpha, beta) -> HarmonicBasis:
         raise InputError("unknown refined type")
     return HarmonicBasis(space, alpha, beta,
                          _kernel_factors(space, space.type_index[(alpha, beta)]))
-
-
-def hodge_star(space: FourierFormSpace) -> OperatorMatrix:
-    """Conjugate-linear Hodge star: psi ^ (star eta) = (psi, eta) vol.
-
-    The blocks are constants, the images of basis elements; applying the
-    operator to a general vector conjugates its coefficients first
-    (conjugates_argument is set).  Types map to their slotwise
-    complements and frequencies negate.
-    """
-    n = space.torus.n
-    weights = space.torus.weights
-    factors = [2.0 / w for w in weights]
-    vol_coeff = 1.0 + 0.0j
-    for w in weights:
-        vol_coeff *= 1j * w / 2.0
-    interleaved = [s for j in range(n) for s in (j, n + j)]
-    vol_coeff *= _perm_sign(interleaved)
-    blocks = {}
-    for t, (alpha, beta) in enumerate(space.types):
-        slots = [j for j in range(n) if alpha[j]] + [n + j for j in range(n) if beta[j]]
-        cal = tuple(1 - a for a in alpha)
-        cbe = tuple(1 - b for b in beta)
-        cslots = [j for j in range(n) if cal[j]] + [n + j for j in range(n) if cbe[j]]
-        c_b = _slot_factor(factors, alpha, beta) * vol_coeff * _perm_sign(slots + cslots)
-        blocks[(space.type_index[(cal, cbe)], t)] = {space.one: complex(c_b)}
-    return OperatorMatrix(space, blocks, conjugates_argument=True)
-
-
-def _perm_sign(seq) -> int:
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
 
 
 def metric_independence_check(torus: FlatTorus, weights_a, weights_b, truncation: int) -> dict:

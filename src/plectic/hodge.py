@@ -37,7 +37,6 @@ __all__ = [
     "check_morphism",
     "orthogonality_check",
     "elliptic_h1",
-    "trivial_structure",
 ]
 
 
@@ -350,9 +349,3 @@ def elliptic_h1(omega1, omega2) -> PlecticHodgeStructure:
             Bidegree((0,), (1,)): cx.conj(hol),
         }
     return PlecticHodgeStructure(1, 2, pieces)
-
-
-def trivial_structure(n: int = 0) -> PlecticHodgeStructure:
-    """Rank-one structure concentrated at bidegree (0, 0)."""
-    pieces = {Bidegree((0,) * n, (0,) * n): cx.mpm([[1]])}
-    return PlecticHodgeStructure(n, 1, pieces)

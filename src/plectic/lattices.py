@@ -5,9 +5,9 @@ routine rounds, apart from :func:`fraction_to_mpf`.  A lattice is a list
 of integer basis rows (or an :class:`IntMatrix` holding them).
 
 The Hermite normal form is the one lattice normal form: ranks, kernels,
-saturations, row-lattice bases, integer solves, lattice equality and
-torsion-free quotients all come from :func:`hermite_normal_form`, and
-every basis they return is the canonical (Hermite) one.  It is also the
+saturations, row-lattice bases, integer solves and torsion-free
+quotients all come from :func:`hermite_normal_form`, and every basis
+they return is the canonical (Hermite) one.  It is also the
 one solve: :func:`solve_integer` solves A X = B for every column of B
 against one Hermite form of A^T, and the exact rational inverse
 (:func:`fraction_inverse`) is the adjugate over the determinant, one such
@@ -69,10 +69,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     # -- algebra -------------------------------------------------------
 
@@ -144,9 +140,6 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
     def rank(self) -> int:
         return hermite_normal_form(self)[0].rows
@@ -453,13 +446,6 @@ def int_combination(coeffs, mats) -> IntMatrix:
     terms = [(c, M.entries) for c, M in zip(coeffs, mats) if c]
     return IntMatrix(rows, cols, tuple(
         tuple(sum(c * e[i][j] for c, e in terms) for j in range(cols)) for i in range(rows)))
-
-
-def lattices_equal(a_rows, b_rows) -> bool:
-    """Exact equality of the row lattices spanned by two generator lists:
-    a comparison of their Hermite normal forms."""
-    a, b = (row_lattice_basis(IntMatrix.from_rows(r)) if r else [] for r in (a_rows, b_rows))
-    return a == b
 
 
 def torsion_free_quotient(sub_rows, ambient_rows):

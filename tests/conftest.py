@@ -149,3 +149,15 @@ def raw(x):
     if isinstance(x, mp.mpf):
         return "mpf", x._mpf_
     return x
+
+
+def classical_aj(factor, x, y):
+    """(x - y) reduced modulo the rank-two lattice of factor = (w1, w2) by
+    rounding its real coordinates: the classical Abel-Jacobi point of a
+    single elliptic curve, the reference for abel_jacobi at n = 1."""
+    with working_precision():
+        w1, w2 = mp.mpmathify(factor[0]), mp.mpmathify(factor[1])
+        z = mp.mpmathify(x) - mp.mpmathify(y)
+        M = mp.matrix([[mp.re(w1), mp.re(w2)], [mp.im(w1), mp.im(w2)]])
+        sol = cx.solve(M, mp.matrix([mp.re(z), mp.im(z)]))
+        return z - int(mp.nint(sol[0])) * w1 - int(mp.nint(sol[1])) * w2

@@ -3,11 +3,11 @@ import random
 import mpmath as mp
 import pytest
 
+from conftest import classical_aj
 from plectic.abeljacobi import (
     PlecticCycle,
     QuotientDatum,
     abel_jacobi,
-    classical_aj,
     functional,
     iterated_integral,
     period_lattice,

@@ -11,12 +11,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from conftest import classical_aj
 from plectic import cxlinalg as cx
 from plectic.abeljacobi import (
     PlecticCycle,
     QuotientDatum,
     abel_jacobi,
-    classical_aj,
     theorem_b_harness,
 )
 from plectic.config import working_precision

@@ -205,11 +205,18 @@ def test_check_failure_exits_one(fixtures):
     assert float(report["payload"]["conjugation_residual"]) > 0.1
 
 
-def test_malformed_json_exits_two(fixtures, capsys):
+def test_malformed_json_exits_two(fixtures, tmp_path, capsys):
     code = main(["phs", "validate", "--input", fixtures["malformed.json"]])
     err = capsys.readouterr().err
     assert code == 2
     assert "line 1" in err and "column" in err
+    # nested 100,000 deep, past the JSON decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"g": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code = main(["torus", "dual", "--input", str(deep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
 
 
 def test_missing_input_exits_two(capsys):
@@ -949,7 +956,7 @@ def test_flat_command_in_fresh_interpreter(tmp_path):
 
 
 FLAT_EXPORTS = ["FlatTorus", "FourierFormSpace", "OperatorMatrix", "adjoint", "build_space",
-                "d_operator", "extract_plectic_structure", "harmonic_space", "hodge_star",
+                "d_operator", "extract_plectic_structure", "harmonic_space",
                 "metric_independence_check", "verify_laplacian_sum",
                 "verify_refined_identities", "xi_operator"]
 

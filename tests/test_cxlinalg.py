@@ -24,6 +24,12 @@ def random_matrix(n, cols, complex_entries, seed):
     return mp.matrix(rows)
 
 
+def det(A):
+    """det(A) from `lu`, and 0 when `lu` finds A singular."""
+    f = cx.lu(A)
+    return mp.mpf(0) if f is None else f.det()
+
+
 def unit_roundoff():
     return mp.mpf(2) ** -get_precision()
 
@@ -50,7 +56,7 @@ def test_solve_and_det_match_mpmath(n, complex_entries, seed):
         bound = mp.mpf(2) ** (8 - get_precision()) * kappa
         x = cx.solve(A, b)
         assert cx.frob(x - mp.lu_solve(A, b)) <= bound * cx.frob(x)
-        d = cx.det(A)
+        d = det(A)
         assert abs(d - mp.det(A)) <= bound * abs(d)
 
 
@@ -75,7 +81,7 @@ def test_singular_matrices_have_no_lu(n, complex_entries, seed):
     with working_precision():
         for M in (zero_col, repeated, B * C):
             assert cx.lu(M) is None
-            assert cx.det(M) == 0
+            assert det(M) == 0
             with pytest.raises(DegenerateInputError):
                 cx.inverse(M)
 
@@ -100,8 +106,8 @@ def test_solve_of_a_block_matches_its_columns():
 
 def test_det_sign_follows_row_swaps():
     with working_precision():
-        assert cx.det(mp.matrix([[0, 1], [1, 0]])) == -1
-        assert cx.det(mp.matrix([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == -30
+        assert det(mp.matrix([[0, 1], [1, 0]])) == -1
+        assert det(mp.matrix([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == -30
 
 
 def _real(exponents, special):

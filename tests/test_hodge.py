@@ -18,7 +18,6 @@ from plectic.hodge import (
     plectic_jacobian,
     refine_to_classical,
     tensor,
-    trivial_structure,
     validate,
 )
 from plectic.lattices import IntMatrix
@@ -26,6 +25,11 @@ from plectic.tori import ComplexTorus, dual_torus, power_torus, tori_isomorphic
 
 TAU1 = mp.mpc("0.3", "1.7")
 TAU2 = mp.mpc("-0.2", "0.9")
+
+
+def trivial_structure(n: int = 0) -> PlecticHodgeStructure:
+    """Rank-one structure concentrated at bidegree (0, 0)."""
+    return PlecticHodgeStructure(n, 1, {Bidegree((0,) * n, (0,) * n): cx.mpm([[1]])})
 
 
 def broken_symmetry():

@@ -208,7 +208,7 @@ def test_strongly_primitive_zero_cups_identity():
     tgt = PlecticHodgeStructure(2, 2, {
         Bidegree((1, 0), (1, 0)): cx.mpm([[1, 0], [0, 1]]),
     })
-    out = strongly_primitive(t, [CupOperator(1, IntMatrix.zeros(2, 4), tgt)])
+    out = strongly_primitive(t, [CupOperator(1, IntMatrix.from_rows([[0] * 4] * 2), tgt)])
     assert out.rank == t.rank
     assert {bd.key() for bd in out.pieces} == {bd.key() for bd in t.pieces}
 
@@ -234,7 +234,7 @@ def test_cup_target_pieces_must_be_a_basis(pieces, message):
     t = tensor(elliptic_h1(1, mp.mpc(0, 1)), elliptic_h1(1, mp.mpc(0, 1)))
     tgt = PlecticHodgeStructure(2, 2, {bd: cx.mpm(b) for bd, b in pieces.items()})
     with pytest.raises(DegenerateInputError, match=message):
-        strongly_primitive(t, [CupOperator(1, IntMatrix.zeros(2, 4), tgt)])
+        strongly_primitive(t, [CupOperator(1, IntMatrix.from_rows([[0] * 4] * 2), tgt)])
 
 
 def test_dependent_translates_are_rejected():
