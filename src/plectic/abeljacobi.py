@@ -95,9 +95,6 @@ class PlecticCycle:
     def elementary(cls, lifts) -> "PlecticCycle":
         return cls(((1, tuple((mp.mpmathify(x), mp.mpmathify(y)) for x, y in lifts)),))
 
-    def __add__(self, other: "PlecticCycle") -> "PlecticCycle":
-        return PlecticCycle(self.terms + other.terms)
-
 
 @dataclass(frozen=True)
 class PeriodFunctional:

@@ -243,14 +243,7 @@ def cmd_torus_rm_algebraize(args, config):
         if rm is None:
             raise InputError("no rm supplied and none detected")
     res = tr.algebraize_rm(t, rm, tol=config.tolerance)
-    payload = {
-        "z": [ser.complex_to_json(c) for c in res.z],
-        "ideal": res.ideal.to_json(),
-        "field": res.field.to_json(),
-        "iso": ser.matrix_to_json(res.iso),
-        "index": res.index,
-        "residual": real_to_json(res.residual),
-    }
+    payload = {**ser.certificate_to_json(res), "index": res.index}
     return payload, bool(res.residual < config.tolerance * 1000)
 
 
@@ -516,7 +509,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the caller's working precision is restored on return."""
     args = _parser().parse_args(argv)
+    caller = cfg.get_precision()
+    try:
+        return _run(args)
+    finally:
+        cfg.set_precision(caller)
+
+
+def _run(args) -> int:
     try:
         precision = args.precision
         if precision is None:

@@ -21,19 +21,30 @@ class SearchExhaustedError(PlecticError):
     """A bounded enumeration finished without finding the required witness."""
 
 
+MESSAGE_CHARS = 200  # the longest message `reading` raises
+_CUT = " ... [cut]"
+
+
 @contextlib.contextmanager
 def reading(what: str):
     """Read one JSON document: a missing key, a value of the wrong type, a
     list too short or a number that does not parse ("1/0" included) becomes
     one `InputError` naming the document.  Wrap only the reading, never the
     constructors the values feed, so that a fault in the library is not
-    reported as bad input."""
+    reported as bad input.  A message longer than MESSAGE_CHARS, one that
+    echoes a large offending value, is cut to that length and ends in
+    " ... [cut]"."""
     try:
         yield
     except KeyError as exc:
-        raise InputError(f"{what}: missing {exc}") from exc
+        raise InputError(_cut(f"{what}: missing {exc}")) from exc
     except (TypeError, ValueError, IndexError, ArithmeticError) as exc:
-        raise InputError(f"{what}: {str(exc) or type(exc).__name__}") from exc
+        raise InputError(_cut(f"{what}: {str(exc) or type(exc).__name__}")) from exc
+
+
+def _cut(message: str) -> str:
+    long = len(message) > MESSAGE_CHARS
+    return message[:MESSAGE_CHARS - len(_CUT)] + _CUT if long else message
 
 
 def json_int(x, strings: bool = False) -> int:

@@ -1,8 +1,8 @@
 """Plectic Hodge structures: bidegree decompositions of H (x) C with
 conjugation symmetry, their refinement to classical Hodge structures,
-filtrations, tensor products, morphism and orthogonality checks, the
-Jacobian construction, and the algebraicity certificate of a Jacobian with
-real multiplication.
+filtrations, tensor products, morphism and orthogonality checks, every
+Jacobian as one quotient, `jacobian(h, keep)` = H \\ (H (x) C) / F for F the
+pieces whose bidegree satisfies `keep`, and the RM algebraicity certificate.
 
 A classical Hodge structure is a plectic one of degree n = 1, with the
 (p, q) piece at `Bidegree((p,), (q,))`; there is no separate type.
@@ -32,6 +32,7 @@ __all__ = [
     "is_effective_weight_one",
     "hodge_filtration",
     "tensor",
+    "jacobian",
     "plectic_jacobian",
     "jacobian_is_abelian_certificate",
     "check_morphism",
@@ -190,12 +191,16 @@ def is_effective_weight_one(h: PlecticHodgeStructure) -> bool:
     return all(bd.is_effective_weight_one() for bd in h.pieces)
 
 
-def hodge_filtration(h: PlecticHodgeStructure, j: int) -> mp.matrix:
-    """Concatenated basis of the pieces with alpha_j >= 1 (j is 1-based)."""
+def _weight_one_index(h: PlecticHodgeStructure, j: int):
     if not 1 <= j <= h.n:
         raise InputError(f"index {j} out of range 1..{h.n}")
     if not is_effective_weight_one(h):
         raise InputError("filtration is defined for effective weight-one structures")
+
+
+def hodge_filtration(h: PlecticHodgeStructure, j: int) -> mp.matrix:
+    """Concatenated basis of the pieces with alpha_j >= 1 (j is 1-based)."""
+    _weight_one_index(h, j)
     mats = [v for bd, v in h.sorted_pieces() if bd.alpha[j - 1] >= 1]
     F = cx.hstack(mats)
     if 2 * F.cols != h.rank:
@@ -214,28 +219,42 @@ def tensor(a: PlecticHodgeStructure, b: PlecticHodgeStructure) -> PlecticHodgeSt
     return PlecticHodgeStructure(a.n + b.n, a.rank * b.rank, pieces)
 
 
-def plectic_jacobian(h: PlecticHodgeStructure, j: int) -> ComplexTorus:
-    """The complex torus H \\ (H (x) C) / F^{1_j}, with the conjugate
-    filtration as the complement of F^{1_j}."""
-    F = hodge_filtration(h, j)
-    comp = cx.hstack([v for bd, v in h.sorted_pieces() if bd.alpha[j - 1] == 0])
-    _, X, block = cx.piece_coordinates([("F", F), ("comp", comp)], "filtration and complement")
-    return _coordinate_torus(X, block["comp"])
+def jacobian(h: PlecticHodgeStructure, keep) -> ComplexTorus:
+    """H \\ (H (x) C) / F, for F the sum of the pieces whose bidegree
+    satisfies the predicate `keep`: B = [F | comp], F and the other pieces
+    each in `sorted_pieces` order, is inverted once, and the periods are the
+    comp rows of B^-1, the lattice vectors' coordinates along comp."""
+    return _jacobian(h, keep)[0]
 
 
-def _coordinate_torus(X, rows: slice) -> ComplexTorus:
-    """H \\ (H (x) C) / F for X = [F | comp]^-1 from `cx.piece_coordinates`
-    (None when singular): the periods are the comp coordinates, X[rows, :]."""
+def _jacobian(h: PlecticHodgeStructure, keep):
+    """`jacobian`, with the (B, X = B^-1, bidegree -> rows of X) of its one
+    factorization, as `cx.piece_coordinates` returns them."""
+    pieces = h.sorted_pieces()
+    F = [(bd, v) for bd, v in pieces if keep(bd)]
+    comp = [(bd, v) for bd, v in pieces if not keep(bd)]
+    g = sum(v.cols for _, v in F)
+    if 2 * g != h.rank:
+        raise DegenerateInputError("filtration does not have half the rank")
+    B, X, block = cx.piece_coordinates(F + comp, "filtration and complement")
     if X is None:
         raise DegenerateInputError("filtration complement is degenerate")
     with working_precision():
-        periods = X[rows, :]
+        periods = X[g:, :]
         try:
-            return ComplexTorus(periods.rows, periods)
+            return ComplexTorus(periods.rows, periods), (B, X, block)
         except DegenerateInputError as exc:
             raise DegenerateInputError(
                 "lattice does not project to a full lattice in the quotient"
             ) from exc
+
+
+def plectic_jacobian(h: PlecticHodgeStructure, j: int) -> ComplexTorus:
+    """The j-th plectic Jacobian H \\ (H (x) C) / F^{1_j} of an effective
+    weight-one structure (j is 1-based): `jacobian` by the pieces with
+    alpha_j = 1, with the conjugate filtration (alpha_j = 0) as complement."""
+    _weight_one_index(h, j)
+    return jacobian(h, lambda bd: bd.alpha[j - 1] == 1)
 
 
 H10, H01 = Bidegree((1,), (0,)), Bidegree((0,), (1,))
@@ -247,10 +266,10 @@ def jacobian_is_abelian_certificate(h: PlecticHodgeStructure, rm: RMStructure | 
     structure of degree 1 carrying real multiplication: the (z, ideal)
     normal form of the Jacobian torus, by `algebraize_rm`.
 
-    B = [H^{1,0} | H^{0,1}] is inverted once.  The H^{0,1} rows of X = B^-1
-    are the Jacobian's periods, as in `plectic_jacobian`, and X also reads
-    off the share of each action matrix's image of a piece that lies
-    outside that piece.
+    The torus is `jacobian(h, keep)` with keep = H^{1,0}, and the one
+    inverse X of B = [H^{1,0} | H^{0,1}] it is read from also reads off the
+    share of each action matrix's image of a piece that lies outside that
+    piece.
 
     With rm=None the field is the first one detect_rm meets within
     height_bound; a torus with several real-multiplication fields may be
@@ -262,9 +281,7 @@ def jacobian_is_abelian_certificate(h: PlecticHodgeStructure, rm: RMStructure | 
     if h.n != 1 or h.pieces.keys() != {H10, H01}:
         raise InputError("the certificate needs a structure of degree 1 with pieces "
                          "H^{1,0} and H^{0,1}")
-    pieces = [(bd, h.pieces[bd]) for bd in (H10, H01)]
-    B, X, block = cx.piece_coordinates(pieces, "filtration and complement")
-    torus = _coordinate_torus(X, block[H01])
+    torus, (B, X, block) = _jacobian(h, lambda bd: bd == H10)
     if rm is None:
         rm = detect_rm(torus, height_bound)
         if rm is None:
@@ -272,9 +289,9 @@ def jacobian_is_abelian_certificate(h: PlecticHodgeStructure, rm: RMStructure | 
     if 2 * rm.field.degree != h.rank:
         raise InputError("field degree must be half the lattice rank")
     for a in rm.action:
-        for bd, basis in pieces:
+        for bd in (H10, H01):
             # the image is formed at mpmath's ambient precision (ROADMAP item 2)
-            image = cx.matmul(cx.mpm(a.entries), basis)
+            image = cx.matmul(cx.mpm(a.entries), h.pieces[bd])
             with working_precision():
                 resid = cx.outside(image, B, X, block[bd])
             if resid > tol * 1000:
@@ -305,27 +322,23 @@ def check_morphism(f: IntMatrix, src: PlecticHodgeStructure,
     return True
 
 
-def orthogonality_check(h: PlecticHodgeStructure, pairing: IntMatrix, tol=None,
-                        companion: PlecticHodgeStructure | None = None) -> bool:
+def orthogonality_check(h: PlecticHodgeStructure, pairing: IntMatrix, tol=None) -> bool:
     """Check that each piece H^{a,b} is exactly the annihilator, under
-    the given perfect integer pairing P, of every companion piece except
-    the complementary one (complements taken against the all-ones
-    weight).  The companion defaults to h itself, the middle-degree
-    self-pairing case.  With W = P (those companion pieces), a piece of a
-    structure that passes `validate` is that annihilator iff its dimension
-    is rank - W.cols and ||basis^T W||_F <= tol ||basis||_F ||W||_F."""
+    the given perfect integer pairing P, of every other piece except the
+    complementary one (complements taken against the all-ones weight): the
+    middle-degree self-pairing case.  With W = P (those other pieces), a
+    piece of a structure that passes `validate` is that annihilator iff its
+    dimension is rank - W.cols and ||basis^T W||_F <= tol ||basis||_F ||W||_F."""
     tol = resolve_tolerance(tol)
-    if companion is None:
-        companion = h
-    if pairing.rows != h.rank or pairing.cols != companion.rank:
+    if pairing.rows != h.rank or pairing.cols != h.rank:
         raise InputError("pairing shape mismatch")
-    if pairing.rows != pairing.cols or abs(pairing.det()) != 1:
+    if abs(pairing.det()) != 1:
         raise DegenerateInputError("pairing is not perfect")
     with working_precision():
         P = cx.mpm(pairing.entries)
         for bd, basis in h.sorted_pieces():
             comp_bd = bd.complement()
-            others = [v for kd, v in companion.sorted_pieces() if kd != comp_bd]
+            others = [v for kd, v in h.sorted_pieces() if kd != comp_bd]
             if not others:
                 continue
             W = cx.matmul(P, cx.hstack(others))

@@ -25,11 +25,11 @@ from .lattices import IntMatrix
 from .numberfields import FieldOrder
 
 __all__ = [
-    "real_to_json", "real_from_json", "complex_to_json", "complex_from_json",
+    "real_to_json", "complex_to_json", "complex_from_json",
     "phs_to_json", "phs_from_json", "classical_to_json",
     "torus_to_json", "torus_from_json", "rm_to_json", "rm_from_json",
     "datum_to_json", "datum_from_json", "cycle_to_json", "cycle_from_json",
-    "flat_torus_to_json", "flat_torus_from_json", "certificate_to_json",
+    "flat_torus_from_json", "certificate_to_json",
     "int_rows_to_json", "int_rows_from_json",
 ]
 
@@ -45,16 +45,10 @@ def _real_str(x, digits) -> str:
     return mp.nstr(x if isinstance(x, mp.mpf) else mp.mpf(x), digits, strip_zeros=False)
 
 
-def real_from_json(s):
-    """A finite decimal at working precision; inf and nan are input errors."""
-    with reading("bad decimal"), working_precision():
-        return _decimal(s)
-
-
 def _decimal(s):
-    """`real_from_json` without the guard or the precision context, for
-    readers that hold both.  A decimal is a JSON string: a JSON number
-    (true, 1.5) raises TypeError for `reading` to report."""
+    """A finite decimal, for readers that hold `reading` and the working
+    precision; inf and nan are input errors.  A decimal is a JSON string: a
+    JSON number (true, 1.5) raises TypeError for `reading` to report."""
     if type(s) is not str:
         raise TypeError(f"expected a decimal string, not {s!r}")
     x = mp.mpf(s)
@@ -243,13 +237,6 @@ def cycle_from_json(obj: dict):
             )
             terms.append((json_int(t["coeff"]), lifts))
     return PlecticCycle(tuple(terms))
-
-
-def flat_torus_to_json(t) -> dict:
-    return {
-        "factors": [[complex_to_json(w1), complex_to_json(w2)] for w1, w2 in t.factors],
-        "weights": [repr(float(w)) for w in t.weights],
-    }
 
 
 def flat_torus_from_json(obj: dict):

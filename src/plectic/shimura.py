@@ -24,8 +24,8 @@ from .hodge import (
     Bidegree,
     PlecticHodgeStructure,
     ValidationReport,
-    _coordinate_torus,
     check_morphism,
+    jacobian,
     jacobian_is_abelian_certificate,
     validate,
 )
@@ -219,28 +219,18 @@ def _check_cup(h: PlecticHodgeStructure, cup: CupOperator, tol):
 def nu_hodge_structure(d: StronglyPrimitiveDatum, nu: int, tol=None) -> PlecticHodgeStructure:
     """Weight-one structure of degree 1 whose F^1 collects the pieces of
     `build_plectic_from_frobenii(d)` with beta_nu = 0, and whose H^{0,1} the
-    others.  It inherits that structure's span and conjugation checks.  The
+    others, each in `itertools.product` order of beta, as the translates were
+    formed.  It inherits that structure's span and conjugation checks.  The
     involutions other than the nu-th are automorphisms of it by construction:
     they commute and square to 1, so Frob_mu maps the translate at beta to
     the one at beta + e_mu, whose nu-th bit is the same."""
-    return _nu_structure(d, nu, tol)[0]
-
-
-def _nu_structure(d: StronglyPrimitiveDatum, nu: int, tol):
-    """`nu_hodge_structure`, with the X = [F^1 | C^1]^-1 it is factored in
-    and the rows of X that hold the C^1 coordinates.  The columns follow
-    beta in `itertools.product` order, as the translates were formed."""
     if not 1 <= nu <= d.r:
         raise InputError("nu out of range")
     phs, _ = build_plectic_from_frobenii(d, tol)
     parts = ([], [])  # F^1, C^1
     for beta in itertools.product((0, 1), repeat=d.r):
         parts[beta[nu - 1]].append(phs.piece(tuple(1 - b for b in beta), beta))
-    F1, C1 = cx.hstack(parts[0]), cx.hstack(parts[1])
-    _, X, block = cx.piece_coordinates([("F1", F1), ("C1", C1)], "involution translates")
-    if X is None:
-        raise DegenerateInputError("involution translates do not span in direct sum")
-    return PlecticHodgeStructure(1, d.rank, {H10: F1, H01: C1}), X, block["C1"]
+    return PlecticHodgeStructure(1, d.rank, {H10: cx.hstack(parts[0]), H01: cx.hstack(parts[1])})
 
 
 def character_decompose(d: StronglyPrimitiveDatum, nu: int):
@@ -283,8 +273,8 @@ def plectic_jacobian_qsv(d: StronglyPrimitiveDatum, nu: int,
     certificate on every character piece where a real-multiplication
     action is supplied (via Hecke restriction) or detected."""
     tol = resolve_tolerance(tol)
-    h1, X, rows = _nu_structure(d, nu, tol)
-    torus = _coordinate_torus(X, rows)  # plectic_jacobian(h1, 1), from the same factorization
+    h1 = nu_hodge_structure(d, nu, tol)
+    torus = jacobian(h1, lambda bd: bd == H10)
     chars = character_decompose(d, nu)
     certs = {}
     skipped = []

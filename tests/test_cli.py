@@ -16,7 +16,8 @@ import test_tori
 import plectic.serialize as ser
 from plectic import cxlinalg as cx
 from plectic.cli import HANDLERS, main
-from plectic.config import set_precision
+from plectic.config import get_precision, set_precision
+from plectic.errors import MESSAGE_CHARS
 from plectic.hodge import elliptic_h1, tensor
 from plectic.lattices import IntMatrix
 from plectic.numberfields import FieldOrder
@@ -219,6 +220,21 @@ def test_malformed_json_exits_two(fixtures, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("g", [json.dumps(list(range(100_000))), "[" * 900 + "]" * 900],
+                         ids=["long", "deep"])
+def test_input_error_cuts_the_offending_value(g, tmp_path, capsys):
+    """A value of the wrong type is echoed in the error only up to the cut:
+    the long list (689 KB of text) and the list nested 900 deep (below the
+    recursion limit) each give one short line ending in the marker."""
+    doc = tmp_path / "torus.json"
+    doc.write_text('{"g": ' + g + "}")
+    code = main(["torus", "dual", "--input", str(doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(" ... [cut]\n") and len(err) <= len("error: \n") + MESSAGE_CHARS
+
+
 def test_missing_input_exits_two(capsys):
     code = main(["phs", "validate"])
     assert code == 2
@@ -235,6 +251,22 @@ def test_env_precision_override(fixtures, monkeypatch):
     assert json.loads(out)["config"]["precision"] == 96
     monkeypatch.delenv("PLECTIC_PRECISION")
     set_precision(128)
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["phs", "validate", "--precision", "64"], 0),
+    (["torus", "dual", "--precision", "64"], 2),
+    (["phs", "validate", "--precision", "40"], 2),
+], ids=["report", "error", "bad-precision"])
+def test_main_restores_the_callers_precision(argv, exit_code, fixtures, capsys):
+    """--precision holds for one call only: a library call after it runs at
+    the caller's precision, whether the call reports or exits 2."""
+    set_precision(200)
+    try:
+        assert main(argv + ["--input", fixtures["phs.json"]]) == exit_code
+        assert get_precision() == 200
+    finally:
+        set_precision(128)
 
 
 def test_output_file(fixtures, tmp_path, capsys):

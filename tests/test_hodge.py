@@ -14,6 +14,7 @@ from plectic.hodge import (
     elliptic_h1,
     hodge_filtration,
     is_effective_weight_one,
+    jacobian,
     orthogonality_check,
     plectic_jacobian,
     refine_to_classical,
@@ -21,7 +22,7 @@ from plectic.hodge import (
     validate,
 )
 from plectic.lattices import IntMatrix
-from plectic.tori import ComplexTorus, dual_torus, power_torus, tori_isomorphic
+from plectic.tori import ComplexTorus, dual_torus, hom_lattice, power_torus, tori_isomorphic
 
 TAU1 = mp.mpc("0.3", "1.7")
 TAU2 = mp.mpc("-0.2", "0.9")
@@ -406,3 +407,33 @@ def test_orthogonality_agrees_with_projector_reference(ts, moves):
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     unimodular = IntMatrix.from_rows(rows) @ power
     assert orthogonality_check(h, unimodular) == reference_orthogonality_check(h, unimodular)
+
+
+def _generic_factors():
+    """Irrational tau_j with no complex multiplication; decimal tau would
+    lie in Q(i)."""
+    return (mp.mpc(mp.pi / 7, mp.e / 2), mp.mpc(-mp.sqrt(2) / 3, mp.sqrt(3) / 2),
+            mp.mpc(mp.log(3) / 5, mp.sqrt(5) / 2))
+
+
+@pytest.mark.parametrize("factors,ranks", [
+    (_generic_factors, [1, 1, 16, 16, 16]),
+    (lambda: (mp.mpc(0, 1),) * 3, [32] * 5),
+], ids=["generic", "cm"])
+def test_griffiths_weil_and_plectic_jacobians_end_ranks(factors, ranks):
+    """The paper's contrast on H = (x)_{j<=3} H^1(E_j), built at the working
+    precision: every quotient is `jacobian` by another sum of pieces.
+    Griffiths' torus divides by F^2 (|alpha| >= 2), Weil's by H^{3,0} +
+    H^{1,2} (|alpha| - |beta| = 3 mod 4), the plectic J_nu by F^{1_nu}.  At
+    generic factors End(J_nu) = End(E_nu^4) has rank 4 * 4, while Griffiths'
+    and Weil's tori have only Z; at tau_j = i all five are isogenous to
+    E_i^4, with End of rank 32."""
+    with working_precision():
+        h = None
+        for tau in factors():
+            h = elliptic_h1(1, tau) if h is None else tensor(h, elliptic_h1(1, tau))
+    tori = [jacobian(h, lambda bd: sum(bd.alpha) >= 2),
+            jacobian(h, lambda bd: (sum(bd.alpha) - sum(bd.beta)) % 4 == 3)]
+    tori += [plectic_jacobian(h, nu) for nu in (1, 2, 3)]
+    assert [t.g for t in tori] == [4] * 5
+    assert [len(hom_lattice(t, t)) for t in tori] == ranks
