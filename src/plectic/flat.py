@@ -152,7 +152,6 @@ class FourierFormSpace:
         self.type_index = {t: i for i, t in enumerate(self.types)}
         self.type_count = len(self.types)
         self.dim = self.freq_count * self.type_count
-        self._cache = {}
 
     def variable(self, k: int) -> tuple:
         """Exponents of z_(k+1) for k < n, of conj(z_(k-n+1)) for n <= k < 2n."""
@@ -191,6 +190,16 @@ class FourierFormSpace:
         """The exponents of each |z_j|^2 = z_j conj(z_j), mapped to j."""
         n = self.torus.n
         return {tuple(int(i in (j, n + j)) for i in range(2 * n)): j for j in range(n)}
+
+    @functools.cached_property
+    def laplacian(self) -> "OperatorMatrix":
+        """Delta_d = d d* + d* d from _laplacian_pass of d, read through
+        laplacian_d.  Its (2n)(2n - 1) cross terms must all vanish, so that it
+        is type-block-diagonal; DegenerateInputError is raised otherwise."""
+        total, cross = _laplacian_pass(d_operator(self))
+        if cross:
+            raise DegenerateInputError("Laplacian cross terms failed to anticommute")
+        return total
 
     @functools.cached_property
     def radii_squared(self) -> list:
@@ -401,19 +410,8 @@ def xi_laplacians(space: FourierFormSpace):
 
 
 def laplacian_d(space: FourierFormSpace) -> OperatorMatrix:
-    """Hodge Laplacian of d, Delta_d = d d* + d* d, from _laplacian_pass
-    of d = sum_j (xi_j + xibar_j).  Its (2n)(2n - 1) cross terms must all
-    vanish, so that Delta_d is the sum of the diagonal terms and
-    type-block-diagonal; DegenerateInputError is raised otherwise.  The
-    result is cached on the space.
-    """
-    key = "laplacian_d"
-    if key not in space._cache:
-        total, cross = _laplacian_pass(d_operator(space))
-        if cross:
-            raise DegenerateInputError("Laplacian cross terms failed to anticommute")
-        space._cache[key] = total
-    return space._cache[key]
+    """Hodge Laplacian of d on the space: its cached `laplacian`."""
+    return space.laplacian
 
 
 def _by_src(op: OperatorMatrix) -> dict:

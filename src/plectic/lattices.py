@@ -4,14 +4,15 @@ Everything here is exact: entries are Python ints or Fractions and no
 routine rounds, apart from :func:`fraction_to_mpf`.  A lattice is a list
 of integer basis rows (or an :class:`IntMatrix` holding them).
 
-The Hermite normal form is the one lattice normal form: ranks, kernels,
-saturations, row-lattice bases, integer solves and torsion-free
-quotients all come from :func:`hermite_normal_form`, and every basis
-they return is the canonical (Hermite) one.  It is also the
-one solve: :func:`solve_integer` solves A X = B for every column of B
-against one Hermite form of A^T, and the exact rational inverse
-(:func:`fraction_inverse`) is the adjugate over the determinant, one such
-solve against det(A) I.  The Smith form is built from it too, for the
+The Hermite normal form is the one lattice normal form, and one
+elimination (Cohen, GTM 138, section 2.4) makes every Hermite row step,
+carrying any later columns along: ranks and row-lattice bases carry none,
+:func:`hermite_normal_form` carries its transform as an identity block, a
+kernel is one pass over [A^T | I] and a saturation two.  Every basis
+returned is the canonical (Hermite) one.  :func:`solve_integer` solves
+A X = B for every column of B against one Hermite form of A^T; the exact
+rational inverse (:func:`fraction_inverse`) is one such solve against
+det(A) I, over det(A).  The Smith form is built from it too, for the
 elementary divisors.
 """
 
@@ -142,7 +143,7 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def rank(self) -> int:
-        return hermite_normal_form(self)[0].rows
+        return _hermite_rows([list(r) for r in self.entries], self.cols)
 
     def diagonal(self):
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -177,36 +178,45 @@ def hermite_normal_form(m: IntMatrix):
     H has one row per rank and echelon shape; each leading entry is
     positive and the entries above it lie in [0, leading).  H depends only
     on the row lattice of m, so it is that lattice's canonical basis
-    (Cohen, GTM 138, section 2.4).  Each column is cleared below the pivot
-    by Bezout row steps, so no remainder sequence runs on the entries.
-    """
+    (Cohen, GTM 138, section 2.4).  U is the identity block of [m | I],
+    carried through an elimination of m's columns only so that it stays bit
+    for bit: solve_integer's particular solutions rest on it, and through
+    them torsion_free_quotient, _equivariant_section and golden RM reports."""
     R, C = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[int(i == j) for j in range(R)] for i in range(R)]
-    r = 0
-    for j in range(C):
+    rows = [list(r) + [int(i == j) for j in range(R)] for i, r in enumerate(m.entries)]
+    r = _hermite_rows(rows, C)
+    H = IntMatrix(r, C, tuple(tuple(row[:C]) for row in rows[:r]))
+    return H, IntMatrix(R, R, tuple(tuple(row[C:]) for row in rows))
+
+
+def _hermite_rows(rows, width):
+    """Hermite-reduce the first `width` columns of `rows` (integer lists)
+    in place by Bezout row steps, so no remainder sequence runs on the
+    entries, carrying the later columns along.  Returns the rank r there:
+    rows[:r] end as in :func:`hermite_normal_form`, the rest zero there."""
+    R, r = len(rows), 0
+    for j in range(width):
         if r == R:
             break
         for i in range(r + 1, R):
-            if a[i][j]:
-                # unimodular 2x2 row step: a[r][j] <- gcd, a[i][j] <- 0
-                g, x, y = _xgcd(a[r][j], a[i][j])
-                p, q = a[r][j] // g, a[i][j] // g
-                for w in (a, u):
-                    w[r], w[i] = ([x * s + y * t for s, t in zip(w[r], w[i])],
-                                  [p * t - q * s for s, t in zip(w[r], w[i])])
-        if not a[r][j]:
+            if rows[i][j]:
+                # unimodular 2x2 row step: rows[r][j] <- gcd, rows[i][j] <- 0
+                a, b = rows[r], rows[i]
+                g, x, y = _xgcd(a[j], b[j])
+                p, q = a[j] // g, b[j] // g
+                rows[r], rows[i] = ([x * s + y * t for s, t in zip(a, b)],
+                                    [p * t - q * s for s, t in zip(a, b)])
+        lead = rows[r][j]
+        if not lead:
             continue
-        if a[r][j] < 0:
-            a[r], u[r] = [-s for s in a[r]], [-s for s in u[r]]
+        if lead < 0:
+            rows[r], lead = [-s for s in rows[r]], -lead
         for i in range(r):
-            q = a[i][j] // a[r][j]
+            q = rows[i][j] // lead
             if q:
-                for w in (a, u):
-                    w[i] = [s - q * t for s, t in zip(w[i], w[r])]
+                rows[i] = [s - q * t for s, t in zip(rows[i], rows[r])]
         r += 1
-    H = IntMatrix(r, C, tuple(tuple(row) for row in a[:r]))
-    return H, IntMatrix(R, R, tuple(tuple(row) for row in u))
+    return r
 
 
 def smith_normal_form(m: IntMatrix):
@@ -288,28 +298,27 @@ def fraction_to_mpf(x) -> mp.mpf:
 
 
 def kernel_integer(A: IntMatrix):
-    """Z-basis of {x in Z^cols : A x = 0} in Hermite normal form; the
-    result is saturated.  The rows of U past the rank, for U*A^T = H,
-    span it."""
-    H, U = hermite_normal_form(A.transpose())
-    if H.rows == A.cols:
-        return []
-    return row_lattice_basis(IntMatrix.from_rows(U.entries[H.rows:]))
+    """Z-basis of {x in Z^cols : A x = 0} in Hermite normal form, hence
+    saturated: after one elimination of [A^T | I] over all its columns, the
+    identity block of the rows whose A^T block is zero."""
+    k, n = A.rows, A.cols
+    rows = [list(c) + [int(i == j) for j in range(n)] for i, c in enumerate(A.transpose().entries)]
+    _hermite_rows(rows, k + n)
+    return [tuple(row[k:]) for row in rows if not any(row[:k])]
 
 
 def row_lattice_basis(A: IntMatrix):
     """Z-basis (list of rows) of the lattice generated by the rows of A:
-    its Hermite normal form."""
-    return list(hermite_normal_form(A)[0].entries)
+    its Hermite normal form, with no transform carried."""
+    rows = [list(r) for r in A.entries]
+    return [tuple(row) for row in rows[:_hermite_rows(rows, A.cols)]]
 
 
 def saturation(A: IntMatrix):
     """Z-basis of the saturation of the row lattice of A in Z^cols, in
-    Hermite normal form: the kernel of its kernel."""
+    Hermite normal form: the kernel of its kernel, two eliminations."""
     ker = kernel_integer(A)
-    if not ker:
-        return [tuple(r) for r in IntMatrix.identity(A.cols).entries]
-    return kernel_integer(IntMatrix.from_rows(ker))
+    return kernel_integer(IntMatrix(len(ker), A.cols, tuple(ker)))
 
 
 def solve_integer(A: IntMatrix, B: IntMatrix):

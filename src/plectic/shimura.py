@@ -247,8 +247,7 @@ def character_decompose(d: StronglyPrimitiveDatum, nu: int):
         for mu, sign in zip(others, chi):
             m = d.frobenii[mu - 1] - IntMatrix.identity(d.rank).scale(sign)
             rows.extend(m.entries)
-        basis = kernel_integer(IntMatrix.from_rows(rows)) if rows else \
-            [tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank)]
+        basis = kernel_integer(IntMatrix(len(rows), d.rank, tuple(rows)))
         if len(basis) != 2 * d.h:
             raise DegenerateInputError(
                 "character piece does not have rank twice the holomorphic dimension"

@@ -558,7 +558,7 @@ def detect_rm(t: ComplexTorus, height_bound: int = 10, field_hint: FieldOrder | 
     for N, m in _rm_candidates(basis[:6], g, height_bound):
         if field_hint is not None and not _same_quadratic_field(m, field_hint):
             continue
-        return _order_from_generator(N, basis, g)
+        return _order_from_generator(N, g)
     return None
 
 
@@ -568,22 +568,16 @@ def _same_quadratic_field(p, field: FieldOrder) -> bool:
     return _fundamental_part(p[1] * p[1] - 4 * p[2]) == _fundamental_part(field.discriminant())
 
 
-def _order_from_generator(N: IntMatrix, endo_basis, g: int):
-    """Full order End(T) intersect Q(N), presented on a basis {1, w, ...}."""
+def _order_from_generator(N: IntMatrix, g: int):
+    """Full order End(T) intersect Q(N), presented on a basis {1, w, ...}.
+    A matrix in Q(N) is a polynomial in N, so it commutes with the complex
+    structure as N does: the order is the saturation of 1, N, ...,
+    N^(g-1), independent since N's minimal polynomial has degree g."""
     n = N.rows
-    powers = []
-    P = IntMatrix.identity(n)
-    for _ in range(g):
-        powers.append(_vec(P))
-        P = P @ N
-    S = IntMatrix.from_rows(powers)
-    comp = kernel_integer(S)  # null space of the row span of S
-    K = IntMatrix.from_rows([_vec(B) for B in endo_basis])
-    cvecs = kernel_integer(IntMatrix.from_rows(comp) @ K.transpose())
-    order_rows = [K.transpose().apply(c) for c in cvecs]
-    order_rows = row_lattice_basis(IntMatrix.from_rows(order_rows))
-    if len(order_rows) != g:
-        raise DegenerateInputError("order lattice has unexpected rank")
+    powers = [IntMatrix.identity(n)]
+    for _ in range(g - 1):
+        powers.append(powers[-1] @ N)
+    order_rows = saturation(IntMatrix.from_rows([_vec(P) for P in powers]))
     # normalize the basis so that the identity comes first
     ident = _vec(IntMatrix.identity(n))
     basis_vecs = [ident] + torsion_free_quotient([ident], order_rows)

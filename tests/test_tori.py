@@ -25,9 +25,12 @@ from plectic.lattices import (
     IntMatrix,
     coefficient_shells,
     int_combination,
+    kernel_integer,
     lll_reduce,
+    row_lattice_basis,
     saturation,
     solve_integer,
+    torsion_free_quotient,
 )
 from plectic.numberfields import FieldOrder, FractionalIdealRep, _generates_totally_real_field
 from plectic.tori import (
@@ -657,7 +660,7 @@ def min_poly_detect_rm(t: ComplexTorus, height_bound: int, field_hint=None):
             continue
         if field_hint is not None and not tori._same_quadratic_field(p, field_hint):
             continue
-        return tori._order_from_generator(N, basis, t.g)
+        return tori._order_from_generator(N, t.g)
     return None
 
 
@@ -767,3 +770,56 @@ def test_rm_candidates_accept_a_doubled_companion(m):
     got = list(tori._rm_candidates(basis, n // 2, 2))
     assert got and all(tori._rm_poly(N, n // 2) == p for N, p in got)
     assert (C, m) in got
+
+
+def end_basis_order_from_generator(N: IntMatrix, endo_basis, g: int):
+    """tori._order_from_generator before it read the order from N alone:
+    End(T) meet Q(N) cut out of the End basis by two integer kernels."""
+    n = N.rows
+    powers = []
+    P = IntMatrix.identity(n)
+    for _ in range(g):
+        powers.append(tori._vec(P))
+        P = P @ N
+    comp = kernel_integer(IntMatrix.from_rows(powers))  # null space of the row span of S
+    K = IntMatrix.from_rows([tori._vec(B) for B in endo_basis])
+    cvecs = kernel_integer(IntMatrix.from_rows(comp) @ K.transpose())
+    order_rows = row_lattice_basis(IntMatrix.from_rows([K.transpose().apply(c) for c in cvecs]))
+    assert len(order_rows) == g
+    ident = tori._vec(IntMatrix.identity(n))
+    basis_vecs = [ident] + torsion_free_quotient([ident], order_rows)
+    mats = [tori._unvec(v, n, n) for v in basis_vecs]
+    Bt = IntMatrix.from_rows(basis_vecs).transpose()
+    prods = IntMatrix.from_rows([tori._vec(a @ b) for a in mats for b in mats]).transpose()
+    cols = solve_integer(Bt, prods).transpose().entries
+    table = tuple(cols[i * g:(i + 1) * g] for i in range(g))
+    coeffs = tori._rm_poly(mats[1], g)
+    field = (FieldOrder.quadratic(-coeffs[1], coeffs[2]) if g == 2
+             else FieldOrder(g, coeffs, tuple(table)))
+    return RMStructure(field, tuple(mats))
+
+
+def _p2(D):
+    return FractionalIdealRep(FieldOrder.quadratic_maximal(D),
+                              ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))))
+
+
+@pytest.mark.parametrize("field,z,ideal", [
+    (FieldOrder.quadratic_maximal(2), ("0.23", "1.09", "-0.37", "0.81"), None),
+    (FieldOrder.quadratic_maximal(5), ("0.13", "1.07", "-0.41", "0.83"), None),
+    (FieldOrder.quadratic_maximal(13), ("-0.29", "0.94", "0.44", "1.21"), None),
+    (FieldOrder.quadratic_maximal(10), ("0.1", "1.3", "0.2", "0.7"), _p2(10)),
+    # the non-maximal Z[sqrt 5] of CI's rm5.json
+    (FieldOrder.quadratic(0, -5), ("0.31", "1.17", "-0.42", "0.83"), None),
+], ids=["sqrt2", "sqrt5", "sqrt13", "sqrt10-P2", "Z[sqrt5]"])
+def test_order_from_the_generator_alone_matches_the_end_basis_reference(field, z, ideal):
+    """detect_rm reads End(T) meet Q(N) as the saturation of 1, N, ...,
+    N^(g-1): the same field, maximality and action matrices as the order
+    cut out of the End basis."""
+    t = construct_rm_torus(field, [mp.mpc(z[0], z[1]), mp.mpc(z[2], z[3])], ideal)
+    basis = hom_lattice(t, t)
+    N, _ = next(tori._rm_candidates(basis[:6], t.g, 6))
+    want = end_basis_order_from_generator(N, basis, t.g)
+    rm = detect_rm(t, 6)
+    assert rm.field == want.field and rm.field.is_maximal == field.is_maximal
+    assert [A.entries for A in rm.action] == [A.entries for A in want.action]
